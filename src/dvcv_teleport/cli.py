@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,6 @@ from .fock import MeasurementRangeError, TailMassError
 from .optics import HybridChannel, negativity
 
 ENV_OUT_DIR = "DVCV_TELEPORT_OUT_DIR"
-
-PROTOCOLS = ("dual", "single", "init_am_dual", "init_am_single")
-FIGURES = ("fig2", "fig3", "fig4", "fig5")
-
 
 class UsageError(ValueError):
     pass
@@ -46,7 +42,7 @@ def _out_dir(path: str | None) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, "."))
 
 
-def _write_csv(path: Path, header_lines: list[str], columns: list[str],
+def _write_csv(path: Path, header_lines: list[str], columns: tuple[str, ...],
                rows: list[tuple]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -64,6 +60,47 @@ def _header(args, echo_keys: list[str]) -> list[str]:
         f"command: {args.command} {echo}",
         f"truncation: nmax={args.nmax} tail_tol={args.tail_tol}",
     ]
+
+
+# -- curves ------------------------------------------------------------------
+# A row function gives the values that follow the leading column of one
+# output row; `sweep` and `figure` share them and walk alpha serially.
+
+def _dual_row(alpha, l, k, n_cut):
+    p = protocol.direct_success_probability(l, k, alpha, n_cut)
+    q = protocol.am_probability(l, k, alpha, n_cut)
+    return p, q, p + q
+
+
+def _single_row(alpha, l, k, n_cut):
+    adds = dm.single_rail_demod_additions(l, k, alpha, n_cut)
+    return (adds["clean"], adds["swap"], adds["displacement_first"],
+            adds["displacement_chain"])
+
+
+def _init_am_row(rail, alpha, a1_abs, n_cut):
+    """Total success and clean-outcome mass of the pre-modulated ``rail``
+    ("dual" or "single") protocol, defined for l=0, k=1, at the original
+    |a1|."""
+    run = dm.initially_am_dual if rail == "dual" else dm.initially_am_single
+    a0 = math.sqrt(max(0.0, 1.0 - a1_abs * a1_abs))
+    records, total = run(a0, a1_abs, alpha, n_cut)
+    return total, sum(r[-1] for r in records if r[-2] == "clean")
+
+
+#: protocol -> (columns, row function); the init_am rows take the original
+#: |a1| in place of (l, k)
+CURVES = {
+    "dual": (("alpha", "p_direct", "p_modulated", "p_total"), _dual_row),
+    "single": (("alpha", "p_clean", "dp_swap", "dp_disp_first", "dp_disp_chain"),
+               _single_row),
+    "init_am_dual": (("alpha", "a1_abs", "total_success", "p_clean_outcome"),
+                     partial(_init_am_row, "dual")),
+    "init_am_single": (("alpha", "a1_abs", "total_success", "p_clean_outcome"),
+                       partial(_init_am_row, "single")),
+}
+PROTOCOLS = tuple(CURVES)
+FIGURES = ("fig2", "fig3", "fig4", "fig5")
 
 
 # -- sweep ---------------------------------------------------------------
@@ -92,48 +129,17 @@ def cmd_sweep(args) -> int:
     alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.steps))
     a1s = _a1_values(args)
     l, k, n_cut = args.l, args.k, args.nmax
-
-    if args.protocol == "dual":
-        if a1s:
-            raise UsageError("--a1-abs/--a1-grid apply to the init_am protocols only")
-        columns = ["alpha", "p_direct", "p_modulated", "p_total"]
-
-        def row(alpha):
-            p = protocol.direct_success_probability(l, k, alpha, n_cut)
-            q = protocol.am_probability(l, k, alpha, n_cut)
-            return [(alpha, p, q, p + q)]
-
-    elif args.protocol == "single":
-        if a1s:
-            raise UsageError("--a1-abs/--a1-grid apply to the init_am protocols only")
-        columns = ["alpha", "p_clean", "dp_swap", "dp_disp_first", "dp_disp_chain"]
-
-        def row(alpha):
-            adds = dm.single_rail_demod_additions(l, k, alpha, n_cut)
-            return [(alpha, adds["clean"], adds["swap"],
-                     adds["displacement_first"], adds["displacement_chain"])]
-
-    else:
+    columns, row = CURVES[args.protocol]
+    if args.protocol.startswith("init_am"):
         if (l, k) != (0, 1):
             raise UsageError("the init_am protocols are defined for l=0, k=1")
         if not a1s:
             raise UsageError("the init_am protocols need --a1-abs or --a1-grid")
-        columns = ["alpha", "a1_abs", "total_success", "p_clean_outcome"]
-        run = (dm.initially_am_dual if args.protocol == "init_am_dual"
-               else dm.initially_am_single)
-
-        def row(alpha):
-            out = []
-            for x in a1s:
-                a0 = math.sqrt(max(0.0, 1.0 - x * x))
-                rows_, total = run(a0, x, alpha, n_cut)
-                clean = sum(r[-1] for r in rows_ if r[-2] == "clean")
-                out.append((alpha, x, total, clean))
-            return out
-
-    with ThreadPoolExecutor() as pool:
-        chunks = list(pool.map(row, alphas))
-    rows = [r for chunk in chunks for r in chunk]
+        rows = [(a, x, *row(a, x, n_cut)) for a in alphas for x in a1s]
+    else:
+        if a1s:
+            raise UsageError("--a1-abs/--a1-grid apply to the init_am protocols only")
+        rows = [(a, *row(a, l, k, n_cut)) for a in alphas]
 
     out_path = args.out
     if out_path is None:
@@ -155,63 +161,36 @@ def _alpha_grid(lo, hi, step, extras=()) -> list[float]:
     return sorted(vals)
 
 
+def _pair_sum_rows(l, k, pairs, extras, n_cut):
+    """fig2/fig3: direct mass, the pair sums of ``pairs`` and the sign-free
+    total (direct mass plus the (l, k) pair sum) on the alpha grid."""
+    columns = ("alpha", "p_direct", *(f"ps_{n}{m}" for n, m in pairs), "p_signfree")
+    rows = []
+    for a in _alpha_grid(0.05, 1.2, 0.01, extras):
+        p = protocol.direct_success_probability(l, k, a, n_cut)
+        sums = [protocol.pair_sum_probability(l, k, n, m, a) for n, m in pairs]
+        rows.append((a, p, *sums, p + protocol.pair_sum_probability(l, k, l, k, a)))
+    return columns, rows
+
+
 def _figure_rows(name: str, n_cut: int):
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if name == "fig2":
-        alphas = _alpha_grid(0.05, 1.2, 0.01, extras=(inv_sqrt2, 0.628482))
-        columns = ["alpha", "p_direct", "ps_01", "ps_02", "ps_12", "ps_03",
-                   "p_signfree"]
-
-        def row(a):
-            p = protocol.direct_success_probability(0, 1, a, n_cut)
-            s01 = protocol.pair_sum_probability(0, 1, 0, 1, a)
-            return (a, p, s01,
-                    protocol.pair_sum_probability(0, 1, 0, 2, a),
-                    protocol.pair_sum_probability(0, 1, 1, 2, a),
-                    protocol.pair_sum_probability(0, 1, 0, 3, a),
-                    p + s01)
-
-        return columns, [row(a) for a in alphas]
+        return _pair_sum_rows(0, 1, ((0, 1), (0, 2), (1, 2), (0, 3)),
+                              (1.0 / math.sqrt(2.0), 0.628482), n_cut)
     if name == "fig3":
-        alphas = _alpha_grid(0.05, 1.2, 0.01, extras=(0.4072, 0.5053))
-        columns = ["alpha", "p_direct", "ps_01", "ps_02", "ps_12", "ps_13",
-                   "p_signfree"]
-
-        def row(a):
-            p = protocol.direct_success_probability(1, 2, a, n_cut)
-            s12 = protocol.pair_sum_probability(1, 2, 1, 2, a)
-            return (a, p,
-                    protocol.pair_sum_probability(1, 2, 0, 1, a),
-                    protocol.pair_sum_probability(1, 2, 0, 2, a),
-                    s12,
-                    protocol.pair_sum_probability(1, 2, 1, 3, a),
-                    p + s12)
-
-        return columns, [row(a) for a in alphas]
+        return _pair_sum_rows(1, 2, ((0, 1), (0, 2), (1, 2), (1, 3)),
+                              (0.4072, 0.5053), n_cut)
     if name == "fig4":
-        alphas = _alpha_grid(0.05, 1.5, 0.025)
-        columns = ["alpha", "p_clean", "dp_swap", "dp_disp_first", "dp_disp_chain"]
-
-        def row(a):
-            adds = dm.single_rail_demod_additions(0, 1, a, n_cut)
-            return (a, adds["clean"], adds["swap"],
-                    adds["displacement_first"], adds["displacement_chain"])
-
-        return columns, [row(a) for a in alphas]
+        columns, row = CURVES["single"]
+        return columns, [(a, *row(a, 0, 1, n_cut)) for a in _alpha_grid(0.05, 1.5, 0.025)]
     if name == "fig5":
-        a1s = np.linspace(0.0, 0.99, 100)
         alphas = (0.2, 0.3, 0.4)
-        columns = (["a1_abs"]
-                   + [f"dual_alpha{a:.2f}".replace(".", "") for a in alphas]
-                   + [f"single_alpha{a:.2f}".replace(".", "") for a in alphas])
-
-        def row(x):
-            a0 = math.sqrt(max(0.0, 1.0 - x * x))
-            duals = [dm.initially_am_dual(a0, x, a, n_cut)[1] for a in alphas]
-            singles = [dm.initially_am_single(a0, x, a, n_cut)[1] for a in alphas]
-            return tuple([x] + duals + singles)
-
-        return columns, [row(x) for x in a1s]
+        rails = ("dual", "single")
+        columns = ("a1_abs", *(f"{rail}_alpha{a:.2f}".replace(".", "")
+                               for rail in rails for a in alphas))
+        return columns, [(x, *(_init_am_row(rail, a, x, n_cut)[0]
+                               for rail in rails for a in alphas))
+                         for x in np.linspace(0.0, 0.99, 100)]
     raise UsageError(f"unknown figure {name!r}; choose from {FIGURES}")
 
 
@@ -287,8 +266,15 @@ def cmd_oracle(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nmax", type=int, default=20,
+    p.add_argument("--nmax", type=_nonnegative_int, default=20,
                    help="photon-number cutoff for analytic sums (default 20)")
     p.add_argument("--tail-tol", type=float, default=1e-10,
                    help="admissible truncation-tail probability (default 1e-10)")

@@ -29,12 +29,14 @@ from .protocol import (
     DUAL_RAIL_BASIS,
     SingularFactorError,
     amp_factor_dual,
+    amp_factor_grid,
     amp_factor_single,
     direct_success_probability,
 )
 
 _CLEAN_TOL = 1e-12
 _ROOT_TOL = 1e-10
+_POLICIES = ("best", "swap", "displacement", "skip")
 
 
 @dataclass(frozen=True)
@@ -234,26 +236,31 @@ def _chain_table(depth: int, include_swap: bool, target_max: int,
     return log_grid, value
 
 
-def q_displacement_chain(a_factor: float, depth: int = 3, target_max: int = 8,
-                         residual_max: int = 12, gamma_max: float = 8.0) -> float:
+def _chain_value(a_factor, include_swap: bool, depth: int, target_max: int,
+                 residual_max: int, gamma_max: float) -> np.ndarray:
+    """Value-table entry at |a_factor| (scalar or array); zero factors get zero."""
+    log_grid, value = _chain_table(depth, include_swap, target_max, residual_max, gamma_max)
+    a = np.abs(np.asarray(a_factor, dtype=float))
+    with np.errstate(divide="ignore"):
+        return np.where(a == 0.0, 0.0, np.interp(np.log10(a), log_grid, value))
+
+
+def q_displacement_chain(a_factor, depth: int = 3, target_max: int = 8,
+                         residual_max: int = 12, gamma_max: float = 8.0):
     """Success of up to ``depth`` chained displacement attempts (no swap)."""
-    if a_factor == 0.0:
-        return 0.0
-    log_grid, value = _chain_table(depth, False, target_max, residual_max, gamma_max)
-    return float(np.interp(math.log10(abs(a_factor)), log_grid, value))
+    out = _chain_value(a_factor, False, depth, target_max, residual_max, gamma_max)
+    return float(out) if out.ndim == 0 else out
 
 
-def q_best(a_factor: float, depth: int = 3, target_max: int = 8,
-           residual_max: int = 12, gamma_max: float = 8.0) -> float:
+def q_best(a_factor, depth: int = 3, target_max: int = 8,
+           residual_max: int = 12, gamma_max: float = 8.0):
     """Best of the swap and the chained displacement (swap allowed once,
     at any point of the chain)."""
-    if a_factor == 0.0:
-        return 0.0
-    log_grid, value = _chain_table(depth, True, target_max, residual_max, gamma_max)
-    interpolated = float(np.interp(math.log10(abs(a_factor)), log_grid, value))
+    interpolated = _chain_value(a_factor, True, depth, target_max, residual_max, gamma_max)
     # the immediate swap is always available exactly; the table only bounds
     # it to interpolation accuracy
-    return max(interpolated, float(q_swap(a_factor)))
+    out = np.maximum(interpolated, q_swap(a_factor))
+    return float(out) if out.ndim == 0 else out
 
 
 # -- overall accounting --------------------------------------------------------
@@ -273,39 +280,34 @@ def overall_success_report(l: int, k: int, alpha: float, policy="best",
     appear with method "singular" and zero contribution.
     """
     table = matrix_element_table(max(l, k), n_cut, alpha)
-    f4 = overall_factor(alpha) ** 4
-    direct = direct_success_probability(l, k, alpha, n_cut)
-    rows = []
-    addition = 0.0
-    for n in range(n_cut + 1):
-        for m in range(n_cut + 1):
-            if n == m:
-                continue
-            weight = f4 * table.element(l, n) ** 2 * table.element(k, m) ** 2
-            try:
-                factor = amp_factor_dual(l, k, n, m, alpha)
-            except SingularFactorError:
-                rows.append((n, m, math.nan, "singular", 0.0, weight, 0.0))
-                continue
-            method = policy(n, m, factor) if callable(policy) else policy
-            if method != "skip" and abs(abs(factor) - 1.0) <= clean_tolerance:
-                method, q = "clean", 1.0
-            elif method == "best":
-                q_s = q_swap(factor)
-                q_c = q_best(factor, chain_depth)
-                q, method = (q_s, "swap") if q_s >= q_c else (q_c, "displacement")
-            elif method == "swap":
-                q = q_swap(factor)
-            elif method == "displacement":
-                q = q_displacement_chain(factor, chain_depth)
-            elif method == "skip":
-                q = 0.0
-            else:
-                raise ValueError(f"unknown demodulation method {method!r}")
-            contribution = weight * q
-            addition += contribution
-            rows.append((n, m, factor, method, q, weight, contribution))
-    return direct + addition, rows
+    n, m = np.nonzero(~np.eye(n_cut + 1, dtype=bool))
+    factor = amp_factor_grid(l, k, table)[n, m]
+    weight = ((overall_factor(alpha) ** 4 * table.c[l] ** 2)[:, None]
+              * table.c[k] ** 2)[n, m]
+    ok = ~np.isnan(factor)
+    method = np.full(factor.shape, "singular", dtype=object)
+    method[ok] = ([policy(*o) for o in zip(n[ok].tolist(), m[ok].tolist(),
+                                           factor[ok].tolist())]
+                  if callable(policy) else policy)
+    clean = ok & (method != "skip") & (np.abs(np.abs(factor) - 1.0) <= clean_tolerance)
+    unknown = [x for x in method[ok & ~clean].tolist() if x not in _POLICIES]
+    if unknown:
+        raise ValueError(f"unknown demodulation method {unknown[0]!r}")
+    method[clean] = "clean"
+    q = np.where(clean, 1.0, 0.0)
+    swap, disp, best = (method == "swap"), (method == "displacement"), (method == "best")
+    q[swap] = q_swap(factor[swap])
+    if disp.any():
+        q[disp] = q_displacement_chain(factor[disp], chain_depth)
+    if best.any():
+        q_s, q_c = q_swap(factor[best]), q_best(factor[best], chain_depth)
+        q[best] = np.where(q_s >= q_c, q_s, q_c)
+        method[best] = np.where(q_s >= q_c, "swap", "displacement")
+    contribution = weight * q
+    rows = list(zip(n.tolist(), m.tolist(), factor.tolist(), method.tolist(),
+                    q.tolist(), weight.tolist(), contribution.tolist()))
+    total = direct_success_probability(l, k, alpha, n_cut) + float(contribution.sum())
+    return total, rows
 
 
 def overall_success(l: int, k: int, alpha: float, policy="best",
@@ -322,27 +324,31 @@ def single_rail_demod_additions(l: int, k: int, alpha: float, n_cut: int = 20,
     the swap route, a single displacement attempt, and the chained
     displacement, plus whatever mass is already factor-free."""
     table = matrix_element_table(max(l, k), n_cut, alpha)
-    f2 = overall_factor(alpha) ** 2
-    clean = swap = disp_first = disp_chain = 0.0
-    for n in range(n_cut + 1):
-        weight = f2 * table.element(l, n) ** 2
-        c_l = table.element(l, n)
-        if c_l == 0.0:
-            continue
-        factor = table.element(k, n) / c_l
-        if abs(abs(factor) - 1.0) <= _CLEAN_TOL:
-            clean += weight
-            continue
-        if factor == 0.0:
-            continue
-        swap += weight * q_swap(factor)
-        disp_first += weight * q_displacement_chain(factor, 1)
-        disp_chain += weight * q_displacement_chain(factor, chain_depth)
-    return {"clean": clean, "swap": swap, "displacement_first": disp_first,
-            "displacement_chain": disp_chain}
+    weight = overall_factor(alpha) ** 2 * table.c[l] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = table.c[k] / table.c[l]
+    defined = table.c[l] != 0.0
+    clean = defined & (np.abs(np.abs(factor) - 1.0) <= _CLEAN_TOL)
+    demod = defined & ~clean & (factor != 0.0)
+    w, f = weight[demod], factor[demod]
+    return {"clean": float(weight[clean].sum()),
+            "swap": float(np.sum(w * q_swap(f))),
+            "displacement_first": float(np.sum(w * q_displacement_chain(f, 1))),
+            "displacement_chain": float(np.sum(w * q_displacement_chain(f, chain_depth)))}
 
 
 # -- protocols with pre-modulated inputs ---------------------------------------
+
+def _premodulated(a0: complex, a1: complex, a_ref: float):
+    """Normalized (a0, a1) of a pre-modulated input and its weight
+    |a0|^2 + |a1 * a_ref|^2; a vanishing reference factor (alpha = 0)
+    leaves nothing to pre-modulate against."""
+    if a_ref == 0.0:
+        raise SingularFactorError("the reference amplitude factor vanishes")
+    nrm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
+    a0, a1 = complex(a0) / nrm, complex(a1) / nrm
+    return a0, a1, abs(a0) ** 2 + abs(a1) ** 2 * a_ref ** 2
+
 
 def initially_am_dual(a0: complex, a1: complex, alpha: float, n_cut: int = 20):
     """Teleport a dual-rail qubit that was pre-modulated so the dominant
@@ -355,34 +361,25 @@ def initially_am_dual(a0: complex, a1: complex, alpha: float, n_cut: int = 20):
     ``(records, total)`` with rows (n, m, probability, relative_factor,
     method, contribution).
     """
-    nrm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
-    a0, a1 = complex(a0) / nrm, complex(a1) / nrm
     a_ref = amp_factor_dual(0, 1, 0, 1, alpha)
-    base = abs(a0) ** 2 + abs(a1) ** 2 * a_ref ** 2
+    a0, a1, base = _premodulated(a0, a1, a_ref)
     table = matrix_element_table(1, n_cut, alpha)
+    c0, c1 = table.c
     f4 = overall_factor(alpha) ** 4
-    rows = []
-    total = 0.0
-    for n in range(n_cut + 1):
-        for m in range(n_cut + 1 - n):
-            weight = f4 * table.element(0, n) ** 2 * table.element(1, m) ** 2
-            prob = f4 * (
-                abs(a0) ** 2 * (table.element(0, n) * table.element(1, m)) ** 2
-                + abs(a1) ** 2 * (table.element(1, n) * table.element(0, m)) ** 2
-            )
-            try:
-                phi = amp_factor_dual(0, 1, n, m, alpha) / a_ref
-            except SingularFactorError:
-                rows.append((n, m, prob, math.nan, "singular", 0.0))
-                continue
-            if abs(abs(phi) - 1.0) <= _CLEAN_TOL:
-                method, g = "clean", 1.0
-            else:
-                method, g = "swap", q_swap(phi)
-            contribution = weight * base * g
-            total += contribution
-            rows.append((n, m, prob, phi, method, contribution))
-    return rows, total
+    counts = np.arange(n_cut + 1)
+    n, m = np.nonzero(counts[:, None] + counts <= n_cut)
+    weight = f4 * c0[n] ** 2 * c1[m] ** 2
+    prob = f4 * (abs(a0) ** 2 * (c0[n] * c1[m]) ** 2
+                 + abs(a1) ** 2 * (c1[n] * c0[m]) ** 2)
+    phi = amp_factor_grid(0, 1, table)[n, m] / a_ref
+    singular = np.isnan(phi)
+    clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
+    g = np.where(clean, 1.0, q_swap(phi))
+    contribution = np.where(singular, 0.0, weight * base * g)
+    method = np.where(singular, "singular", np.where(clean, "clean", "swap"))
+    rows = list(zip(n.tolist(), m.tolist(), prob.tolist(), phi.tolist(),
+                    method.tolist(), contribution.tolist()))
+    return rows, float(contribution.sum())
 
 
 def initially_am_dual_total_reference(a1_original_abs: float, alpha: float,
@@ -427,26 +424,20 @@ def initially_am_single(a0: complex, a1: complex, alpha: float, n_cut: int = 20,
     """Single-rail analogue of :func:`initially_am_dual`: the vacuum count
     is factor-free and every other count is demodulated by chained
     displacements.  Returns ``(records, total)``."""
-    nrm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
-    a0, a1 = complex(a0) / nrm, complex(a1) / nrm
     a_ref = amp_factor_single(0, 1, 0, alpha)  # equals -alpha
-    base = abs(a0) ** 2 + abs(a1) ** 2 * a_ref ** 2
+    a0, a1, base = _premodulated(a0, a1, a_ref)
     table = matrix_element_table(1, n_cut, alpha)
+    c0, c1 = table.c
     f2 = overall_factor(alpha) ** 2
-    rows = []
-    total = 0.0
-    for n in range(n_cut + 1):
-        weight = f2 * table.element(0, n) ** 2
-        prob = f2 * (abs(a0) ** 2 * table.element(0, n) ** 2
-                     + abs(a1) ** 2 * table.element(1, n) ** 2)
-        phi = (table.element(1, n) / table.element(0, n)) / a_ref
-        if abs(abs(phi) - 1.0) <= _CLEAN_TOL:
-            method, g = "clean", 1.0
-        elif phi == 0.0:
-            method, g = "skip", 0.0
-        else:
-            method, g = "displacement", q_displacement_chain(phi, chain_depth)
-        contribution = weight * base * g
-        total += contribution
-        rows.append((n, prob, phi, method, contribution))
-    return rows, total
+    weight = f2 * c0 ** 2
+    prob = f2 * (abs(a0) ** 2 * c0 ** 2 + abs(a1) ** 2 * c1 ** 2)
+    phi = c1 / c0 / a_ref
+    clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
+    demod = ~clean & (phi != 0.0)
+    g = np.where(clean, 1.0, 0.0)
+    g[demod] = q_displacement_chain(phi[demod], chain_depth)
+    contribution = weight * base * g
+    method = np.where(clean, "clean", np.where(demod, "displacement", "skip"))
+    rows = list(zip(range(n_cut + 1), prob.tolist(), phi.tolist(),
+                    method.tolist(), contribution.tolist()))
+    return rows, float(contribution.sum())

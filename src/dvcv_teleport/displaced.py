@@ -28,7 +28,6 @@ from .fock import (
     FockState,
     ModeLabel,
     TailMassError,
-    TruncationConfig,
     default_cutoff,
     single_mode,
 )
@@ -66,7 +65,7 @@ def matrix_element_rows(l_max: int, n_max: int, alpha: float) -> np.ndarray:
 class MatrixElementTable:
     """Precomputed decomposition coefficients for displaced number states.
 
-    Immutable once built; share freely across sweep workers.
+    Immutable once built; one table serves every outcome at its alpha.
     """
 
     alpha: float
@@ -158,11 +157,3 @@ def scs_state(parity: str, beta: float, mode: ModeLabel = 0,
         raise TailMassError(f"cat-state cutoff {n_max} too small (norm defect {defect:.2e})")
     return state.normalize().check_tail()
 
-
-def truncation_for(amplitudes: tuple[float, ...], extra: int = 0,
-                   tail_tolerance: float = 1e-10) -> TruncationConfig:
-    """Cutoffs adequate for one coherent/displaced component per mode."""
-    return TruncationConfig(
-        tuple(default_cutoff(a) + extra for a in amplitudes),
-        tail_tolerance,
-    )

@@ -3,8 +3,7 @@
 The two-mode beam splitter conserves total photon number, so its Fock
 representation is block diagonal.  Blocks are built by a Pascal-style
 recurrence (peel one creation operator off the input), cached per
-``(t, r)`` and shared read-only; initialization is guarded by a lock so
-concurrent sweep workers stay safe.
+``(t, r)`` and shared read-only.
 
 Mode-operator convention, fixed once for the whole package: listing modes
 ``(a, b)``, the splitter maps ``a+ -> t a+ + r b+`` and
@@ -18,7 +17,6 @@ and coherent amplitudes transform as ``(x, y) -> (t x - r y, r x + t y)``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +76,6 @@ class HybridChannel:
 # -- beam splitter blocks ---------------------------------------------------
 
 _BS_CACHE: dict[tuple, list[np.ndarray]] = {}
-_BS_LOCK = threading.Lock()
 
 
 def _bs_blocks(t: float, r: float, b_dim: int, n_total_max: int) -> list[np.ndarray]:
@@ -91,35 +88,31 @@ def _bs_blocks(t: float, r: float, b_dim: int, n_total_max: int) -> list[np.ndar
     blocks = _BS_CACHE.get(key)
     if blocks is not None:
         return blocks
-    with _BS_LOCK:
-        blocks = _BS_CACHE.get(key)
-        if blocks is not None:
-            return blocks
-        jb = np.arange(b_dim)
-        sqrt_jb = np.sqrt(jb)
-        blocks = [np.zeros((b_dim, b_dim))]
-        blocks[0][0, 0] = 1.0
-        for N in range(1, n_total_max + 1):
-            prev = blocks[N - 1]
-            out = np.zeros((b_dim, b_dim))
-            sqrt_ja = np.sqrt(np.clip(N - jb, 0, None))
-            prev_shift = np.vstack([np.zeros((1, b_dim)), prev[:-1]])
-            hi = min(N - 1, b_dim - 1)
-            cols = np.arange(0, hi + 1)
-            out[:, cols] = (
-                t * sqrt_ja[:, None] * prev[:, cols]
-                + r * sqrt_jb[:, None] * prev_shift[:, cols]
-            ) / np.sqrt(N - cols)[None, :]
-            if N < b_dim:
-                out[:, N] = (
-                    -r * sqrt_ja * prev[:, N - 1] + t * sqrt_jb * prev_shift[:, N - 1]
-                ) / math.sqrt(N)
-            if b_dim > N:  # rows jb > N are outside this block
-                out[N + 1:, :] = 0.0
-            out.flags.writeable = False
-            blocks.append(out)
-        _BS_CACHE[key] = blocks
-        return blocks
+    jb = np.arange(b_dim)
+    sqrt_jb = np.sqrt(jb)
+    blocks = [np.zeros((b_dim, b_dim))]
+    blocks[0][0, 0] = 1.0
+    for N in range(1, n_total_max + 1):
+        prev = blocks[N - 1]
+        out = np.zeros((b_dim, b_dim))
+        sqrt_ja = np.sqrt(np.clip(N - jb, 0, None))
+        prev_shift = np.vstack([np.zeros((1, b_dim)), prev[:-1]])
+        hi = min(N - 1, b_dim - 1)
+        cols = np.arange(0, hi + 1)
+        out[:, cols] = (
+            t * sqrt_ja[:, None] * prev[:, cols]
+            + r * sqrt_jb[:, None] * prev_shift[:, cols]
+        ) / np.sqrt(N - cols)[None, :]
+        if N < b_dim:
+            out[:, N] = (
+                -r * sqrt_ja * prev[:, N - 1] + t * sqrt_jb * prev_shift[:, N - 1]
+            ) / math.sqrt(N)
+        if b_dim > N:  # rows jb > N are outside this block
+            out[N + 1:, :] = 0.0
+        out.flags.writeable = False
+        blocks.append(out)
+    _BS_CACHE[key] = blocks
+    return blocks
 
 
 def _apply_bs_core(flat: np.ndarray, t: float, r: float) -> np.ndarray:

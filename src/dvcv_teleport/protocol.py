@@ -18,11 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .displaced import matrix_element_table, overall_factor, default_cutoff
-from .fock import QubitState, number_state
+from .displaced import (
+    MatrixElementTable,
+    coherent_state,
+    default_cutoff,
+    matrix_element_table,
+    overall_factor,
+)
+from .fock import QubitState, number_state, tensor
 from .optics import BeamSplitterParams, apply_bs
-from . import displaced
-from . import fock as _fock
 
 DUAL_RAIL_BASIS = ("01", "10")
 
@@ -103,18 +107,12 @@ class TeleportRecord:
 
 
 @dataclass(frozen=True)
-class BruteForceRecord:
+class BruteForceRecord(TeleportRecord):
     """Like TeleportRecord but from the finite-reflectance circuit, where
     the conditional state is slightly mixed: ``rho`` is its 2x2 density
     matrix on the dual-rail basis and ``bob_state``/``corrected_state``
     are the dominant eigenvectors."""
 
-    outcome: Outcome
-    bob_state: QubitState
-    probability: float
-    amp_factor: float
-    z_power: int
-    corrected_state: QubitState
     rho: np.ndarray
     corrected_rho: np.ndarray
     purity: float
@@ -153,6 +151,22 @@ def amp_factor_single(l: int, k: int, n: int, alpha: float) -> float:
     return table.element(k, n) / den
 
 
+def amp_factor_grid(l: int, k: int, table: MatrixElementTable,
+                    table1: MatrixElementTable | None = None) -> np.ndarray:
+    """:func:`amp_factor_dual` for every count pair at once: entry [n, m]
+    takes c(.,n) from ``table`` and c(.,m) from ``table1`` (default: the
+    same table).  Singular outcomes hold NaN."""
+    if table1 is None:
+        table1 = table
+    num = np.outer(table.c[k], table1.c[l])
+    den = np.outer(table.c[l], table1.c[k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grid = np.where(den == 0.0, np.nan, num / den)
+    if table1.alpha == table.alpha:
+        np.fill_diagonal(grid, 1.0)
+    return grid
+
+
 def norm_factor(a1_abs: float, amp_factor: float) -> float:
     """(1 + (A^2 - 1)|a1|^2)^(-1/2), the conditional-state normalizer."""
     return (1.0 + (amp_factor ** 2 - 1.0) * a1_abs ** 2) ** -0.5
@@ -168,17 +182,19 @@ def bob_states_dual(qubit: UnknownQubit, alpha: float, alpha1: float | None,
     logical Z, and the correction word of :func:`correct` maps either onto
     ``(a0, a1 * A)`` up to normalization.
     """
-    l, k = qubit.l, qubit.k
-    if (l - k) % 2 == 0:
+    a_fac = amp_factor_dual(qubit.l, qubit.k, n, m, alpha, alpha1)
+    even, odd = (_bob_state(qubit, a_fac, n, parity) for parity in ("even", "odd"))
+    return even, odd, norm_factor(abs(qubit.a1), a_fac)
+
+
+def _bob_state(qubit: UnknownQubit, a_fac: float, n: int, parity: str) -> QubitState:
+    """One parity branch of the conditional state for factor ``a_fac``
+    on count ``n``."""
+    if (qubit.l - qubit.k) % 2 == 0:
         raise ValueError("conditional-sign teleportation requires l - k odd")
-    a_fac = amp_factor_dual(l, k, n, m, alpha, alpha1)
-    nf = norm_factor(abs(qubit.a1), a_fac)
-    plus = qubit.a0 + qubit.a1 * a_fac
-    minus = qubit.a0 - qubit.a1 * a_fac
-    sign_even = (-1.0) ** (n - l)
-    even = QubitState(plus, sign_even * minus, DUAL_RAIL_BASIS)
-    odd = QubitState(plus, -sign_even * minus, DUAL_RAIL_BASIS)
-    return even, odd, nf
+    plus, minus = qubit.a0 + qubit.a1 * a_fac, qubit.a0 - qubit.a1 * a_fac
+    sign = (-1.0) ** (n - qubit.l) * (1.0 if parity == "even" else -1.0)
+    return QubitState(plus, sign * minus, DUAL_RAIL_BASIS)
 
 
 def z_power_for(parity: str, n: int, l: int) -> int:
@@ -288,27 +304,29 @@ def dual_rail_records(qubit: UnknownQubit, alpha: float, alpha1: float | None = 
     """
     if qubit.encoding != "dual_rail":
         raise ValueError("dual_rail_records expects a dual-rail qubit")
+    l, k = qubit.l, qubit.k
+    if alpha1 is None:
+        alpha1 = alpha
+    ta = matrix_element_table(max(l, k), n_cut, alpha)
+    tb = matrix_element_table(max(l, k), m_cut, alpha1)
+    factors = amp_factor_grid(l, k, ta, tb)
+    f4 = overall_factor(alpha) ** 2 * overall_factor(alpha1) ** 2
+    probs = 0.5 * (f4 * (abs(qubit.a0) ** 2 * np.outer(ta.c[l], tb.c[k]) ** 2
+                         + abs(qubit.a1) ** 2 * np.outer(ta.c[k], tb.c[l]) ** 2))
+    outcomes = np.argwhere(~np.isnan(factors)).tolist()
+    factors, probs = factors.tolist(), probs.tolist()
     records = []
     for parity in ("even", "odd"):
-        for n in range(n_cut + 1):
-            for m in range(m_cut + 1):
-                p_nm = outcome_probability_dual(qubit, qubit.l, qubit.k, n, m,
-                                                alpha, alpha1)
-                try:
-                    a_fac = amp_factor_dual(qubit.l, qubit.k, n, m, alpha, alpha1)
-                    even, odd, _ = bob_states_dual(qubit, alpha, alpha1, n, m)
-                except SingularFactorError:
-                    continue
-                bob = even if parity == "even" else odd
-                corrected = correct(bob, parity, n, qubit.l)
-                records.append(TeleportRecord(
-                    outcome=Outcome(parity, n, m),
-                    bob_state=bob,
-                    probability=0.5 * p_nm,
-                    amp_factor=a_fac,
-                    z_power=z_power_for(parity, n, qubit.l),
-                    corrected_state=corrected,
-                ))
+        for n, m in outcomes:
+            bob = _bob_state(qubit, factors[n][m], n, parity)
+            records.append(TeleportRecord(
+                outcome=Outcome(parity, n, m),
+                bob_state=bob,
+                probability=probs[n][m],
+                amp_factor=factors[n][m],
+                z_power=z_power_for(parity, n, l),
+                corrected_state=correct(bob, parity, n, l),
+            ))
     return records
 
 
@@ -322,18 +340,13 @@ def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int,
     if qubit.encoding != "single_rail":
         raise ValueError("single_rail_pipeline expects a single-rail qubit")
     l, k = qubit.l, qubit.k
-    if (l - k) % 2 == 0:
-        raise ValueError("conditional-sign teleportation requires l - k odd")
     a_fac = amp_factor_single(l, k, n, alpha)
     table = matrix_element_table(max(l, k), n, alpha)
     prob = overall_factor(alpha) ** 2 * (
         abs(qubit.a0) ** 2 * table.element(l, n) ** 2
         + abs(qubit.a1) ** 2 * table.element(k, n) ** 2
     )
-    plus = qubit.a0 + qubit.a1 * a_fac
-    minus = qubit.a0 - qubit.a1 * a_fac
-    sign = (-1.0) ** (n - l) if parity == "even" else (-1.0) ** (n + 1 - l)
-    bob = QubitState(plus, sign * minus, DUAL_RAIL_BASIS)
+    bob = _bob_state(qubit, a_fac, n, parity)
     corrected = correct(bob, parity, n, l)
     return TeleportRecord(
         outcome=Outcome(parity, n, None),
@@ -354,9 +367,9 @@ def _bs_with_coherent(fock_n: int, coh_amp: float, qubit_mode, coh_mode,
     the carrier's amplitude displaces it with the conditional sign."""
     q = number_state(qubit_mode, fock_n, n_max=d_qubit - 1,
                      tail_tolerance=tail_tolerance)
-    c = displaced.coherent_state(coh_amp, mode=coh_mode, n_max=d_coh - 1,
-                                 tail_tolerance=tail_tolerance)
-    joint = _fock.tensor(q, c)
+    c = coherent_state(coh_amp, mode=coh_mode, n_max=d_coh - 1,
+                       tail_tolerance=tail_tolerance)
+    joint = tensor(q, c)
     return apply_bs(joint, qubit_mode, coh_mode, params)
 
 

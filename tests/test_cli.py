@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from dvcv_teleport import demodulation as dm
 from dvcv_teleport.cli import main
 
 
@@ -60,6 +61,30 @@ def test_sweep_usage_errors(tmp_path):
                  "--alpha-max", "0.5", "--steps", "3"]) == 2
     assert main(["sweep", "--protocol", "bogus", "--alpha-min", "0.1",
                  "--alpha-max", "0.5", "--steps", "3"]) == 2
+    assert main(["sweep", "--protocol", "dual", "--alpha-min", "0.1",
+                 "--alpha-max", "0.5", "--steps", "3", "--nmax", "-3"]) == 2
+
+
+def test_sweep_builds_each_chain_table_once(tmp_path):
+    dm._chain_table.cache_clear()
+    assert main(["sweep", "--protocol", "single", "--alpha-min", "0.4",
+                 "--alpha-max", "0.5", "--steps", "2",
+                 "--out", str(tmp_path / "single.csv")]) == 0
+    info = dm._chain_table.cache_info()
+    assert info.misses == info.currsize
+
+
+def test_sweep_single_matches_fig4_rows(tmp_path):
+    out = tmp_path / "single.csv"
+    assert main(["sweep", "--protocol", "single", "--alpha-min", "0.05",
+                 "--alpha-max", "0.1", "--steps", "3", "--out", str(out)]) == 0
+    assert main(["figure", "fig4", "--out", str(tmp_path)]) == 0
+
+    def body(path):
+        return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+    sweep, fig4 = body(out), body(tmp_path / "fig4.csv")
+    assert sweep == fig4[:4]  # header row plus alpha = 0.05, 0.075, 0.1
 
 
 def test_sweep_init_am_grid(tmp_path):
@@ -103,6 +128,11 @@ def test_figure_fig5_dominance(tmp_path):
 
 def test_figure_unknown_name():
     assert main(["figure", "fig9"]) == 2
+
+
+def test_figure_negative_nmax_is_usage_error():
+    assert main(["figure", "fig2", "--nmax", "-3"]) == 2
+    assert main(["figure", "fig4", "--nmax", "-3"]) == 2
 
 
 def test_figure_gnuplot_script(tmp_path):

@@ -20,7 +20,11 @@ from dvcv_teleport.demodulation import (
 )
 from dvcv_teleport.displaced import matrix_element, overall_factor
 from dvcv_teleport.fock import QubitState, fidelity
-from dvcv_teleport.protocol import direct_success_probability
+from dvcv_teleport.protocol import (
+    SingularFactorError,
+    amp_factor_dual,
+    direct_success_probability,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -172,6 +176,13 @@ def test_chain_values_monotone_in_depth():
         assert q_best(a, 3) >= max(q3, q_swap(a)) - 1e-9
 
 
+def test_chain_values_take_arrays():
+    factors = np.array([-3.0, -1 / 3, 0.0, 0.7, 1.9])
+    for q in (q_best, q_displacement_chain):
+        assert q(factors, 3).tolist() == [q(float(a), 3) for a in factors]
+    assert q_best(0.0) == q_displacement_chain(0.0) == 0.0
+
+
 def test_chain_first_step_matches_best_root():
     # depth one equals the best single displacement attempt over targets
     a = -1.0
@@ -189,12 +200,23 @@ def test_overall_skip_is_direct():
             direct_success_probability(0, 1, alpha), abs=1e-15)
 
 
-def test_overall_itemization_consistent():
-    total, rows = overall_success_report(0, 1, 0.7, n_cut=12)
-    recomputed = direct_success_probability(0, 1, 0.7, 12) + sum(
+@pytest.mark.parametrize("l,k", [(0, 1), (1, 2)])
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.4])
+def test_overall_itemization_consistent(l, k, alpha):
+    total, rows = overall_success_report(l, k, alpha, n_cut=12)
+    recomputed = direct_success_probability(l, k, alpha, 12) + sum(
         r[4] * r[5] for r in rows)
     assert recomputed == pytest.approx(total, abs=1e-10)
     assert all(0.0 <= r[4] <= 1.0 for r in rows)
+    # the factor grid reproduces the per-outcome reference exactly
+    for n, m, factor, method, *_ in rows:
+        try:
+            expected = amp_factor_dual(l, k, n, m, alpha)
+        except SingularFactorError:
+            assert method == "singular" and math.isnan(factor)
+        else:
+            assert method != "singular" and factor == expected
+    assert any(r[3] == "singular" for r in rows) == (alpha == 1.0)
 
 
 def test_overall_clean_promotion_at_operating_point():
@@ -287,6 +309,13 @@ def test_initially_am_behavior_small_alpha():
         a0 = math.sqrt(1 - x * x)
         assert (initially_am_single(a0, x, 0.2)[1]
                 > initially_am_dual(a0, x, 0.2)[1])
+
+
+def test_initially_am_zero_displacement_is_singular():
+    # the reference factor vanishes at alpha = 0: nothing to pre-modulate
+    for run in (initially_am_dual, initially_am_single):
+        with pytest.raises(SingularFactorError):
+            run(0.8, 0.6, 0.0)
 
 
 def test_am_qubit_validation():

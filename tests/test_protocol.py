@@ -237,6 +237,22 @@ def test_dual_records_complete_and_ordered():
     assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-6)
     keys = [(r.outcome.parity, r.outcome.n, r.outcome.m) for r in records]
     assert keys == sorted(keys, key=lambda x: (x[0] != "even", x[1], x[2]))
+    # each record agrees with the per-outcome references (factors exactly,
+    # probabilities to a few ulps); singular outcomes are omitted
+    for alpha, alpha1 in ((1.0, None), (0.7, 0.75)):
+        records = dual_rail_records(q, alpha, alpha1, n_cut=6, m_cut=9)
+        expected = []
+        for n in range(7):
+            for m in range(10):
+                try:
+                    expected.append((n, m, amp_factor_dual(0, 1, n, m, alpha, alpha1)))
+                except SingularFactorError:
+                    pass
+        assert len(expected) < 70 if alpha == 1.0 else len(expected) == 70
+        assert [(r.outcome.n, r.outcome.m, r.amp_factor) for r in records] == expected * 2
+        for r in records:
+            assert r.probability == pytest.approx(0.5 * outcome_probability_dual(
+                q, 0, 1, r.outcome.n, r.outcome.m, alpha, alpha1), rel=1e-14)
 
 
 def test_single_rail_pipeline():
