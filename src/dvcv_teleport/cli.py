@@ -273,11 +273,16 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nmax", type=_nonnegative_int, default=20,
-                   help="photon-number cutoff for analytic sums (default 20)")
-    p.add_argument("--tail-tol", type=float, default=1e-10,
-                   help="admissible truncation-tail probability (default 1e-10)")
+def _add_common(p: argparse.ArgumentParser, nmax: bool = False,
+                tail_tol: bool = False) -> None:
+    """Add ``--config`` and, where the command reads them, ``--nmax`` and
+    ``--tail-tol``."""
+    if nmax:
+        p.add_argument("--nmax", type=_nonnegative_int, default=20,
+                       help="photon-number cutoff for analytic sums (default 20)")
+    if tail_tol:
+        p.add_argument("--tail-tol", type=float, default=1e-10,
+                       help="admissible truncation-tail probability (default 1e-10)")
     p.add_argument("--config", type=str, default=None,
                    help="key=value file supplying defaults for any flag")
 
@@ -300,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a1-abs", type=float, default=None)
     p.add_argument("--a1-grid", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
-    _add_common(p)
+    _add_common(p, nmax=True, tail_tol=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figure", help="emit the curve bundle of one figure")
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--gnuplot", action="store_true",
                    help="also write a gnuplot script next to the CSV")
-    _add_common(p)
+    _add_common(p, nmax=True, tail_tol=True)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -328,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--a0", type=float, default=math.sqrt(0.7))
     p.add_argument("--a1", type=float, default=math.sqrt(0.3))
-    _add_common(p)
+    _add_common(p, tail_tol=True)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -207,32 +207,47 @@ def _chain_table(depth: int, include_swap: bool, target_max: int,
     one-shot resource terminally.  Success probabilities depend on |A|
     only, so a log grid with linear interpolation is adequate for policy
     evaluation (the per-call demodulators stay exact).
+
+    The transition does not depend on the value, so it is built once, one
+    slice per target count n.  At each grid point A the roots
+    gamma = (sqrt(A^2 + 4n) -+ A) / 2 (dropped when zero or beyond
+    ``gamma_max``) succeed with weight F^2 c(1, n)^2 and leave, on each
+    other count p with c(1, p) != 0, weight F^2 c(1, p)^2 on the factor
+    A |c(0, p) / c(1, p)|.  A sweep interpolates the value at those
+    factors, sums over residuals and maximizes over roots, targets and
+    the swap.  The returned arrays are shared by every cache hit and are
+    read-only.
     """
     log_grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_N)
     a_grid = 10.0 ** log_grid
     value = q_swap(a_grid) if include_swap else np.zeros_like(a_grid)
+    residual = np.arange(residual_max + 1)
+    slices = []
+    for n in range(target_max + 1):
+        root = np.sqrt(a_grid * a_grid + 4.0 * n)
+        gamma = 0.5 * np.stack((root - a_grid, root + a_grid), axis=-1)
+        usable = (gamma != 0.0) & (gamma <= gamma_max)
+        c0, c1 = np.moveaxis(matrix_element_rows(1, residual_max, gamma), 1, -1)
+        f2 = np.exp(-0.5 * gamma * gamma) ** 2
+        success = np.where(usable, f2 * c1[..., n] ** 2, 0.0)
+        kept = usable[..., None] & (residual != n) & (c1 != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a_next = a_grid[:, None, None] * np.abs(c0 / c1)
+        # skipped entries get weight 0 at a finite point: the NaN of a 0/0
+        # ratio would survive the zero weight
+        points = np.where(kept, np.log10(np.maximum(a_next, 1e-300)), _GRID_LO)
+        weights = np.where(kept, f2[..., None] * c1 ** 2, 0.0)
+        slices.append((success, points, weights))
+    floor = value
     for _ in range(depth):
-        nxt = np.empty_like(value)
-        for i, a in enumerate(a_grid):
-            best = 0.0
-            for n in range(target_max + 1):
-                root = math.sqrt(a * a + 4.0 * n)
-                for g in {0.5 * (root - a), 0.5 * (root + a)}:
-                    if g == 0.0 or g > gamma_max:
-                        continue
-                    rows = matrix_element_rows(1, residual_max, g)
-                    f2 = overall_factor(g) ** 2
-                    total = f2 * rows[1, n] ** 2
-                    for p in range(residual_max + 1):
-                        if p == n or rows[1, p] == 0.0:
-                            continue
-                        a_next = a * abs(rows[0, p] / rows[1, p])
-                        cont = np.interp(math.log10(max(a_next, 1e-300)),
-                                         log_grid, value)
-                        total += f2 * rows[1, p] ** 2 * cont
-                    best = max(best, total)
-            nxt[i] = max(best, q_swap(a) if include_swap else 0.0)
-        value = nxt
+        best = floor
+        for success, points, weights in slices:
+            cont = np.interp(points, log_grid, value)
+            total = success + np.sum(weights * cont, axis=-1)
+            best = np.maximum(best, total.max(axis=-1))
+        value = best
+    log_grid.flags.writeable = False
+    value.flags.writeable = False
     return log_grid, value
 
 

@@ -40,23 +40,29 @@ def overall_factor(alpha: float) -> float:
     return math.exp(-0.5 * alpha * alpha)
 
 
-def _coherent_row(n_max: int, alpha: float) -> np.ndarray:
-    row = np.empty(n_max + 1)
+def _coherent_row(n_max: int, alpha) -> np.ndarray:
+    """Row alpha^n / sqrt(n!) for n <= n_max, amplitude axes last."""
+    row = np.empty((n_max + 1,) + getattr(alpha, "shape", ()))
     row[0] = 1.0
     for n in range(1, n_max + 1):
         row[n] = row[n - 1] * alpha / math.sqrt(n)
     return row
 
 
-def matrix_element_rows(l_max: int, n_max: int, alpha: float) -> np.ndarray:
-    """Table c[l, n] for 0 <= l <= l_max, 0 <= n <= n_max (without F)."""
+def matrix_element_rows(l_max: int, n_max: int, alpha) -> np.ndarray:
+    """Table c[l, n, ...] for 0 <= l <= l_max, 0 <= n <= n_max (without F).
+
+    ``alpha`` may be a float or an ndarray; the array's axes come last, and
+    each amplitude's table is bitwise the one a float ``alpha`` gives.
+    """
     if l_max < 0 or n_max < 0:
         raise ValueError("l_max and n_max must be nonnegative")
-    c = np.empty((l_max + 1, n_max + 1))
+    shape = getattr(alpha, "shape", ())  # np.shape is slow on a float
+    c = np.empty((l_max + 1, n_max + 1) + shape)
     c[0] = _coherent_row(n_max, alpha)
-    sqrt_n = np.sqrt(np.arange(n_max + 1))
+    sqrt_n = np.sqrt(np.arange(n_max + 1)).reshape((-1,) + (1,) * len(shape))
     for l in range(l_max):
-        shifted = np.concatenate(([0.0], c[l, :-1]))
+        shifted = np.concatenate((np.zeros((1,) + shape), c[l, :-1]))
         c[l + 1] = (sqrt_n * shifted - alpha * c[l]) / math.sqrt(l + 1)
     return c
 

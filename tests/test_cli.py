@@ -187,3 +187,17 @@ def test_out_dir_env(tmp_path, monkeypatch):
 
 def test_verify_oracle_suite_exit_code():
     assert main(["verify", "--suite", "oracle"]) == 0
+
+
+def test_cutoff_flags_only_where_read(capsys):
+    # verify, negativity and oracle never read --nmax; verify and
+    # negativity never read --tail-tol
+    assert main(["verify", "--suite", "oracle", "--nmax", "0"]) == 2
+    assert main(["negativity", "--beta", "1", "--nmax", "0"]) == 2
+    assert main(["oracle", "--alpha", "0.5", "--r", "0.2", "--nmax", "0"]) == 2
+    assert main(["verify", "--suite", "oracle", "--tail-tol", "1e-10"]) == 2
+    assert main(["negativity", "--beta", "1", "--tail-tol", "1e-10"]) == 2
+    capsys.readouterr()
+    assert main(["oracle", "--alpha", "0.5", "--r", "0.2",
+                 "--tail-tol", "1e-10"]) == 0
+    assert "max corrected-state infidelity" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 
 from dvcv_teleport import fock, optics
 from dvcv_teleport.demodulation import (
+    _chain_table,
     AMQubit,
     demod_displacement,
     demod_swap,
@@ -18,7 +19,7 @@ from dvcv_teleport.demodulation import (
     q_swap,
     solve_gamma,
 )
-from dvcv_teleport.displaced import matrix_element, overall_factor
+from dvcv_teleport.displaced import matrix_element, matrix_element_rows, overall_factor
 from dvcv_teleport.fock import QubitState, fidelity
 from dvcv_teleport.protocol import (
     SingularFactorError,
@@ -192,6 +193,51 @@ def test_chain_first_step_matches_best_root():
         for n in range(9) for g in solve_gamma(a, n)
     )
     assert q1 == pytest.approx(direct, abs=1e-6)
+
+
+def bellman_step(a, log_grid, value, target_max=8, residual_max=12,
+                 gamma_max=8.0):
+    """One scalar displacement step at factor ``a``: the best over targets n
+    and roots gamma of the success weight plus the interpolated value of
+    every residual count."""
+    best = 0.0
+    for n in range(target_max + 1):
+        root = math.sqrt(a * a + 4.0 * n)
+        for g in {0.5 * (root - a), 0.5 * (root + a)}:
+            if g == 0.0 or g > gamma_max:
+                continue
+            rows = matrix_element_rows(1, residual_max, g)
+            f2 = overall_factor(g) ** 2
+            total = f2 * rows[1, n] ** 2
+            for p in range(residual_max + 1):
+                if p == n or rows[1, p] == 0.0:
+                    continue
+                a_next = a * abs(rows[0, p] / rows[1, p])
+                cont = np.interp(math.log10(max(a_next, 1e-300)), log_grid, value)
+                total += f2 * rows[1, p] ** 2 * cont
+            best = max(best, total)
+    return best
+
+
+@pytest.mark.parametrize("include_swap", [False, True])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_chain_table_is_one_bellman_step_of_the_shallower_table(depth, include_swap):
+    log_grid, value = _chain_table(depth, include_swap, 8, 12, 8.0)
+    _, shallower = _chain_table(depth - 1, include_swap, 8, 12, 8.0)
+    for i in np.unique(np.linspace(0, len(log_grid) - 1, 30).astype(int)):
+        a = 10.0 ** log_grid[i]
+        expected = max(bellman_step(a, log_grid, shallower),
+                       q_swap(a) if include_swap else 0.0)
+        assert value[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_chain_table_arrays_are_read_only():
+    # every cache hit shares these arrays; a write would corrupt later values
+    log_grid, value = _chain_table(3, True, 8, 12, 8.0)
+    with pytest.raises(ValueError):
+        value[0] = 1.0
+    with pytest.raises(ValueError):
+        log_grid[0] = 1.0
 
 
 def test_overall_skip_is_direct():

@@ -58,6 +58,18 @@ def test_coherent_row_values():
         poly_element(2, 2, 0.4072), abs=1e-14)
 
 
+@pytest.mark.parametrize("l_max,n_max", [(0, 5), (1, 12), (2, 20)])
+def test_rows_take_amplitude_arrays(l_max, n_max):
+    # amplitude axes come last, each slice bitwise the scalar table
+    alphas = np.array([[0.0, -0.0, -2.5, -1 / 3],
+                       [1 / math.sqrt(2), 1.0, 4.2, 8.0]])
+    rows = displaced.matrix_element_rows(l_max, n_max, alphas)
+    assert rows.shape == (l_max + 1, n_max + 1) + alphas.shape
+    stacked = np.stack([displaced.matrix_element_rows(l_max, n_max, float(a))
+                        for a in alphas.ravel()], axis=-1)
+    assert rows.reshape(stacked.shape).tobytes() == stacked.tobytes()
+
+
 def test_zero_displacement_is_kronecker():
     for l in range(7):
         for n in range(7):
