@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, demodulation as dm, protocol, verification
+from .displaced import matrix_element_table
 from .fock import MeasurementRangeError, TailMassError
 from .optics import HybridChannel, negativity
 
@@ -60,6 +61,18 @@ def _header(args, echo_keys: list[str]) -> list[str]:
         f"command: {args.command} {echo}",
         f"truncation: nmax={args.nmax} tail_tol={args.tail_tol}",
     ]
+
+
+def _check_tail(alphas, ls, n_cut: int, tail_tol: float) -> None:
+    """Raise TailMassError when the cutoff ``n_cut`` drops more than
+    ``tail_tol`` of a row ``l`` in ``ls`` at any displacement in ``alphas``."""
+    for a in alphas:
+        table = matrix_element_table(max(ls), n_cut, a)
+        loss, l = max((table.normalization_defect(l), l) for l in ls)
+        if loss > tail_tol:
+            raise TailMassError(
+                f"--nmax {n_cut} drops {loss:.3e} of row l={l} at alpha={a:.9g}, "
+                f"above --tail-tol {tail_tol:g}")
 
 
 # -- curves ------------------------------------------------------------------
@@ -135,10 +148,12 @@ def cmd_sweep(args) -> int:
             raise UsageError("the init_am protocols are defined for l=0, k=1")
         if not a1s:
             raise UsageError("the init_am protocols need --a1-abs or --a1-grid")
+    elif a1s:
+        raise UsageError("--a1-abs/--a1-grid apply to the init_am protocols only")
+    _check_tail(alphas, (l, k), n_cut, args.tail_tol)
+    if a1s:
         rows = [(a, x, *row(a, x, n_cut)) for a in alphas for x in a1s]
     else:
-        if a1s:
-            raise UsageError("--a1-abs/--a1-grid apply to the init_am protocols only")
         rows = [(a, *row(a, l, k, n_cut)) for a in alphas]
 
     out_path = args.out
@@ -161,30 +176,35 @@ def _alpha_grid(lo, hi, step, extras=()) -> list[float]:
     return sorted(vals)
 
 
-def _pair_sum_rows(l, k, pairs, extras, n_cut):
+def _pair_sum_rows(l, k, pairs, extras, n_cut, tail_tol):
     """fig2/fig3: direct mass, the pair sums of ``pairs`` and the sign-free
     total (direct mass plus the (l, k) pair sum) on the alpha grid."""
     columns = ("alpha", "p_direct", *(f"ps_{n}{m}" for n, m in pairs), "p_signfree")
+    alphas = _alpha_grid(0.05, 1.2, 0.01, extras)
+    _check_tail(alphas, (l, k), n_cut, tail_tol)
     rows = []
-    for a in _alpha_grid(0.05, 1.2, 0.01, extras):
+    for a in alphas:
         p = protocol.direct_success_probability(l, k, a, n_cut)
         sums = [protocol.pair_sum_probability(l, k, n, m, a) for n, m in pairs]
         rows.append((a, p, *sums, p + protocol.pair_sum_probability(l, k, l, k, a)))
     return columns, rows
 
 
-def _figure_rows(name: str, n_cut: int):
+def _figure_rows(name: str, n_cut: int, tail_tol: float):
     if name == "fig2":
         return _pair_sum_rows(0, 1, ((0, 1), (0, 2), (1, 2), (0, 3)),
-                              (1.0 / math.sqrt(2.0), 0.628482), n_cut)
+                              (1.0 / math.sqrt(2.0), 0.628482), n_cut, tail_tol)
     if name == "fig3":
         return _pair_sum_rows(1, 2, ((0, 1), (0, 2), (1, 2), (1, 3)),
-                              (0.4072, 0.5053), n_cut)
+                              (0.4072, 0.5053), n_cut, tail_tol)
     if name == "fig4":
         columns, row = CURVES["single"]
-        return columns, [(a, *row(a, 0, 1, n_cut)) for a in _alpha_grid(0.05, 1.5, 0.025)]
+        alphas = _alpha_grid(0.05, 1.5, 0.025)
+        _check_tail(alphas, (0, 1), n_cut, tail_tol)
+        return columns, [(a, *row(a, 0, 1, n_cut)) for a in alphas]
     if name == "fig5":
         alphas = (0.2, 0.3, 0.4)
+        _check_tail(alphas, (0, 1), n_cut, tail_tol)
         rails = ("dual", "single")
         columns = ("a1_abs", *(f"{rail}_alpha{a:.2f}".replace(".", "")
                                for rail in rails for a in alphas))
@@ -195,7 +215,7 @@ def _figure_rows(name: str, n_cut: int):
 
 
 def cmd_figure(args) -> int:
-    columns, rows = _figure_rows(args.name, args.nmax)
+    columns, rows = _figure_rows(args.name, args.nmax, args.tail_tol)
     out = _out_dir(args.out) / f"{args.name}.csv"
     _write_csv(out, _header(args, ["name"]), columns, rows)
     print(f"wrote {out} ({len(rows)} rows)")

@@ -36,6 +36,11 @@ from .protocol import (
 
 _CLEAN_TOL = 1e-12
 _ROOT_TOL = 1e-10
+#: displacement-route search: target counts, residual counts tracked after a
+#: failed attempt, and the largest admissible displacement amplitude
+_TARGET_MAX = 8
+_RESIDUAL_MAX = 12
+_GAMMA_MAX = 8.0
 _POLICIES = ("best", "swap", "displacement", "skip")
 
 
@@ -99,7 +104,7 @@ def q_swap(a_factor) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def solve_gamma(a_factor: float, n: int, gamma_max: float = 8.0) -> list[float]:
+def solve_gamma(a_factor: float, n: int, gamma_max: float = _GAMMA_MAX) -> list[float]:
     """All real displacement amplitudes in [-gamma_max, gamma_max] that
     remove the factor ``a_factor`` on auxiliary count ``n``.
 
@@ -138,7 +143,8 @@ def _step_q(gamma: float, n: int) -> float:
 
 
 def demod_displacement(am: AMQubit, n: int, gamma: float | None = None,
-                       residual_max: int = 12, gamma_max: float = 8.0) -> DemodResult:
+                       residual_max: int = _RESIDUAL_MAX,
+                       gamma_max: float = _GAMMA_MAX) -> DemodResult:
     """Displacement-route demodulation aimed at auxiliary count ``n``.
 
     Among the admissible displacement amplitudes the one with the largest
@@ -198,8 +204,7 @@ _GRID_LO, _GRID_HI, _GRID_N = -6.0, 6.0, 601
 
 
 @lru_cache(maxsize=32)
-def _chain_table(depth: int, include_swap: bool, target_max: int,
-                 residual_max: int, gamma_max: float) -> tuple[np.ndarray, np.ndarray]:
+def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray]:
     """Value of the best demodulation strategy as a function of log10|A|.
 
     Value iteration over the remaining displacement budget; the swap (when
@@ -209,11 +214,11 @@ def _chain_table(depth: int, include_swap: bool, target_max: int,
     evaluation (the per-call demodulators stay exact).
 
     The transition does not depend on the value, so it is built once, one
-    slice per target count n.  At each grid point A the roots
-    gamma = (sqrt(A^2 + 4n) -+ A) / 2 (dropped when zero or beyond
-    ``gamma_max``) succeed with weight F^2 c(1, n)^2 and leave, on each
-    other count p with c(1, p) != 0, weight F^2 c(1, p)^2 on the factor
-    A |c(0, p) / c(1, p)|.  A sweep interpolates the value at those
+    slice per target count n <= _TARGET_MAX.  At each grid point A the
+    roots gamma = (sqrt(A^2 + 4n) -+ A) / 2 (dropped when zero or beyond
+    _GAMMA_MAX) succeed with weight F^2 c(1, n)^2 and leave, on each other
+    count p <= _RESIDUAL_MAX with c(1, p) != 0, weight F^2 c(1, p)^2 on
+    the factor A |c(0, p) / c(1, p)|.  A sweep interpolates the value at those
     factors, sums over residuals and maximizes over roots, targets and
     the swap.  The returned arrays are shared by every cache hit and are
     read-only.
@@ -221,13 +226,13 @@ def _chain_table(depth: int, include_swap: bool, target_max: int,
     log_grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_N)
     a_grid = 10.0 ** log_grid
     value = q_swap(a_grid) if include_swap else np.zeros_like(a_grid)
-    residual = np.arange(residual_max + 1)
+    residual = np.arange(_RESIDUAL_MAX + 1)
     slices = []
-    for n in range(target_max + 1):
+    for n in range(_TARGET_MAX + 1):
         root = np.sqrt(a_grid * a_grid + 4.0 * n)
         gamma = 0.5 * np.stack((root - a_grid, root + a_grid), axis=-1)
-        usable = (gamma != 0.0) & (gamma <= gamma_max)
-        c0, c1 = np.moveaxis(matrix_element_rows(1, residual_max, gamma), 1, -1)
+        usable = (gamma != 0.0) & (gamma <= _GAMMA_MAX)
+        c0, c1 = np.moveaxis(matrix_element_rows(1, _RESIDUAL_MAX, gamma), 1, -1)
         f2 = np.exp(-0.5 * gamma * gamma) ** 2
         success = np.where(usable, f2 * c1[..., n] ** 2, 0.0)
         kept = usable[..., None] & (residual != n) & (c1 != 0.0)
@@ -251,27 +256,24 @@ def _chain_table(depth: int, include_swap: bool, target_max: int,
     return log_grid, value
 
 
-def _chain_value(a_factor, include_swap: bool, depth: int, target_max: int,
-                 residual_max: int, gamma_max: float) -> np.ndarray:
+def _chain_value(a_factor, include_swap: bool, depth: int) -> np.ndarray:
     """Value-table entry at |a_factor| (scalar or array); zero factors get zero."""
-    log_grid, value = _chain_table(depth, include_swap, target_max, residual_max, gamma_max)
+    log_grid, value = _chain_table(depth, include_swap)
     a = np.abs(np.asarray(a_factor, dtype=float))
     with np.errstate(divide="ignore"):
         return np.where(a == 0.0, 0.0, np.interp(np.log10(a), log_grid, value))
 
 
-def q_displacement_chain(a_factor, depth: int = 3, target_max: int = 8,
-                         residual_max: int = 12, gamma_max: float = 8.0):
+def q_displacement_chain(a_factor, depth: int = 3):
     """Success of up to ``depth`` chained displacement attempts (no swap)."""
-    out = _chain_value(a_factor, False, depth, target_max, residual_max, gamma_max)
+    out = _chain_value(a_factor, False, depth)
     return float(out) if out.ndim == 0 else out
 
 
-def q_best(a_factor, depth: int = 3, target_max: int = 8,
-           residual_max: int = 12, gamma_max: float = 8.0):
+def q_best(a_factor, depth: int = 3):
     """Best of the swap and the chained displacement (swap allowed once,
     at any point of the chain)."""
-    interpolated = _chain_value(a_factor, True, depth, target_max, residual_max, gamma_max)
+    interpolated = _chain_value(a_factor, True, depth)
     # the immediate swap is always available exactly; the table only bounds
     # it to interpolation accuracy
     out = np.maximum(interpolated, q_swap(a_factor))

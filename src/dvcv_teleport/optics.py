@@ -1,9 +1,9 @@
 """Exact linear-optical elements on truncated Fock grids.
 
 The two-mode beam splitter conserves total photon number, so its Fock
-representation is block diagonal.  Blocks are built by a Pascal-style
-recurrence (peel one creation operator off the input), cached per
-``(t, r)`` and shared read-only.
+representation is block diagonal.  Each call builds the blocks it needs
+as one array, by a recurrence over the smaller mode's photon number
+(peel one creation operator off the input); nothing is cached.
 
 Mode-operator convention, fixed once for the whole package: listing modes
 ``(a, b)``, the splitter maps ``a+ -> t a+ + r b+`` and
@@ -75,64 +75,51 @@ class HybridChannel:
 
 # -- beam splitter blocks ---------------------------------------------------
 
-_BS_CACHE: dict[tuple, list[np.ndarray]] = {}
-
-
-def _bs_blocks(t: float, r: float, b_dim: int, n_total_max: int) -> list[np.ndarray]:
-    """Blocks G[N][jb, nb] = <N-jb, jb| BS |N-nb, nb> for jb, nb < b_dim.
+def _bs_blocks(t: float, r: float, b_dim: int, n_total_max: int) -> np.ndarray:
+    """Blocks G[N, jb, nb] = <N-jb, jb| BS |N-nb, nb> for N <= n_total_max
+    and jb, nb < b_dim.
 
     The first-mode index is implicit (N minus the stored one), which keeps
     the tables small when one mode is a high-occupancy coherent carrier.
+    Column nb = 0 is the binomial sqrt(C(N, j)) t^(N-j) r^j; column nb
+    follows from column nb - 1 of block N - 1 through
+    |N-nb, nb> = b+ |N-nb, nb-1> / sqrt(nb) and b+ -> -r a+ + t b+.
+    Both loops run over the small mode only, each step over every N.
     """
-    key = (t, r, b_dim, n_total_max)
-    blocks = _BS_CACHE.get(key)
-    if blocks is not None:
-        return blocks
-    jb = np.arange(b_dim)
-    sqrt_jb = np.sqrt(jb)
-    blocks = [np.zeros((b_dim, b_dim))]
-    blocks[0][0, 0] = 1.0
-    for N in range(1, n_total_max + 1):
-        prev = blocks[N - 1]
-        out = np.zeros((b_dim, b_dim))
-        sqrt_ja = np.sqrt(np.clip(N - jb, 0, None))
-        prev_shift = np.vstack([np.zeros((1, b_dim)), prev[:-1]])
-        hi = min(N - 1, b_dim - 1)
-        cols = np.arange(0, hi + 1)
-        out[:, cols] = (
-            t * sqrt_ja[:, None] * prev[:, cols]
-            + r * sqrt_jb[:, None] * prev_shift[:, cols]
-        ) / np.sqrt(N - cols)[None, :]
-        if N < b_dim:
-            out[:, N] = (
-                -r * sqrt_ja * prev[:, N - 1] + t * sqrt_jb * prev_shift[:, N - 1]
-            ) / math.sqrt(N)
-        if b_dim > N:  # rows jb > N are outside this block
-            out[N + 1:, :] = 0.0
-        out.flags.writeable = False
-        blocks.append(out)
-    _BS_CACHE[key] = blocks
-    return blocks
+    n_total = np.arange(n_total_max + 1.0)
+    g = np.zeros((n_total_max + 1, b_dim, b_dim))
+    g[:, 0, 0] = t ** n_total
+    for j in range(1, b_dim):
+        root = np.sqrt(np.clip(n_total - j + 1, 0, None) / j)
+        g[:, j, 0] = g[:, j - 1, 0] * root * (r / t)
+    sqrt_ja = np.sqrt(np.clip(n_total[1:, None] - np.arange(b_dim), 0, None))
+    sqrt_jb = np.sqrt(np.arange(1, b_dim))
+    for nb in range(1, b_dim):
+        prev = g[:-1, :, nb - 1]
+        g[1:, :, nb] = -r * sqrt_ja * prev
+        g[1:, 1:, nb] += t * sqrt_jb * prev[:, :-1]
+        g[1:, :, nb] /= math.sqrt(nb)
+    return g
 
 
 def _apply_bs_core(flat: np.ndarray, t: float, r: float) -> np.ndarray:
     """Apply the splitter to amplitudes shaped (dim_a, dim_b, rest); the
     table is stored over the second axis, so callers put the smaller mode
-    there."""
+    there.
+
+    Amplitude [a, b] sits in block N = a + b, so one gather lays the input
+    out as (N, b, rest), one batched product applies every block, and the
+    inverse gather drops what lands past the first mode's cutoff.  The real
+    blocks act on the real and imaginary parts separately: a complex copy
+    of them would take twice their memory.
+    """
     da, db = flat.shape[0], flat.shape[1]
-    n_total_max = (da - 1) + (db - 1)
-    blocks = _bs_blocks(t, r, db, n_total_max)
-    out = np.zeros_like(flat)
-    for N in range(n_total_max + 1):
-        lo = max(0, N - (da - 1))
-        hi = min(db - 1, N)
-        if lo > hi:
-            continue
-        idx = np.arange(lo, hi + 1)
-        vin = flat[N - idx, idx, :]
-        block = blocks[N][np.ix_(idx, idx)]
-        out[N - idx, idx, :] = block @ vin
-    return out
+    blocks = _bs_blocks(t, r, db, da + db - 2)
+    a_idx, b_idx = np.arange(da)[:, None], np.arange(db)
+    by_total = np.zeros((da + db - 1,) + flat.shape[1:], dtype=complex)
+    by_total[a_idx + b_idx, b_idx] = flat
+    out = np.matmul(blocks, by_total.real) + 1j * np.matmul(blocks, by_total.imag)
+    return out[a_idx + b_idx, b_idx]
 
 
 def apply_bs(state: FockState, mode_a: ModeLabel, mode_b: ModeLabel,

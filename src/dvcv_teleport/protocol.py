@@ -403,55 +403,38 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, beta1: float, r: floa
     if n_cut >= d3 or m_cut >= d4:
         raise ValueError("requested counts exceed the auxiliary cutoffs")
 
-    # channel branches: carrier -beta accompanies logical |01>, +beta |10>
-    u = {}  # (branch, fock) -> joint (qubit-mode, carrier) amplitudes
-    for branch, amp in (("minus", -beta), ("plus", beta)):
-        for s in (l, k):
-            st = _bs_with_coherent(s, amp, 3, 1, params, d3, d1, tail_tolerance)
-            u[branch, s] = st.amps  # shape (d3, d1)
-    v = {}
-    for s in (l, k):
-        st = _bs_with_coherent(s, -beta1, 4, 2, params, d4, d2, tail_tolerance)
-        v[s] = st.amps  # shape (d4, d2)
-
-    even_mask = (np.arange(d1) % 2 == 0).astype(float)
-    coefs = (qubit.a0, qubit.a1)
-    s3 = (l, k)  # mode-3 content per superposition term
-    s4 = (k, l)
-    target = QubitState(qubit.a0, qubit.a1, DUAL_RAIL_BASIS)
+    # channel branches: carrier -beta accompanies logical |01>, +beta |10>;
+    # superposition term i puts s3[i] photons on mode 3 and s4[i] on mode 4
+    s3, s4 = (l, k), (k, l)
+    u = np.array([[_bs_with_coherent(s, amp, 3, 1, params, d3, d1, tail_tolerance)
+                   .amps[:n_cut + 1] for s in s3]
+                  for amp in (-beta, beta)])  # (branch, term, n, carrier)
+    v = np.array([_bs_with_coherent(s, -beta1, 4, 2, params, d4, d2, tail_tolerance)
+                  .amps[:m_cut + 1] for s in s4])  # (term, m, ancilla)
+    even = np.arange(d1) % 2 == 0
+    parity_mask = np.array([even, ~even], dtype=float)
+    coefs = np.array([qubit.a0, qubit.a1])
+    # gram[p, n, m] is the receiver's unnormalized 2x2 density matrix on
+    # parity p and counts (n, m): entry [x, y] overlaps what accompanies
+    # branch y with what accompanies branch x, projected on parity p
+    carrier = np.einsum("ytnc,pc,xsnc->pnytxs", u.conj(), parity_mask, u)
+    ancilla = np.einsum("tmc,smc->mts", v.conj(), v)
+    gram = np.einsum("t,s,pnytxs,mts->pnmxy", coefs.conj(), coefs, carrier, ancilla)
 
     records = []
-    for parity in ("even", "odd"):
-        mask = even_mask if parity == "even" else 1.0 - even_mask
+    for p, parity in enumerate(("even", "odd")):
         for n in range(n_cut + 1):
             for m in range(m_cut + 1):
-                u_n = {key: vecs[n, :] for key, vecs in u.items()}
-                v_m = {s: vecs[m, :] for s, vecs in v.items()}
-
-                def gram(br_row, br_col):
-                    g = 0.0 + 0.0j
-                    for i in range(2):
-                        for j in range(2):
-                            g += (
-                                np.conj(coefs[i]) * coefs[j]
-                                * np.vdot(u_n[br_row, s3[i]] * mask, u_n[br_col, s3[j]] * mask)
-                                * np.vdot(v_m[s4[i]], v_m[s4[j]])
-                            )
-                    return g
-
-                g_mm = gram("minus", "minus")
-                g_pp = gram("plus", "plus")
-                g_pm = gram("plus", "minus")  # <B| Pi |A>
-                prob = 0.5 * float((g_mm + g_pp).real)
+                prob = 0.5 * float(np.trace(gram[p, n, m]).real)
                 if prob <= 0.0:
                     continue
-                rho = np.array([[g_mm, g_pm], [np.conj(g_pm), g_pp]]) / (2.0 * prob)
+                rho = gram[p, n, m] / (2.0 * prob)
                 zp = z_power_for(parity, n, l)
                 gate = H_GATE @ np.linalg.matrix_power(Z_GATE, zp)
                 rho_c = gate @ rho @ gate.conj().T
-                evals, evecs = np.linalg.eigh(rho)
+                evecs = np.linalg.eigh(rho)[1]
                 bob = QubitState(evecs[0, -1], evecs[1, -1], DUAL_RAIL_BASIS)
-                evals_c, evecs_c = np.linalg.eigh(rho_c)
+                evecs_c = np.linalg.eigh(rho_c)[1]
                 corrected = QubitState(evecs_c[0, -1], evecs_c[1, -1], DUAL_RAIL_BASIS)
                 if abs(qubit.a0) > 0 and abs(qubit.a1) > 0 and abs(corrected.c0) > 1e-12:
                     a_est = float((corrected.c1 / corrected.c0 * qubit.a0 / qubit.a1).real)

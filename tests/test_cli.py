@@ -135,6 +135,21 @@ def test_figure_negative_nmax_is_usage_error():
     assert main(["figure", "fig4", "--nmax", "-3"]) == 2
 
 
+def test_truncation_loss_past_tail_tol_is_a_numeric_guard(tmp_path):
+    # --nmax 0 keeps only the n = 0 term; alpha = 5 needs far more than
+    # the default 20 levels; row l = 2 loses 6.3e-10 at alpha = 1.5
+    assert main(["figure", "fig2", "--nmax", "0", "--out", str(tmp_path)]) == 3
+    far = ["sweep", "--protocol", "dual", "--alpha-min", "1", "--alpha-max", "5",
+           "--steps", "5", "--out", str(tmp_path / "far.csv")]
+    assert main(far) == 3
+    assert not (tmp_path / "far.csv").exists()
+    rows12 = ["sweep", "--protocol", "dual", "--l", "1", "--k", "2",
+              "--alpha-min", "0.1", "--alpha-max", "1.5", "--steps", "5",
+              "--out", str(tmp_path / "s12.csv")]
+    assert main(rows12) == 3
+    assert main(rows12 + ["--tail-tol", "1e-9"]) == 0
+
+
 def test_figure_gnuplot_script(tmp_path):
     assert main(["figure", "fig4", "--out", str(tmp_path), "--gnuplot"]) == 0
     assert (tmp_path / "fig4.csv").exists()

@@ -222,8 +222,8 @@ def bellman_step(a, log_grid, value, target_max=8, residual_max=12,
 @pytest.mark.parametrize("include_swap", [False, True])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_chain_table_is_one_bellman_step_of_the_shallower_table(depth, include_swap):
-    log_grid, value = _chain_table(depth, include_swap, 8, 12, 8.0)
-    _, shallower = _chain_table(depth - 1, include_swap, 8, 12, 8.0)
+    log_grid, value = _chain_table(depth, include_swap)
+    _, shallower = _chain_table(depth - 1, include_swap)
     for i in np.unique(np.linspace(0, len(log_grid) - 1, 30).astype(int)):
         a = 10.0 ** log_grid[i]
         expected = max(bellman_step(a, log_grid, shallower),
@@ -233,7 +233,7 @@ def test_chain_table_is_one_bellman_step_of_the_shallower_table(depth, include_s
 
 def test_chain_table_arrays_are_read_only():
     # every cache hit shares these arrays; a write would corrupt later values
-    log_grid, value = _chain_table(3, True, 8, 12, 8.0)
+    log_grid, value = _chain_table(3, True)
     with pytest.raises(ValueError):
         value[0] = 1.0
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from dvcv_teleport.fock import (
     FockState,
     TailMassError,
     TruncationConfig,
+    default_cutoff,
     number_state,
     project_number,
     single_mode,
@@ -87,6 +88,26 @@ def test_coherent_transformation_law():
                        n_max=joint.trunc.n_max_per_mode[1]),
     )
     np.testing.assert_allclose(joint.amps, expect.amps, atol=1e-11)
+
+
+@pytest.mark.parametrize("r", [0.02, 0.1, -0.1])
+def test_strong_carrier_at_oracle_sizes(r):
+    # |0>|beta> -> |-r beta>|t beta>, and |1>|beta> is its (t a+ + r b+)
+    # image; the carrier cutoff is the oracle's default for beta = 25
+    beta = 25.0
+    bs = BeamSplitterParams.from_reflectance(r)
+    na, nb = default_cutoff(r * beta) + 1, default_cutoff(beta)
+    carrier = coherent_state(beta, mode="b", n_max=nb)
+    a0 = coherent_state(-r * beta, mode="a", n_max=na).amps
+    b0 = coherent_state(bs.t * beta, mode="b", n_max=nb).amps
+    up_a = np.sqrt(np.arange(na + 1)) * np.roll(a0, 1)
+    up_b = np.sqrt(np.arange(nb + 1)) * np.roll(b0, 1)
+    # the input holds every block N <= nb whole; higher blocks are cut
+    inside = np.add.outer(np.arange(na + 1), np.arange(nb + 1)) <= nb
+    for s, expect in ((0, np.outer(a0, b0)),
+                      (1, bs.t * np.outer(up_a, b0) + bs.r * np.outer(a0, up_b))):
+        out = apply_bs(tensor(number_state("a", s, na), carrier), "a", "b", bs)
+        np.testing.assert_allclose(out.amps[inside], expect[inside], rtol=0, atol=1e-12)
 
 
 @given(st.floats(0.05, 0.95), st.integers(0, 2 ** 32 - 1))
