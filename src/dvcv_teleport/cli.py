@@ -6,7 +6,8 @@ truncation settings — never a timestamp) followed by comma-separated rows
 with nine significant digits, so identical invocations are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-guard (truncation/tail) failure.
+guard failure (truncation tail, non-finite amplitude, singular amplitude
+factor).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__, demodulation as dm, protocol, verification
 from .displaced import matrix_element_table
-from .fock import MeasurementRangeError, TailMassError
+from .fock import MeasurementRangeError, NonFiniteAmplitudeError, TailMassError
 from .optics import HybridChannel, negativity
 
 ENV_OUT_DIR = "DVCV_TELEPORT_OUT_DIR"
@@ -256,30 +257,16 @@ def cmd_oracle(args) -> int:
         raise UsageError("--r must lie in (0, 0.3]")
     if args.alpha <= 0.0:
         raise UsageError("--alpha must be positive")
-    t = math.sqrt(1.0 - args.r ** 2)
-    beta = args.alpha * t / args.r
     qubit = protocol.UnknownQubit(args.a0, args.a1, args.l, args.k)
-    records = protocol.brute_force_pipeline(qubit, beta, beta, args.r,
-                                            n_cut=2, m_cut=2,
-                                            tail_tolerance=args.tail_tol)
+    beta, rows = protocol.circuit_vs_limit(qubit, args.alpha, args.r, args.tail_tol)
     print(f"# circuit at alpha={args.alpha:.9g} r={args.r:.9g} beta={beta:.9g}")
     print("parity,n,m,p_circuit,p_limit,rel_err,infidelity,purity")
-    worst = 0.0
-    by_counts: dict[tuple[int, int], float] = {}
-    for rec in records:
-        by_counts.setdefault((rec.outcome.n, rec.outcome.m), 0.0)
-        by_counts[rec.outcome.n, rec.outcome.m] += rec.probability
-    for rec in records:
-        p_limit = protocol.outcome_probability_dual(
-            qubit, args.l, args.k, rec.outcome.n, rec.outcome.m, args.alpha)
-        p_pair = by_counts[rec.outcome.n, rec.outcome.m]
-        rel = abs(p_pair - p_limit) / p_limit if p_limit > 0 else math.inf
-        infid = protocol.record_infidelity(rec, qubit, args.alpha)
-        worst = max(worst, infid)
+    for rec, p_limit, rel, infid in rows:
         print(",".join(_fmt(v) for v in (
             rec.outcome.parity, rec.outcome.n, rec.outcome.m,
             rec.probability, p_limit, rel, infid, rec.purity,
         )))
+    worst = max(infid for *_, infid in rows)
     print(f"# max corrected-state infidelity: {worst:.6g}")
     return 0
 
@@ -406,7 +393,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TailMassError, MeasurementRangeError, OverflowError) as e:
+    except (TailMassError, MeasurementRangeError, OverflowError,
+            NonFiniteAmplitudeError, protocol.SingularFactorError) as e:
         print(f"numeric guard: {e}", file=sys.stderr)
         return 3
 

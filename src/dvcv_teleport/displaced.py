@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .fock import (
     FockState,
@@ -49,6 +50,27 @@ def _coherent_row(n_max: int, alpha) -> np.ndarray:
     return row
 
 
+def _scaled_coherent_row(n_max: int, alpha: float) -> np.ndarray:
+    """F(alpha) * alpha^n / sqrt(n!) for n <= n_max, summed in the exponent
+    so that a strong amplitude neither overflows alpha^n nor underflows F."""
+    n = np.arange(n_max + 1)
+    log_mag = xlogy(n, abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * alpha * alpha
+    return np.exp(log_mag) * np.sign(alpha) ** n
+
+
+def _ladder(row0: np.ndarray, l_max: int, alpha) -> np.ndarray:
+    """Rows 0..l_max of the l-recurrence started from row ``row0`` (its n
+    axis first); the recurrence is linear, so a row scaled by F stays so."""
+    shape = row0.shape[1:]
+    c = np.empty((l_max + 1,) + row0.shape)
+    c[0] = row0
+    sqrt_n = np.sqrt(np.arange(row0.shape[0])).reshape((-1,) + (1,) * len(shape))
+    for l in range(l_max):
+        shifted = np.concatenate((np.zeros((1,) + shape), c[l, :-1]))
+        c[l + 1] = (sqrt_n * shifted - alpha * c[l]) / math.sqrt(l + 1)
+    return c
+
+
 def matrix_element_rows(l_max: int, n_max: int, alpha) -> np.ndarray:
     """Table c[l, n, ...] for 0 <= l <= l_max, 0 <= n <= n_max (without F).
 
@@ -57,14 +79,7 @@ def matrix_element_rows(l_max: int, n_max: int, alpha) -> np.ndarray:
     """
     if l_max < 0 or n_max < 0:
         raise ValueError("l_max and n_max must be nonnegative")
-    shape = getattr(alpha, "shape", ())  # np.shape is slow on a float
-    c = np.empty((l_max + 1, n_max + 1) + shape)
-    c[0] = _coherent_row(n_max, alpha)
-    sqrt_n = np.sqrt(np.arange(n_max + 1)).reshape((-1,) + (1,) * len(shape))
-    for l in range(l_max):
-        shifted = np.concatenate((np.zeros((1,) + shape), c[l, :-1]))
-        c[l + 1] = (sqrt_n * shifted - alpha * c[l]) / math.sqrt(l + 1)
-    return c
+    return _ladder(_coherent_row(n_max, alpha), l_max, alpha)
 
 
 @dataclass(frozen=True)
@@ -117,13 +132,16 @@ def parity_sign_check(l: int, n: int, alpha: float) -> bool:
 def displaced_number_state(l: int, alpha: float, mode: ModeLabel = 0,
                            n_max: int | None = None,
                            tail_tolerance: float = 1e-10) -> FockState:
-    """Single-mode state with amplitudes F(alpha) * c(l, n, alpha)."""
+    """Single-mode state with amplitudes F(alpha) * c(l, n, alpha).
+
+    The l = 0 row is built with F in log space, so amplitudes far past the
+    tables' regime (the circuit's carrier, beta ~ 50) stay finite.
+    """
     if l < 0:
         raise ValueError("l must be nonnegative")
     if n_max is None:
         n_max = default_cutoff(alpha) + l
-    table = matrix_element_table(l, n_max, alpha)
-    amps = table.f * table.c[l]
+    amps = _ladder(_scaled_coherent_row(n_max, alpha), l, alpha)[l]
     state = single_mode(mode, amps.astype(complex), tail_tolerance)
     return state.check_tail()
 
@@ -154,8 +172,8 @@ def scs_state(parity: str, beta: float, mode: ModeLabel = 0,
     if n_max is None:
         n_max = default_cutoff(beta)
     sign = 1.0 if parity == "even" else -1.0
-    plus = overall_factor(beta) * _coherent_row(n_max, beta)
-    minus = overall_factor(beta) * _coherent_row(n_max, -beta)
+    plus = _scaled_coherent_row(n_max, beta)
+    minus = _scaled_coherent_row(n_max, -beta)
     amps = scs_norm_factor(parity, beta) * (minus + sign * plus)
     state = single_mode(mode, amps.astype(complex), tail_tolerance)
     defect = abs(state.norm() - 1.0)

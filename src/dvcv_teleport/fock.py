@@ -35,6 +35,10 @@ class TailMassError(RuntimeError):
     """Probability mass at a truncation edge exceeds the admissible tail."""
 
 
+class NonFiniteAmplitudeError(ArithmeticError):
+    """A state holds a NaN or infinite amplitude (an overflow upstream)."""
+
+
 def default_cutoff(amplitude: float) -> int:
     """Photon-number cutoff that keeps the tail of a coherent or displaced
     component of the given amplitude below ~1e-12."""
@@ -84,6 +88,8 @@ class FockState:
         if len(self.modes) != amps.ndim:
             raise ValueError("one mode label required per amplitude axis")
         n2 = float(np.vdot(amps, amps).real)
+        if not math.isfinite(n2):
+            raise NonFiniteAmplitudeError("state has a non-finite amplitude")
         if n2 <= 0.0:
             raise ValueError("state has zero norm")
         amps = amps.copy()

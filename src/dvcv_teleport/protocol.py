@@ -25,8 +25,8 @@ from .displaced import (
     matrix_element_table,
     overall_factor,
 )
-from .fock import QubitState, number_state, tensor
-from .optics import BeamSplitterParams, apply_bs
+from .fock import QubitState
+from .optics import BeamSplitterParams, split_amplitudes
 
 DUAL_RAIL_BASIS = ("01", "10")
 
@@ -360,19 +360,6 @@ def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int,
 
 # -- brute-force finite-reflectance circuit -----------------------------------
 
-def _bs_with_coherent(fock_n: int, coh_amp: float, qubit_mode, coh_mode,
-                      params: BeamSplitterParams, d_qubit: int, d_coh: int,
-                      tail_tolerance: float):
-    """Splitter output for |n>_qubit x |coh>_carrier, qubit listed first so
-    the carrier's amplitude displaces it with the conditional sign."""
-    q = number_state(qubit_mode, fock_n, n_max=d_qubit - 1,
-                     tail_tolerance=tail_tolerance)
-    c = coherent_state(coh_amp, mode=coh_mode, n_max=d_coh - 1,
-                       tail_tolerance=tail_tolerance)
-    joint = tensor(q, c)
-    return apply_bs(joint, qubit_mode, coh_mode, params)
-
-
 def brute_force_pipeline(qubit: UnknownQubit, beta: float, beta1: float, r: float,
                          n_cut: int = 2, m_cut: int = 2,
                          tail_tolerance: float = 1e-10) -> list[BruteForceRecord]:
@@ -404,21 +391,29 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, beta1: float, r: floa
         raise ValueError("requested counts exceed the auxiliary cutoffs")
 
     # channel branches: carrier -beta accompanies logical |01>, +beta |10>;
-    # superposition term i puts s3[i] photons on mode 3 and s4[i] on mode 4
-    s3, s4 = (l, k), (k, l)
-    u = np.array([[_bs_with_coherent(s, amp, 3, 1, params, d3, d1, tail_tolerance)
-                   .amps[:n_cut + 1] for s in s3]
-                  for amp in (-beta, beta)])  # (branch, term, n, carrier)
-    v = np.array([_bs_with_coherent(s, -beta1, 4, 2, params, d4, d2, tail_tolerance)
-                  .amps[:m_cut + 1] for s in s4])  # (term, m, ancilla)
+    # superposition term i puts s3[i] photons on mode 3 and s4[i] on mode 4.
+    # Each splitter takes every (branch, term) input as one batch, the
+    # qubit mode listed first so the carrier displaces it with the
+    # conditional sign.
+    s3, s4 = [l, k], [k, l]
+    u = np.zeros((d3, d1, 2, 2), dtype=complex)  # (mode 3, carrier, branch, term)
+    for y, amp in enumerate((-beta, beta)):
+        u[s3, :, y, [0, 1]] = coherent_state(amp, n_max=d1 - 1,
+                                             tail_tolerance=tail_tolerance).amps
+    v = np.zeros((d4, d2, 2, 1), dtype=complex)  # (mode 4, ancilla, term)
+    v[s4, :, [0, 1], 0] = coherent_state(-beta1, n_max=d2 - 1,
+                                         tail_tolerance=tail_tolerance).amps
+    u = split_amplitudes(u.reshape(d3, d1, 4, 1), params, tail_tolerance)
+    u = u[:n_cut + 1, :, :, 0].reshape(n_cut + 1, d1, 2, 2)
+    v = split_amplitudes(v, params, tail_tolerance)[:m_cut + 1, :, :, 0]
     even = np.arange(d1) % 2 == 0
     parity_mask = np.array([even, ~even], dtype=float)
     coefs = np.array([qubit.a0, qubit.a1])
     # gram[p, n, m] is the receiver's unnormalized 2x2 density matrix on
     # parity p and counts (n, m): entry [x, y] overlaps what accompanies
     # branch y with what accompanies branch x, projected on parity p
-    carrier = np.einsum("ytnc,pc,xsnc->pnytxs", u.conj(), parity_mask, u)
-    ancilla = np.einsum("tmc,smc->mts", v.conj(), v)
+    carrier = np.einsum("ncyt,pc,ncxs->pnytxs", u.conj(), parity_mask, u)
+    ancilla = np.einsum("mct,mcs->mts", v.conj(), v)
     gram = np.einsum("t,s,pnytxs,mts->pnmxy", coefs.conj(), coefs, carrier, ancilla)
 
     records = []
@@ -463,3 +458,29 @@ def record_infidelity(record: BruteForceRecord, qubit: UnknownQubit,
     tgt = QubitState(qubit.a0, qubit.a1 * a_fac, DUAL_RAIL_BASIS).vec()
     fid = float(np.real(np.vdot(tgt, record.corrected_rho @ tgt)))
     return 1.0 - fid
+
+
+def circuit_vs_limit(qubit: UnknownQubit, alpha: float, r: float,
+                     tail_tolerance: float = 1e-10) -> tuple[float, list[tuple]]:
+    """Run the circuit with counts up to 2 at reflectance ``r`` and channel
+    amplitude beta = alpha*t/r, and compare it with the limit at ``alpha``.
+
+    Returns ``(beta, rows)`` with one row ``(record, p_limit, rel_err,
+    infidelity)`` per record: ``p_limit`` is the limit's probability of the
+    record's counts, ``rel_err`` the relative error of the circuit's
+    probability of those counts (both parities).
+    """
+    beta = alpha * math.sqrt(1.0 - r * r) / r
+    records = brute_force_pipeline(qubit, beta, beta, r, n_cut=2, m_cut=2,
+                                   tail_tolerance=tail_tolerance)
+    by_counts: dict[tuple[int, int], float] = {}
+    for rec in records:
+        key = rec.outcome.n, rec.outcome.m
+        by_counts[key] = by_counts.get(key, 0.0) + rec.probability
+    rows = []
+    for rec in records:
+        n, m = rec.outcome.n, rec.outcome.m
+        p_limit = outcome_probability_dual(qubit, qubit.l, qubit.k, n, m, alpha)
+        rel = abs(by_counts[n, m] - p_limit) / p_limit if p_limit > 0 else math.inf
+        rows.append((rec, p_limit, rel, record_infidelity(rec, qubit, alpha)))
+    return beta, rows

@@ -372,31 +372,16 @@ def initially_modulated_checks() -> list[CheckResult]:
     return out
 
 
-def suite_oracle(alpha: float = 0.5, reflectances=(0.2, 0.1, 0.05),
-                 seed: int = 3) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def suite_oracle(alpha: float = 0.5, reflectances=(0.2, 0.1, 0.05)) -> list[CheckResult]:
     out = []
     qubit = protocol.UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
-    outcomes = [(0, 0), (0, 1), (1, 0), (1, 1)]
     max_prob_err = []
     max_infid = []
     for r in reflectances:
-        t = math.sqrt(1.0 - r * r)
-        beta = alpha * t / r
-        records = protocol.brute_force_pipeline(qubit, beta, beta, r,
-                                                n_cut=2, m_cut=2)
-        perr = 0.0
-        infid = 0.0
-        for (n, m) in outcomes:
-            p_brute = sum(rec.probability for rec in records
-                          if rec.outcome.n == n and rec.outcome.m == m)
-            p_limit = protocol.outcome_probability_dual(qubit, 0, 1, n, m, alpha)
-            perr = max(perr, abs(p_brute - p_limit) / p_limit)
-            infid = max(infid, max(
-                protocol.record_infidelity(rec, qubit, alpha)
-                for rec in records
-                if rec.outcome.n == n and rec.outcome.m == m
-            ))
+        rows = [(rel, infid) for rec, _, rel, infid in
+                protocol.circuit_vs_limit(qubit, alpha, r)[1]
+                if rec.outcome.n <= 1 and rec.outcome.m <= 1]
+        perr, infid = np.max(rows, axis=0)
         max_prob_err.append(perr)
         max_infid.append(infid)
         out.append(CheckResult(

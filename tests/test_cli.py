@@ -182,6 +182,27 @@ def test_oracle_runs(capsys):
     assert main(["oracle", "--alpha", "0.5", "--r", "0.9"]) == 2
 
 
+def test_oracle_strong_carrier_is_finite(capsys):
+    # r = 0.01 needs beta ~ 50, where alpha^n overflows and F underflows
+    assert main(["oracle", "--alpha", "0.5", "--r", "0.01"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(",")[1:] for line in lines[2:-1]]
+    assert len(rows) == 18
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    assert 0.0 < float(lines[-1].rsplit(":", 1)[1]) < 1e-3
+
+
+def test_singular_factor_is_a_numeric_guard(tmp_path, monkeypatch, capsys):
+    # at alpha = 1, c(1, 1) = 0 makes the (0, 1) amplitude factor singular
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DVCV_TELEPORT_OUT_DIR", raising=False)
+    assert main(["oracle", "--alpha", "1.0", "--r", "0.1"]) == 3
+    assert main(["sweep", "--protocol", "init_am_dual", "--alpha-min", "0.5",
+                 "--alpha-max", "1.5", "--steps", "3", "--a1-abs", "0.3"]) == 3
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha-min=0.3\nalpha_max=0.5\nsteps=3\nprotocol=dual\n")

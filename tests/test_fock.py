@@ -184,3 +184,10 @@ def test_tail_check():
     with pytest.raises(fock.TailMassError):
         state.check_tail()
     assert state.tail_mass("m") == pytest.approx(1.0 / 1.01)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_amplitudes_rejected(bad):
+    # NaN compares false with everything, so a zero-norm test alone lets it in
+    with pytest.raises(fock.NonFiniteAmplitudeError):
+        single_mode("m", [0.5, bad])

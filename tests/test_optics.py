@@ -27,6 +27,7 @@ from dvcv_teleport.optics import (
     negativity,
     negativity_closed_form,
     pad_mode,
+    split_amplitudes,
 )
 
 BALANCED = BeamSplitterParams.balanced()
@@ -126,6 +127,40 @@ def test_inverse_composition():
     back = apply_bs(apply_bs(state, "a", "b", bs), "a", "b",
                     BeamSplitterParams(bs.t, -bs.r))
     np.testing.assert_allclose(back.amps, state.amps, atol=1e-12)
+
+
+def test_batch_through_one_splitter_matches_single_states():
+    rng = np.random.default_rng(2)
+    bs = BeamSplitterParams.from_reflectance(0.3)
+    states = [pad_mode(pad_mode(random_two_mode(rng, d=4), "a", 9), "b", 6)
+              for _ in range(3)]
+    batch = np.stack([s.amps for s in states], axis=2)[..., None]
+    out = split_amplitudes(batch, bs, 1e-10)
+    for i, s in enumerate(states):
+        np.testing.assert_allclose(out[:, :, i, 0], apply_bs(s, "a", "b", bs).amps,
+                                   rtol=0, atol=1e-15)
+    # the swap to the smaller mode happens inside: list the modes the other way
+    swapped = split_amplitudes(batch.swapaxes(0, 1), bs, 1e-10)
+    for i, s in enumerate(states):
+        np.testing.assert_allclose(swapped[:, :, i, 0], apply_bs(s, "b", "a", bs).amps.T,
+                                   rtol=0, atol=1e-15)
+
+
+def test_batch_leak_is_judged_per_entry():
+    # a strong entry (norm^2 1e6) that keeps its mass next to a weak one
+    # that loses 2.5e-9 past the cutoffs: summed over the batch the loss
+    # stays under the strong entry's 1e-14 relative floor, per entry it raises
+    bs = BALANCED
+    strong = 1e3 * pad_mode(pad_mode(random_two_mode(np.random.default_rng(3), d=4),
+                                     "a", 9), "b", 9).amps
+    weak = np.zeros((10, 10), dtype=complex)
+    weak[0, 0], weak[9, 9] = 1.0, 5e-5
+    assert split_amplitudes(strong[:, :, None, None], bs, 1e-10).shape == (10, 10, 1, 1)
+    both = np.stack([strong, weak], axis=2)[..., None]
+    with pytest.raises(TailMassError):
+        split_amplitudes(both, bs, 1e-10)
+    with pytest.raises(TailMassError):
+        split_amplitudes(weak[:, :, None, None], bs, 1e-10)
 
 
 def test_overflow_guard():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dvcv_teleport import optics
 from dvcv_teleport.fock import QubitState, fidelity
 from dvcv_teleport.protocol import (
     Outcome,
@@ -316,6 +317,21 @@ def test_brute_force_records_shape():
         assert 0.5 <= rec.purity <= 1.0 + 1e-12
         np.testing.assert_allclose(rec.rho, rec.rho.conj().T, atol=1e-12)
         assert np.trace(rec.rho).real == pytest.approx(1.0, abs=1e-10)
+
+
+def test_brute_force_builds_each_splitter_once(monkeypatch):
+    # two physical splitters, each taking all its inputs as one batch
+    builds = []
+    real = optics._bs_blocks
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optics, "_bs_blocks", counted)
+    q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
+    brute_force_pipeline(q, 4.9, 4.9, 0.1)
+    assert len(builds) == 2
 
 
 def test_brute_force_validation():
