@@ -257,7 +257,14 @@ def cmd_oracle(args) -> int:
         raise UsageError("--r must lie in (0, 0.3]")
     if args.alpha <= 0.0:
         raise UsageError("--alpha must be positive")
-    qubit = protocol.UnknownQubit(args.a0, args.a1, args.l, args.k)
+    if (args.l - args.k) % 2 == 0:
+        raise UsageError("--l and --k must differ by an odd number")
+    if not (math.isfinite(args.a0) and math.isfinite(args.a1)):
+        raise UsageError("--a0 and --a1 must be finite")
+    try:
+        qubit = protocol.UnknownQubit(args.a0, args.a1, args.l, args.k)
+    except ValueError as e:
+        raise UsageError(f"malformed qubit: {e}") from None
     beta, rows = protocol.circuit_vs_limit(qubit, args.alpha, args.r, args.tail_tol)
     print(f"# circuit at alpha={args.alpha:.9g} r={args.r:.9g} beta={beta:.9g}")
     print("parity,n,m,p_circuit,p_limit,rel_err,infidelity,purity")

@@ -405,6 +405,11 @@ def initially_am_dual_total_reference(a1_original_abs: float, alpha: float,
     """Closed-form total of the pre-modulated dual-rail protocol,
     parametrized by the original (pre-modulation) |a1|.
 
+    Since c(1, n) = c(0, n) (n - alpha^2) / alpha, counts (n, m) carry the
+    factor A(n, m) = (n - alpha^2) / (m - alpha^2) (none where m = alpha^2);
+    the prepared reference A(0, 1) vanishes at alpha = 0 and diverges at
+    alpha^2 = 1, where SingularFactorError is raised.
+
     ``fourth_term`` selects the exponent convention on the generic
     off-diagonal line: "first_principles" composes the prepared inverse
     factor with the outcome factor; "as_printed" keeps the inverted
@@ -413,26 +418,23 @@ def initially_am_dual_total_reference(a1_original_abs: float, alpha: float,
     """
     if fourth_term not in ("first_principles", "as_printed"):
         raise ValueError(f"unknown fourth_term variant {fourth_term!r}")
-    table = matrix_element_table(1, n_cut, alpha)
+    x = alpha * alpha
+    if x == 0.0 or x == 1.0:
+        raise SingularFactorError(f"the reference factor is singular at alpha={alpha}")
+    c0, c1 = matrix_element_table(1, n_cut, alpha).c
     f4 = overall_factor(alpha) ** 4
-    a01 = amp_factor_dual(0, 1, 0, 1, alpha)
+    a01 = -x / (1.0 - x)
     a10 = 1.0 / a01
     n_am2 = 1.0 / (1.0 + (a01 ** -2 - 1.0) * a1_original_abs ** 2)
-    c0 = table.c[0]
-    c1 = table.c[1]
     total = c0[0] ** 2 * c1[1] ** 2
     total += c0[1] ** 2 * c1[0] ** 2 * q_swap(a10 ** 2)
     total += q_swap(a10) * float(np.sum(c0 ** 2 * c1 ** 2))
-    for n in range(n_cut + 1):
-        for m in range(n_cut + 1 - n):
-            if n == m or (n, m) in ((0, 1), (1, 0)):
-                continue
-            try:
-                a_nm = amp_factor_dual(0, 1, n, m, alpha)
-            except SingularFactorError:
-                continue
-            phi = a10 * a_nm if fourth_term == "first_principles" else a_nm / a10
-            total += c0[n] ** 2 * c1[m] ** 2 * q_swap(phi)
+    # the generic line: n != m and 1 < n + m <= n_cut ((0, 1), (1, 0) are above)
+    n, m = np.indices((n_cut + 1, n_cut + 1))
+    on = (n != m) & (n + m > 1) & (n + m <= n_cut) & (m != x)
+    a_nm = (n[on] - x) / (m[on] - x)
+    phi = a10 * a_nm if fourth_term == "first_principles" else a_nm / a10
+    total += float(np.sum(c0[n[on]] ** 2 * c1[m[on]] ** 2 * q_swap(phi)))
     return f4 * n_am2 * total
 
 

@@ -30,9 +30,11 @@ from .optics import BeamSplitterParams, split_amplitudes
 
 DUAL_RAIL_BASIS = ("01", "10")
 
-#: logical gates on the dual-rail basis (|01>, |10>) == (|0>_L, |1>_L)
+#: logical gates on the dual-rail basis (|01>, |10>) == (|0>_L, |1>_L), and
+#: the two powers Z^0, Z^1 a correction word can hold
 Z_GATE = np.array([[1.0, 0.0], [0.0, -1.0]])
 H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+Z_POWERS = np.stack([np.linalg.matrix_power(Z_GATE, p) for p in (0, 1)])
 
 
 class SingularFactorError(ValueError):
@@ -208,7 +210,7 @@ def correct(bob: QubitState, parity: str, n: int, l: int) -> QubitState:
     """Apply H Z^p once; on a conditional branch this yields the known
     amplitude-modulated form (a0, a1 * A)."""
     p = z_power_for(parity, n, l)
-    vec = H_GATE @ (np.linalg.matrix_power(Z_GATE, p) @ bob.vec())
+    vec = H_GATE @ (Z_POWERS[p] @ bob.vec())
     return QubitState(vec[0], vec[1], bob.basis)
 
 
@@ -313,21 +315,17 @@ def dual_rail_records(qubit: UnknownQubit, alpha: float, alpha1: float | None = 
     f4 = overall_factor(alpha) ** 2 * overall_factor(alpha1) ** 2
     probs = 0.5 * (f4 * (abs(qubit.a0) ** 2 * np.outer(ta.c[l], tb.c[k]) ** 2
                          + abs(qubit.a1) ** 2 * np.outer(ta.c[k], tb.c[l]) ** 2))
-    outcomes = np.argwhere(~np.isnan(factors)).tolist()
+    outcomes = [(parity, n, m) for parity in ("even", "odd")
+                for n, m in np.argwhere(~np.isnan(factors)).tolist()]
     factors, probs = factors.tolist(), probs.tolist()
-    records = []
-    for parity in ("even", "odd"):
-        for n, m in outcomes:
-            bob = _bob_state(qubit, factors[n][m], n, parity)
-            records.append(TeleportRecord(
-                outcome=Outcome(parity, n, m),
-                bob_state=bob,
-                probability=probs[n][m],
-                amp_factor=factors[n][m],
-                z_power=z_power_for(parity, n, l),
-                corrected_state=correct(bob, parity, n, l),
-            ))
-    return records
+    bobs = [_bob_state(qubit, factors[n][m], n, parity) for parity, n, m in outcomes]
+    z_powers = [z_power_for(parity, n, l) for parity, n, _ in outcomes]
+    # every record's correction word H Z^p in one product, bitwise as correct()
+    vecs = np.array([(bob.c0, bob.c1) for bob in bobs], dtype=complex).reshape(-1, 2, 1)
+    fixed = np.matmul(H_GATE, np.matmul(Z_POWERS[z_powers], vecs))[..., 0].tolist()
+    return [TeleportRecord(Outcome(parity, n, m), bob, probs[n][m], factors[n][m], zp,
+                           QubitState(c0, c1, DUAL_RAIL_BASIS))
+            for (parity, n, m), bob, zp, (c0, c1) in zip(outcomes, bobs, z_powers, fixed)]
 
 
 def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int,
@@ -425,7 +423,7 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, beta1: float, r: floa
                     continue
                 rho = gram[p, n, m] / (2.0 * prob)
                 zp = z_power_for(parity, n, l)
-                gate = H_GATE @ np.linalg.matrix_power(Z_GATE, zp)
+                gate = H_GATE @ Z_POWERS[zp]
                 rho_c = gate @ rho @ gate.conj().T
                 evecs = np.linalg.eigh(rho)[1]
                 bob = QubitState(evecs[0, -1], evecs[1, -1], DUAL_RAIL_BASIS)

@@ -182,6 +182,21 @@ def test_oracle_runs(capsys):
     assert main(["oracle", "--alpha", "0.5", "--r", "0.9"]) == 2
 
 
+@pytest.mark.parametrize("qubit", [
+    ("--l", "0", "--k", "2"),  # l - k even
+    ("--l", "-1"),
+    ("--l", "1", "--k", "1"),
+    ("--a0", "0", "--a1", "0"),  # zero norm
+    ("--a0", "nan"),
+    ("--a1", "inf"),
+])
+def test_oracle_malformed_qubit_is_usage_error(qubit, capsys):
+    assert main(["oracle", "--alpha", "0.5", "--r", "0.1", *qubit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_oracle_strong_carrier_is_finite(capsys):
     # r = 0.01 needs beta ~ 50, where alpha^n overflows and F underflows
     assert main(["oracle", "--alpha", "0.5", "--r", "0.01"]) == 0
@@ -223,6 +238,12 @@ def test_out_dir_env(tmp_path, monkeypatch):
 
 def test_verify_oracle_suite_exit_code():
     assert main(["verify", "--suite", "oracle"]) == 0
+
+
+@pytest.mark.parametrize("suite", ["paper", "properties"])
+def test_verify_suite_exit_code(suite, capsys):
+    assert main(["verify", "--suite", suite]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cutoff_flags_only_where_read(capsys):

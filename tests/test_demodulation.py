@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dvcv_teleport import fock, optics
+from dvcv_teleport import displaced, fock, optics
 from dvcv_teleport.demodulation import (
     _chain_table,
     AMQubit,
@@ -335,6 +335,60 @@ def test_initially_am_dual_matches_reference_formula():
     printed = initially_am_dual_total_reference(a1_original, alpha,
                                                 fourth_term="as_printed")
     assert abs(printed - ref) > 1e-3  # the printed exponent genuinely differs
+
+
+def _scalar_reference(a1_original_abs, alpha, n_cut, fourth_term):
+    """The reference total summed outcome by outcome, one amplitude factor
+    (and one coefficient table) per outcome."""
+    c0, c1 = matrix_element_rows(1, n_cut, alpha)
+    a01 = amp_factor_dual(0, 1, 0, 1, alpha)
+    a10 = 1.0 / a01
+    n_am2 = 1.0 / (1.0 + (a01 ** -2 - 1.0) * a1_original_abs ** 2)
+    total = c0[0] ** 2 * c1[1] ** 2
+    total += c0[1] ** 2 * c1[0] ** 2 * q_swap(a10 ** 2)
+    total += q_swap(a10) * float(np.sum(c0 ** 2 * c1 ** 2))
+    for n in range(n_cut + 1):
+        for m in range(n_cut + 1 - n):
+            if n == m or (n, m) in ((0, 1), (1, 0)):
+                continue
+            try:
+                a_nm = amp_factor_dual(0, 1, n, m, alpha)
+            except SingularFactorError:
+                continue
+            phi = a10 * a_nm if fourth_term == "first_principles" else a_nm / a10
+            total += c0[n] ** 2 * c1[m] ** 2 * q_swap(phi)
+    return overall_factor(alpha) ** 4 * n_am2 * total
+
+
+@pytest.mark.parametrize("fourth_term", ["first_principles", "as_printed"])
+def test_reference_closed_form_matches_scalar_sum(fourth_term):
+    # alpha = 2 puts m = alpha^2 = 4 on the grid, where the factor is undefined
+    for alpha in [0.05 * i for i in range(1, 31) if i != 20] + [-0.7, 2.0]:
+        for a1, n_cut in ((0.2, 20), (0.6, 20), (0.8, 7)):
+            got = initially_am_dual_total_reference(a1, alpha, n_cut, fourth_term)
+            want = _scalar_reference(a1, alpha, n_cut, fourth_term)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_reference_builds_one_coefficient_table(monkeypatch):
+    calls = []
+    rows = displaced.matrix_element_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(displaced, "matrix_element_rows", counted)
+    for fourth_term in ("first_principles", "as_printed"):
+        calls.clear()
+        initially_am_dual_total_reference(0.3, 0.35, fourth_term=fourth_term)
+        assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0])
+def test_reference_singular_at_vanishing_or_infinite_factor(alpha):
+    with pytest.raises(SingularFactorError):
+        initially_am_dual_total_reference(0.3, alpha)
 
 
 def test_initially_am_single_vacuum_clean():

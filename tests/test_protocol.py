@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvcv_teleport import optics
+from dvcv_teleport import displaced, optics
 from dvcv_teleport.fock import QubitState, fidelity
 from dvcv_teleport.protocol import (
     Outcome,
     SingularFactorError,
     UnknownQubit,
+    _bob_state,
     am_probability,
     amp_factor_dual,
     amp_factor_single,
@@ -254,6 +255,36 @@ def test_dual_records_complete_and_ordered():
         for r in records:
             assert r.probability == pytest.approx(0.5 * outcome_probability_dual(
                 q, 0, 1, r.outcome.n, r.outcome.m, alpha, alpha1), rel=1e-14)
+
+
+@pytest.mark.parametrize("l,k", [(0, 1), (1, 2)])
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.4])
+def test_dual_records_correct_like_the_scalar_word(l, k, alpha):
+    # the batched correction is bitwise the per-record correct()
+    for a0, a1 in ((math.sqrt(0.6), math.sqrt(0.4)), (0.6, 0.8j), (0.3 + 0.4j, -0.5 + 0.2j)):
+        q = UnknownQubit(a0, a1, l, k)
+        for alpha1 in (None, alpha + 0.05):
+            records = dual_rail_records(q, alpha, alpha1, n_cut=6, m_cut=9)
+            assert records
+            for r in records:
+                parity, n = r.outcome.parity, r.outcome.n
+                bob = _bob_state(q, r.amp_factor, n, parity)
+                assert r.bob_state == bob
+                assert r.z_power == z_power_for(parity, n, l)
+                assert r.corrected_state == correct(bob, parity, n, l)
+
+
+def test_dual_records_build_two_coefficient_tables(monkeypatch):
+    calls = []
+    rows = displaced.matrix_element_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(displaced, "matrix_element_rows", counted)
+    dual_rail_records(UnknownQubit(0.6, 0.8j, 1, 2), 0.7, 0.75)
+    assert len(calls) <= 2
 
 
 def test_single_rail_pipeline():
