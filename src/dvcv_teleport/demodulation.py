@@ -35,7 +35,8 @@ from .protocol import (
 )
 
 _CLEAN_TOL = 1e-12
-_ROOT_TOL = 1e-10
+#: overall accounting treats a factor within this of +-1 as a pure sign
+_SIGN_TOL = 1e-9
 #: displacement-route search: target counts, residual counts tracked after a
 #: failed attempt, and the largest admissible displacement amplitude
 _TARGET_MAX = 8
@@ -104,79 +105,70 @@ def q_swap(a_factor) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def solve_gamma(a_factor: float, n: int, gamma_max: float = _GAMMA_MAX) -> list[float]:
-    """All real displacement amplitudes in [-gamma_max, gamma_max] that
-    remove the factor ``a_factor`` on auxiliary count ``n``.
+def _displacement_step(a, n: int):
+    """One displacement attempt aimed at count ``n``, at the positive factor
+    magnitude(s) ``a`` (a float or an array).
 
-    The coefficient ratio is gamma / (n - gamma^2), so each sign choice is
-    the quadratic gamma^2 +- A gamma - n = 0; negative discriminants (never
-    for n >= 1) and the spurious root gamma = 0 are discarded.
+    The coefficient ratio is gamma / (n - gamma^2), so the factor is removed
+    when gamma^2 -+ a gamma - n = 0.  The positive roots, on a new last
+    axis, are the smaller 2n / (sqrt(a^2 + 4n) + a) (written so that it does
+    not cancel for strong factors) and the larger (sqrt(a^2 + 4n) + a) / 2;
+    a root is usable when nonzero and at most _GAMMA_MAX.  The smaller root
+    leaves the ratio +1/a, the larger -1/a.
+
+    Returns ``(gamma, usable, c1n2, ratio, c1p2)``: c(1, n)^2 at each root,
+    and over residual counts p <= _RESIDUAL_MAX (one more last axis) the
+    ratio c(0, p) / c(1, p) and c(1, p)^2.  All but gamma are zero at
+    unusable roots, and the residual arrays also at p = n and where
+    c(1, p) = 0.  The weights leave out F(gamma)^2: each caller applies it.
     """
-    if a_factor == 0.0:
+    a = np.asarray(a, dtype=float)
+    root = np.sqrt(a * a + 4.0 * n)
+    gamma = np.stack((2.0 * n / (root + a), 0.5 * (root + a)), axis=-1)
+    usable = (gamma != 0.0) & (gamma <= _GAMMA_MAX)
+    # rows at 0 stand in for unusable roots, whose rows overflow for strong
+    # factors; the masks below drop them
+    at = np.where(usable, gamma, 0.0)
+    c0, c1 = np.moveaxis(matrix_element_rows(1, max(n, _RESIDUAL_MAX), at), 1, -1)
+    c1n2 = np.where(usable, c1[..., n] ** 2, 0.0)
+    c0, c1 = c0[..., :_RESIDUAL_MAX + 1], c1[..., :_RESIDUAL_MAX + 1]
+    kept = usable[..., None] & (np.arange(_RESIDUAL_MAX + 1) != n) & (c1 != 0.0)
+    ratio = np.divide(c0, c1, out=np.zeros_like(c0), where=kept)
+    return gamma, usable, c1n2, ratio, np.where(kept, c1 ** 2, 0.0)
+
+
+def demod_displacement(am: AMQubit, n: int) -> DemodResult:
+    """Displacement-route demodulation aimed at auxiliary count ``n``.
+
+    Aims with the roots of :func:`_displacement_step`, the step the value
+    tables are built from: the usable root with the largest success weight,
+    the larger root on a tie.  Branches with a vanishing weight (the
+    restorable component is gone) are not listed as residuals: they can
+    never contribute.
+    """
+    if am.factor == 0.0:
         raise ValueError("amplitude factor must be nonzero")
     if n < 0:
         raise ValueError("count must be nonnegative")
-    disc = a_factor * a_factor + 4.0 * n
-    if disc < 0.0:
-        return []
-    root = math.sqrt(disc)
-    candidates = {
-        0.5 * (-a_factor + root), 0.5 * (-a_factor - root),
-        0.5 * (a_factor + root), 0.5 * (a_factor - root),
-    }
-    out = []
-    for g in candidates:
-        if g == 0.0 or abs(g) > gamma_max:
-            continue
-        denom = n - g * g
-        if denom == 0.0:
-            continue
-        if abs(abs(a_factor * g / denom) - 1.0) <= _ROOT_TOL:
-            out.append(g)
-    return sorted(out)
-
-
-def _step_q(gamma: float, n: int) -> float:
-    """Success weight of one displacement attempt aimed at count n."""
-    c1n = matrix_element_rows(1, n, gamma)[1, n]
-    return overall_factor(gamma) ** 2 * c1n ** 2
-
-
-def demod_displacement(am: AMQubit, n: int, gamma: float | None = None,
-                       residual_max: int = _RESIDUAL_MAX,
-                       gamma_max: float = _GAMMA_MAX) -> DemodResult:
-    """Displacement-route demodulation aimed at auxiliary count ``n``.
-
-    Among the admissible displacement amplitudes the one with the largest
-    success weight is used (or pass ``gamma`` explicitly).  Branches with a
-    vanishing weight (the restorable component is gone) are not listed as
-    residuals: they can never contribute.
-    """
-    if gamma is None:
-        roots = solve_gamma(am.factor, n, gamma_max)
-        if not roots:
-            return DemodResult(None, 0.0, "displacement", None, am.factor)
-        gamma = max(roots, key=lambda g: (_step_q(g, n), g))
-    rows = matrix_element_rows(1, max(n, residual_max), gamma)
-    f2 = overall_factor(gamma) ** 2
-    ratio = gamma / (n - gamma * gamma)
-    sign = 1 if am.factor * ratio > 0 else -1
-    restored = QubitState(am.a0, sign * am.a1, am.basis)
-    residuals = []
-    for p in range(residual_max + 1):
-        if p == n or rows[1, p] == 0.0:
-            continue
-        weight = f2 * rows[1, p] ** 2
-        new_factor = am.factor * rows[0, p] / rows[1, p]
-        residuals.append((p, weight, AMQubit(am.a0, am.a1, new_factor, am.basis)))
+    gamma, usable, c1n2, ratio, c1p2 = _displacement_step(abs(am.factor), n)
+    found = np.flatnonzero(usable).tolist()
+    if not found:
+        return DemodResult(None, 0.0, "displacement", None, am.factor)
+    f2 = [overall_factor(g) ** 2 for g in gamma.tolist()]
+    i = max(found, key=lambda i: (f2[i] * c1n2[i], gamma[i]))
+    # the smaller root (i = 0) leaves the ratio +1/|A|, the larger -1/|A|
+    sign = (1 if am.factor > 0 else -1) * (1 if i == 0 else -1)
+    residuals = tuple(
+        (p, f2[i] * c1p2[i, p], AMQubit(am.a0, am.a1, am.factor * ratio[i, p], am.basis))
+        for p in np.flatnonzero(c1p2[i]).tolist())
     return DemodResult(
-        restored=restored,
-        success_probability=f2 * rows[1, n] ** 2,
+        restored=QubitState(am.a0, sign * am.a1, am.basis),
+        success_probability=f2[i] * c1n2[i],
         method="displacement",
-        gamma=gamma,
+        gamma=float(gamma[i]),
         residual_factor=1.0,
         sign=sign,
-        residuals=tuple(residuals),
+        residuals=residuals,
     )
 
 
@@ -214,35 +206,23 @@ def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray
     evaluation (the per-call demodulators stay exact).
 
     The transition does not depend on the value, so it is built once, one
-    slice per target count n <= _TARGET_MAX.  At each grid point A the
-    roots gamma = (sqrt(A^2 + 4n) -+ A) / 2 (dropped when zero or beyond
-    _GAMMA_MAX) succeed with weight F^2 c(1, n)^2 and leave, on each other
-    count p <= _RESIDUAL_MAX with c(1, p) != 0, weight F^2 c(1, p)^2 on
-    the factor A |c(0, p) / c(1, p)|.  A sweep interpolates the value at those
-    factors, sums over residuals and maximizes over roots, targets and
-    the swap.  The returned arrays are shared by every cache hit and are
-    read-only.
+    :func:`_displacement_step` per target count n <= _TARGET_MAX on the grid.
+    A sweep interpolates the value at the residual factors
+    A |c(0, p) / c(1, p)|, sums over residuals and maximizes over roots,
+    targets and the swap.  The returned arrays are shared by every cache
+    hit and are read-only.
     """
     log_grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_N)
     a_grid = 10.0 ** log_grid
     value = q_swap(a_grid) if include_swap else np.zeros_like(a_grid)
-    residual = np.arange(_RESIDUAL_MAX + 1)
     slices = []
     for n in range(_TARGET_MAX + 1):
-        root = np.sqrt(a_grid * a_grid + 4.0 * n)
-        gamma = 0.5 * np.stack((root - a_grid, root + a_grid), axis=-1)
-        usable = (gamma != 0.0) & (gamma <= _GAMMA_MAX)
-        c0, c1 = np.moveaxis(matrix_element_rows(1, _RESIDUAL_MAX, gamma), 1, -1)
+        gamma, _, c1n2, ratio, c1p2 = _displacement_step(a_grid, n)
         f2 = np.exp(-0.5 * gamma * gamma) ** 2
-        success = np.where(usable, f2 * c1[..., n] ** 2, 0.0)
-        kept = usable[..., None] & (residual != n) & (c1 != 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a_next = a_grid[:, None, None] * np.abs(c0 / c1)
-        # skipped entries get weight 0 at a finite point: the NaN of a 0/0
-        # ratio would survive the zero weight
-        points = np.where(kept, np.log10(np.maximum(a_next, 1e-300)), _GRID_LO)
-        weights = np.where(kept, f2[..., None] * c1 ** 2, 0.0)
-        slices.append((success, points, weights))
+        # the floor puts skipped residuals (ratio 0, weight 0) at a finite point
+        a_next = a_grid[:, None, None] * np.abs(ratio)
+        points = np.log10(np.maximum(a_next, 1e-300))
+        slices.append((f2 * c1n2, points, f2[..., None] * c1p2))
     floor = value
     for _ in range(depth):
         best = floor
@@ -283,13 +263,12 @@ def q_best(a_factor, depth: int = 3):
 # -- overall accounting --------------------------------------------------------
 
 def overall_success_report(l: int, k: int, alpha: float, policy="best",
-                           chain_depth: int = 3, n_cut: int = 20,
-                           clean_tolerance: float = 1e-9):
+                           chain_depth: int = 3, n_cut: int = 20):
     """Direct mass plus demodulated additions, itemized per outcome.
 
     ``policy`` assigns a method to each amplitude-modulated outcome:
     one of "best", "swap", "displacement", "skip", or a callable
-    (n, m, factor) -> method.  A factor within ``clean_tolerance`` of +-1
+    (n, m, factor) -> method.  A factor within _SIGN_TOL of +-1
     is a pure sign, undone by the known Z correction: unless the outcome
     is skipped it counts as a clean delivery (q = 1, method "clean") with
     no probabilistic step.  Returns ``(total, rows)`` where each row is
@@ -306,7 +285,7 @@ def overall_success_report(l: int, k: int, alpha: float, policy="best",
     method[ok] = ([policy(*o) for o in zip(n[ok].tolist(), m[ok].tolist(),
                                            factor[ok].tolist())]
                   if callable(policy) else policy)
-    clean = ok & (method != "skip") & (np.abs(np.abs(factor) - 1.0) <= clean_tolerance)
+    clean = ok & (method != "skip") & (np.abs(np.abs(factor) - 1.0) <= _SIGN_TOL)
     unknown = [x for x in method[ok & ~clean].tolist() if x not in _POLICIES]
     if unknown:
         raise ValueError(f"unknown demodulation method {unknown[0]!r}")
@@ -328,18 +307,15 @@ def overall_success_report(l: int, k: int, alpha: float, policy="best",
 
 
 def overall_success(l: int, k: int, alpha: float, policy="best",
-                    chain_depth: int = 3, n_cut: int = 20,
-                    clean_tolerance: float = 1e-9) -> float:
-    total, _ = overall_success_report(l, k, alpha, policy, chain_depth, n_cut,
-                                      clean_tolerance)
+                    chain_depth: int = 3, n_cut: int = 20) -> float:
+    total, _ = overall_success_report(l, k, alpha, policy, chain_depth, n_cut)
     return total
 
 
-def single_rail_demod_additions(l: int, k: int, alpha: float, n_cut: int = 20,
-                                chain_depth: int = 3) -> dict:
+def single_rail_demod_additions(l: int, k: int, alpha: float, n_cut: int = 20) -> dict:
     """Demodulated additions for the single-rail variant as curve data:
     the swap route, a single displacement attempt, and the chained
-    displacement, plus whatever mass is already factor-free."""
+    displacement (depth 3), plus whatever mass is already factor-free."""
     table = matrix_element_table(max(l, k), n_cut, alpha)
     weight = overall_factor(alpha) ** 2 * table.c[l] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -351,7 +327,7 @@ def single_rail_demod_additions(l: int, k: int, alpha: float, n_cut: int = 20,
     return {"clean": float(weight[clean].sum()),
             "swap": float(np.sum(w * q_swap(f))),
             "displacement_first": float(np.sum(w * q_displacement_chain(f, 1))),
-            "displacement_chain": float(np.sum(w * q_displacement_chain(f, chain_depth)))}
+            "displacement_chain": float(np.sum(w * q_displacement_chain(f)))}
 
 
 # -- protocols with pre-modulated inputs ---------------------------------------
@@ -438,11 +414,10 @@ def initially_am_dual_total_reference(a1_original_abs: float, alpha: float,
     return f4 * n_am2 * total
 
 
-def initially_am_single(a0: complex, a1: complex, alpha: float, n_cut: int = 20,
-                        chain_depth: int = 3):
+def initially_am_single(a0: complex, a1: complex, alpha: float, n_cut: int = 20):
     """Single-rail analogue of :func:`initially_am_dual`: the vacuum count
-    is factor-free and every other count is demodulated by chained
-    displacements.  Returns ``(records, total)``."""
+    is factor-free and every other count is demodulated by up to three
+    chained displacements.  Returns ``(records, total)``."""
     a_ref = amp_factor_single(0, 1, 0, alpha)  # equals -alpha
     a0, a1, base = _premodulated(a0, a1, a_ref)
     table = matrix_element_table(1, n_cut, alpha)
@@ -454,7 +429,7 @@ def initially_am_single(a0: complex, a1: complex, alpha: float, n_cut: int = 20,
     clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
     demod = ~clean & (phi != 0.0)
     g = np.where(clean, 1.0, 0.0)
-    g[demod] = q_displacement_chain(phi[demod], chain_depth)
+    g[demod] = q_displacement_chain(phi[demod])
     contribution = weight * base * g
     method = np.where(clean, "clean", np.where(demod, "displacement", "skip"))
     rows = list(zip(range(n_cut + 1), prob.tolist(), phi.tolist(),

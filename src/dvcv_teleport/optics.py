@@ -141,18 +141,17 @@ def split_amplitudes(amps: np.ndarray, params: BeamSplitterParams,
 
 
 def apply_bs(state: FockState, mode_a: ModeLabel, mode_b: ModeLabel,
-             params: BeamSplitterParams,
-             leak_tolerance: float | None = None) -> FockState:
+             params: BeamSplitterParams) -> FockState:
     """Exact beam-splitter action on two labelled modes.
 
     Components pushed past either cutoff are dropped; if the dropped
-    probability exceeds ``leak_tolerance`` (default: the state's tail
-    tolerance) a TailMassError is raised.
+    probability exceeds the state's tail tolerance a TailMassError is
+    raised.
     """
     axes = (state.axis(mode_a), state.axis(mode_b))
     moved = np.moveaxis(state.amps, axes, (0, 1))
-    tol = state.trunc.tail_tolerance if leak_tolerance is None else leak_tolerance
-    out = split_amplitudes(moved.reshape(moved.shape[:2] + (1, -1)), params, tol)
+    out = split_amplitudes(moved.reshape(moved.shape[:2] + (1, -1)), params,
+                           state.trunc.tail_tolerance)
     out = np.moveaxis(out.reshape(moved.shape), (0, 1), axes)
     return FockState(state.modes, out, state.trunc)
 
@@ -248,24 +247,21 @@ def htbs_residual(input_state: FockState, beta: float, r: float, sign: int):
 
 # -- hybrid channel and its entanglement -------------------------------------
 
-def channel_state(channel: HybridChannel, modes: tuple[ModeLabel, ModeLabel, ModeLabel] = (1, 2, 3),
-                  n_max: int | None = None, tail_tolerance: float = 1e-10) -> FockState:
-    """The shared resource state: (|-beta>|01> + |beta>|10>) / sqrt(2).
+def channel_state(channel: HybridChannel) -> FockState:
+    """The shared resource state: (|-beta>|01> + |beta>|10>) / sqrt(2),
+    on modes (1, 2, 3) with the coherent mode cut at its default cutoff.
 
     The dual-rail branches are orthogonal, so the raw 1/sqrt(2) norm is
     exactly one despite the non-orthogonal coherent parts; the state is
     renormalized numerically anyway.
     """
     beta = channel.beta
-    if n_max is None:
-        n_max = default_cutoff(beta)
-    coh_minus = coherent_state(-beta, n_max=n_max, tail_tolerance=tail_tolerance)
-    coh_plus = coherent_state(beta, n_max=n_max, tail_tolerance=tail_tolerance)
+    n_max = default_cutoff(beta)
     amps = np.zeros((n_max + 1, 2, 2), dtype=complex)
-    amps[:, 0, 1] = coh_minus.amps / math.sqrt(2.0)
-    amps[:, 1, 0] = coh_plus.amps / math.sqrt(2.0)
-    state = FockState(modes, amps, TruncationConfig((n_max, 1, 1), tail_tolerance))
-    return state.normalize().check_tail(modes=modes[:1])
+    amps[:, 0, 1] = coherent_state(-beta, n_max=n_max).amps / math.sqrt(2.0)
+    amps[:, 1, 0] = coherent_state(beta, n_max=n_max).amps / math.sqrt(2.0)
+    state = FockState((1, 2, 3), amps, TruncationConfig((n_max, 1, 1)))
+    return state.normalize().check_tail(modes=(1,))
 
 
 def negativity_closed_form(channel: HybridChannel) -> float:
@@ -273,14 +269,14 @@ def negativity_closed_form(channel: HybridChannel) -> float:
     return math.sqrt(1.0 - math.exp(-4.0 * channel.beta ** 2))
 
 
-def negativity_numeric(channel: HybridChannel, n_max: int | None = None) -> float:
+def negativity_numeric(channel: HybridChannel) -> float:
     """Entanglement of the resource from the partial-transpose criterion.
 
     Computed as trace_norm(rho^T_qubit) - 1 on the truncated density
     matrix, the normalization that reaches one for maximally entangled
     qubit pairs and matches the closed form.
     """
-    state = channel_state(channel, n_max=n_max)
+    state = channel_state(channel)
     d1 = state.amps.shape[0]
     psi = np.stack([state.amps[:, 0, 1], state.amps[:, 1, 0]], axis=1)  # (d1, 2)
     rho = np.outer(psi.reshape(-1), psi.reshape(-1).conj())
@@ -289,7 +285,7 @@ def negativity_numeric(channel: HybridChannel, n_max: int | None = None) -> floa
     return float(svals.sum() - 1.0)
 
 
-def negativity(channel: HybridChannel, n_max: int | None = None) -> tuple[float, float]:
+def negativity(channel: HybridChannel) -> tuple[float, float]:
     """(closed form, numeric partial-transpose value); they agree to ~1e-6
     once the truncation holds the coherent tails."""
-    return negativity_closed_form(channel), negativity_numeric(channel, n_max=n_max)
+    return negativity_closed_form(channel), negativity_numeric(channel)

@@ -265,19 +265,19 @@ def am_probability(l: int, k: int, alpha: float, n_cut: int = 20) -> float:
     return f4 * (total - diag)
 
 
-def maximize_direct_success(l: int, k: int, lo: float = 0.05, hi: float = 1.5,
-                            n_cut: int = 20, xtol: float = 1e-8):
+def maximize_direct_success(l: int, k: int):
     """Locate the displacement maximizing the direct success mass by
-    golden-section search (bracketed on a coarse scan first)."""
-    grid = np.linspace(lo, hi, 61)
-    vals = [direct_success_probability(l, k, a, n_cut) for a in grid]
+    golden-section search (bracketed on a coarse scan of [0.05, 1.5]
+    first)."""
+    grid = np.linspace(0.05, 1.5, 61)
+    vals = [direct_success_probability(l, k, a) for a in grid]
     i = int(np.argmax(vals))
     i = min(max(i, 1), len(grid) - 2)
     res = minimize_scalar(
-        lambda a: -direct_success_probability(l, k, a, n_cut),
+        lambda a: -direct_success_probability(l, k, a),
         bracket=(grid[i - 1], grid[i], grid[i + 1]),
         method="golden",
-        options={"xtol": xtol},
+        options={"xtol": 1e-8},
     )
     return float(res.x), float(-res.fun)
 

@@ -57,7 +57,7 @@ OVERALL_01_PUBLISHED = 0.522765
 OVERALL_12_PUBLISHED = 0.4968
 
 
-def suite_paper(n_cut: int = 20) -> list[CheckResult]:
+def suite_paper() -> list[CheckResult]:
     out = []
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
@@ -102,17 +102,17 @@ def suite_paper(n_cut: int = 20) -> list[CheckResult]:
     out.append(_check("(0,1) maximizing displacement", a_star, 0.628482, 5e-3,
                       note="golden-section location"))
     out.append(_check("(0,1) direct success at 1/sqrt2",
-                      protocol.direct_success_probability(0, 1, inv_sqrt2, n_cut),
+                      protocol.direct_success_probability(0, 1, inv_sqrt2),
                       0.2578, 5e-4))
     out.append(_check("(0,1) pair mass (0,1)+(1,0) at 1/sqrt2",
                       protocol.pair_sum_probability(0, 1, 0, 1, inv_sqrt2),
                       0.18394, 5e-4))
     out.append(_check("(0,1) sign-free delivery at 1/sqrt2",
-                      protocol.direct_success_probability(0, 1, inv_sqrt2, n_cut)
+                      protocol.direct_success_probability(0, 1, inv_sqrt2)
                       + protocol.pair_sum_probability(0, 1, 0, 1, inv_sqrt2),
                       0.441789, 5e-4))
     out.append(_check("(0,1) sign-free delivery at 0.628482",
-                      protocol.direct_success_probability(0, 1, 0.628482, n_cut)
+                      protocol.direct_success_probability(0, 1, 0.628482)
                       + protocol.pair_sum_probability(0, 1, 0, 1, 0.628482),
                       0.500673, 5e-4))
     a12, p12 = protocol.maximize_direct_success(1, 2)
@@ -125,15 +125,15 @@ def suite_paper(n_cut: int = 20) -> list[CheckResult]:
                       p12 + protocol.pair_sum_probability(1, 2, 1, 2, 0.4072),
                       0.5317, 1e-3))
     out.append(_check("(1,2) sign-free delivery at 0.5053",
-                      protocol.direct_success_probability(1, 2, TABLE2_ALPHA, n_cut)
+                      protocol.direct_success_probability(1, 2, TABLE2_ALPHA)
                       + protocol.pair_sum_probability(1, 2, 1, 2, TABLE2_ALPHA),
                       0.4014, 1e-3))
 
-    out.extend(overall_demodulated_checks(n_cut))
+    out.extend(overall_demodulated_checks())
     return out
 
 
-def overall_demodulated_checks(n_cut: int = 20) -> list[CheckResult]:
+def overall_demodulated_checks() -> list[CheckResult]:
     """Best-policy overall success against the published figures, with the
     per-outcome split recorded in the notes.
 
@@ -152,9 +152,8 @@ def overall_demodulated_checks(n_cut: int = 20) -> list[CheckResult]:
         (0, 1, inv_sqrt2, OVERALL_01_PUBLISHED, "(0,1) at 1/sqrt2"),
         (1, 2, alpha12, OVERALL_12_PUBLISHED, f"(1,2) at {alpha12:.6f}"),
     ):
-        total, rows = dm.overall_success_report(l, k, alpha, policy="best",
-                                                n_cut=n_cut)
-        swap_total = dm.overall_success(l, k, alpha, policy="swap", n_cut=n_cut)
+        total, rows = dm.overall_success_report(l, k, alpha, policy="best")
+        swap_total = dm.overall_success(l, k, alpha, policy="swap")
         top = sorted(rows, key=lambda r: -r[6])[:6]
         itemized = "; ".join(
             f"({r[0]},{r[1]}) A={r[2]:+.4f} {r[3]} q={r[4]:.4f} adds {r[6]:.5f}"
@@ -169,8 +168,8 @@ def overall_demodulated_checks(n_cut: int = 20) -> list[CheckResult]:
     return out
 
 
-def suite_properties(seed: int = 7) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def suite_properties() -> list[CheckResult]:
+    rng = np.random.default_rng(7)
     out = []
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
@@ -372,14 +371,14 @@ def initially_modulated_checks() -> list[CheckResult]:
     return out
 
 
-def suite_oracle(alpha: float = 0.5, reflectances=(0.2, 0.1, 0.05)) -> list[CheckResult]:
+def suite_oracle() -> list[CheckResult]:
     out = []
     qubit = protocol.UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
     max_prob_err = []
     max_infid = []
-    for r in reflectances:
+    for r in (0.2, 0.1, 0.05):
         rows = [(rel, infid) for rec, _, rel, infid in
-                protocol.circuit_vs_limit(qubit, alpha, r)[1]
+                protocol.circuit_vs_limit(qubit, 0.5, r)[1]
                 if rec.outcome.n <= 1 and rec.outcome.m <= 1]
         perr, infid = np.max(rows, axis=0)
         max_prob_err.append(perr)

@@ -6,6 +6,7 @@ import pytest
 from dvcv_teleport import displaced, fock, optics
 from dvcv_teleport.demodulation import (
     _chain_table,
+    _displacement_step,
     AMQubit,
     demod_displacement,
     demod_swap,
@@ -17,7 +18,6 @@ from dvcv_teleport.demodulation import (
     q_best,
     q_displacement_chain,
     q_swap,
-    solve_gamma,
 )
 from dvcv_teleport.displaced import matrix_element, matrix_element_rows, overall_factor
 from dvcv_teleport.fock import QubitState, fidelity
@@ -41,36 +41,59 @@ def am_as_fock(am, modes, n_max2=1):
 
 # -- roots --------------------------------------------------------------------
 
-def test_solve_gamma_golden_ratio():
-    roots = solve_gamma(1.0, 1)
-    assert any(abs(g - GOLDEN) < 1e-12 for g in roots)
-    assert all(abs(abs(g) - GOLDEN) < 1e-12 or abs(abs(g) - 1 / GOLDEN) < 1e-12
-               for g in roots)
+def test_roots_golden_ratio():
+    gamma, usable, *_ = _displacement_step(1.0, 1)
+    assert usable.all()
+    assert gamma.tolist() == pytest.approx([GOLDEN, 1 / GOLDEN], abs=1e-12)
 
 
-def test_solve_gamma_vacuum_count():
-    roots = solve_gamma(-1 / 3, 0)
-    assert sorted(abs(g) for g in roots) == pytest.approx([1 / 3, 1 / 3])
-    # generic factor: the only root magnitude is |A|
-    for a in (0.4, -2.2, 5.0):
-        assert {round(abs(g), 12) for g in solve_gamma(a, 0)} == {
-            round(abs(a), 12)}
+def test_roots_vacuum_count():
+    # the spurious root gamma = 0 is dropped; the only root magnitude is |A|
+    _, usable, *_ = _displacement_step(1 / 3, 0)
+    assert usable.tolist() == [False, True]
+    for a in (-1 / 3, 0.4, -2.2, 5.0):
+        res = demod_displacement(AMQubit(1, 1, a), 0)
+        assert res.gamma == pytest.approx(abs(a), abs=1e-12)
 
 
-def test_solve_gamma_window_and_validation():
-    assert solve_gamma(20.0, 0, gamma_max=8.0) == []
+def test_roots_window_and_validation():
+    _, usable, *_ = _displacement_step(20.0, 0)
+    assert not usable.any()
     with pytest.raises(ValueError):
-        solve_gamma(0.0, 1)
+        demod_displacement(AMQubit(1, 1, 0.0), 1)
     with pytest.raises(ValueError):
-        solve_gamma(1.0, -1)
+        demod_displacement(AMQubit(1, 1, 1.0), -1)
 
 
 def test_roots_satisfy_condition():
     for a in (-3.0, -1 / 3, 0.7, 2.5):
         for n in range(4):
-            for g in solve_gamma(a, n):
+            gamma, usable, *_ = _displacement_step(abs(a), n)
+            for g in gamma[usable]:
                 ratio = g / (n - g * g)
                 assert abs(abs(a * ratio) - 1.0) < 1e-10
+
+
+def test_roots_solve_their_quadratic_without_cancellation():
+    # the smaller root solves g^2 + a g - n = 0, the larger g^2 - a g - n = 0;
+    # (sqrt(a^2 + 4n) - a) / 2 would miss the first by ~eps a^2 / n
+    a = np.logspace(-6, 6, 601)
+    for n in range(9):
+        gamma, usable, *_ = _displacement_step(a, n)
+        for root, s in ((0, 1.0), (1, -1.0)):
+            g, ok = gamma[:, root], usable[:, root]
+            scale = g * g + a * g + n
+            assert np.all(np.abs(g * g + s * a * g - n)[ok] <= 1e-14 * scale[ok])
+
+
+def test_demodulator_finds_a_root_where_the_step_has_one():
+    log_grid, _ = _chain_table(1, False)
+    for a in 10.0 ** log_grid[::20]:
+        for n in range(9):
+            _, usable, *_ = _displacement_step(a, n)
+            for factor in (a, -a):
+                res = demod_displacement(AMQubit(0.8, 0.6, factor), n)
+                assert (res.gamma is not None) == usable.any()
 
 
 # -- displacement route ---------------------------------------------------------
@@ -120,10 +143,28 @@ def test_displacement_residual_factors():
 
 def test_displacement_no_root():
     am = AMQubit(1, 1, 20.0)
-    res = demod_displacement(am, 0, gamma_max=8.0)
+    res = demod_displacement(am, 0)
     assert res.restored is None
     assert res.success_probability == 0.0
     assert res.residual_factor == 20.0
+
+
+def test_displacement_strong_factor_matches_chain():
+    # the smaller root n / A must not cancel away at strong factors
+    res = demod_displacement(AMQubit(0.8, 0.6, 1e4), 1)
+    assert res.gamma == pytest.approx(1e-4, rel=1e-6)
+    assert res.success_probability == pytest.approx(
+        q_displacement_chain(1e4, 1), abs=1e-9)
+    # the unusable larger root, 1e100, must not overflow the coefficient rows
+    res = demod_displacement(AMQubit(0.8, 0.6, -1e100), 1)
+    assert res.gamma == pytest.approx(1e-100)
+    assert res.success_probability == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("a,n", [(-1e-6, 1), (1e-6, 4)])
+def test_displacement_weak_factor_finds_a_root(a, n):
+    res = demod_displacement(AMQubit(0.8, 0.6, a), n)
+    assert res.restored is not None and res.gamma is not None
 
 
 def test_trivial_qubit_restored_regardless():
@@ -190,7 +231,8 @@ def test_chain_first_step_matches_best_root():
     q1 = q_displacement_chain(a, 1)
     direct = max(
         overall_factor(g) ** 2 * matrix_element(1, n, g) ** 2
-        for n in range(9) for g in solve_gamma(a, n)
+        for n in range(9)
+        for g in (0.5 * (math.sqrt(a * a + 4 * n) + s * a) for s in (1, -1))
     )
     assert q1 == pytest.approx(direct, abs=1e-6)
 
@@ -203,7 +245,7 @@ def bellman_step(a, log_grid, value, target_max=8, residual_max=12,
     best = 0.0
     for n in range(target_max + 1):
         root = math.sqrt(a * a + 4.0 * n)
-        for g in {0.5 * (root - a), 0.5 * (root + a)}:
+        for g in {2.0 * n / (root + a), 0.5 * (root + a)}:
             if g == 0.0 or g > gamma_max:
                 continue
             rows = matrix_element_rows(1, residual_max, g)
