@@ -92,26 +92,24 @@ def _single_row(alpha, l, k, n_cut):
             adds["displacement_chain"])
 
 
-def _init_am_row(rail, alpha, a1_abs, n_cut):
+def _init_am_rows(rail, alpha, a1s, n_cut):
     """Total success and clean-outcome mass of the pre-modulated ``rail``
-    ("dual" or "single") protocol, defined for l=0, k=1, at the original
-    |a1|."""
-    run = dm.initially_am_dual if rail == "dual" else dm.initially_am_single
-    a0 = math.sqrt(max(0.0, 1.0 - a1_abs * a1_abs))
-    records, total = run(a0, a1_abs, alpha, n_cut)
-    return total, sum(r[-1] for r in records if r[-2] == "clean")
+    ("dual" or "single") protocol, defined for l=0, k=1, one row per
+    original |a1| in ``a1s``."""
+    totals, clean = dm.initially_am_totals(rail, a1s, alpha, n_cut)
+    return zip(totals.tolist(), clean.tolist())
 
 
-#: protocol -> (columns, row function); the init_am rows take the original
-#: |a1| in place of (l, k)
+#: protocol -> (columns, row function); the init_am row functions take the
+#: list of original |a1| in place of (l, k) and give one row per |a1|
 CURVES = {
     "dual": (("alpha", "p_direct", "p_modulated", "p_total"), _dual_row),
     "single": (("alpha", "p_clean", "dp_swap", "dp_disp_first", "dp_disp_chain"),
                _single_row),
     "init_am_dual": (("alpha", "a1_abs", "total_success", "p_clean_outcome"),
-                     partial(_init_am_row, "dual")),
+                     partial(_init_am_rows, "dual")),
     "init_am_single": (("alpha", "a1_abs", "total_success", "p_clean_outcome"),
-                       partial(_init_am_row, "single")),
+                       partial(_init_am_rows, "single")),
 }
 PROTOCOLS = tuple(CURVES)
 FIGURES = ("fig2", "fig3", "fig4", "fig5")
@@ -153,7 +151,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--a1-abs/--a1-grid apply to the init_am protocols only")
     _check_tail(alphas, (l, k), n_cut, args.tail_tol)
     if a1s:
-        rows = [(a, x, *row(a, x, n_cut)) for a in alphas for x in a1s]
+        rows = [(a, x, *values) for a in alphas
+                for x, values in zip(a1s, row(a, a1s, n_cut))]
     else:
         rows = [(a, *row(a, l, k, n_cut)) for a in alphas]
 
@@ -209,9 +208,10 @@ def _figure_rows(name: str, n_cut: int, tail_tol: float):
         rails = ("dual", "single")
         columns = ("a1_abs", *(f"{rail}_alpha{a:.2f}".replace(".", "")
                                for rail in rails for a in alphas))
-        return columns, [(x, *(_init_am_row(rail, a, x, n_cut)[0]
-                               for rail in rails for a in alphas))
-                         for x in np.linspace(0.0, 0.99, 100)]
+        a1s = np.linspace(0.0, 0.99, 100)
+        totals = [dm.initially_am_totals(rail, a1s, a, n_cut)[0].tolist()
+                  for rail in rails for a in alphas]
+        return columns, list(zip(a1s, *totals))
     raise UsageError(f"unknown figure {name!r}; choose from {FIGURES}")
 
 

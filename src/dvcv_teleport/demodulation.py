@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +124,13 @@ def _displacement_step(a, n: int):
     c(1, p) = 0.  The weights leave out F(gamma)^2: each caller applies it.
     """
     a = np.asarray(a, dtype=float)
-    root = np.sqrt(a * a + 4.0 * n)
-    gamma = np.stack((2.0 * n / (root + a), 0.5 * (root + a)), axis=-1)
+    with np.errstate(over="ignore"):
+        root = np.sqrt(a * a + 4.0 * n)
+    # where a^2 overflows, sqrt(a^2 + 4n) rounds to a; halving each term
+    # before adding gives (root + a) / 2 bitwise, and n / half is
+    # 2n / (root + a) bitwise, with no overflow up to the largest float
+    half = 0.5 * np.where(np.isinf(root), a, root) + 0.5 * a
+    gamma = np.stack((n / half, half), axis=-1)
     usable = (gamma != 0.0) & (gamma <= _GAMMA_MAX)
     # rows at 0 stand in for unusable roots, whose rows overflow for strong
     # factors; the masks below drop them
@@ -154,18 +160,26 @@ def demod_displacement(am: AMQubit, n: int) -> DemodResult:
     found = np.flatnonzero(usable).tolist()
     if not found:
         return DemodResult(None, 0.0, "displacement", None, am.factor)
-    f2 = [overall_factor(g) ** 2 for g in gamma.tolist()]
-    i = max(found, key=lambda i: (f2[i] * c1n2[i], gamma[i]))
+    lo, hi = gamma.tolist()
+    i = found[0]
+    if len(found) == 2:
+        # at a root c(1, n)^2 = A^2 c(0, n)^2, so rank by F^2 c(0, n)^2, whose
+        # log is -g^2 + 2n ln g: the weights differ by only ~|A|^3 / (3 sqrt(n))
+        # relative, so compare their log gap in a form that does not cancel
+        gap = hi - lo
+        i = 1 if 2 * n * math.log1p(gap / lo) >= gap * (hi + lo) else 0
+    g = (lo, hi)[i]
+    f2 = overall_factor(g) ** 2
     # the smaller root (i = 0) leaves the ratio +1/|A|, the larger -1/|A|
     sign = (1 if am.factor > 0 else -1) * (1 if i == 0 else -1)
     residuals = tuple(
-        (p, f2[i] * c1p2[i, p], AMQubit(am.a0, am.a1, am.factor * ratio[i, p], am.basis))
+        (p, f2 * c1p2[i, p], AMQubit(am.a0, am.a1, am.factor * ratio[i, p], am.basis))
         for p in np.flatnonzero(c1p2[i]).tolist())
     return DemodResult(
         restored=QubitState(am.a0, sign * am.a1, am.basis),
-        success_probability=f2[i] * c1n2[i],
+        success_probability=f2 * c1n2[i],
         method="displacement",
-        gamma=float(gamma[i]),
+        gamma=g,
         residual_factor=1.0,
         sign=sign,
         residuals=residuals,
@@ -195,6 +209,33 @@ def demod_swap(am: AMQubit) -> DemodResult:
 _GRID_LO, _GRID_HI, _GRID_N = -6.0, 6.0, 601
 
 
+@lru_cache(maxsize=1)
+def _transition() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The displacement transition on the log10|A| grid, shared by every
+    value table: one :func:`_displacement_step` per target count
+    n <= _TARGET_MAX, stacked on a leading target axis.
+
+    Returns ``(log_grid, success, points, weights)``: the success weight
+    F^2 c(1, n)^2 per (target, factor, root), and per residual count p on a
+    last axis the log10 of the residual factor A |c(0, p) / c(1, p)| and
+    its weight F^2 c(1, p)^2.  All arrays are read-only.
+    """
+    log_grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_N)
+    a_grid = 10.0 ** log_grid
+    slices = []
+    for n in range(_TARGET_MAX + 1):
+        gamma, _, c1n2, ratio, c1p2 = _displacement_step(a_grid, n)
+        f2 = np.exp(-0.5 * gamma * gamma) ** 2
+        # the floor puts skipped residuals (ratio 0, weight 0) at a finite point
+        a_next = a_grid[:, None, None] * np.abs(ratio)
+        slices.append((f2 * c1n2, np.log10(np.maximum(a_next, 1e-300)),
+                       f2[..., None] * c1p2))
+    out = (log_grid, *(np.stack(arrays) for arrays in zip(*slices)))
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=32)
 def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray]:
     """Value of the best demodulation strategy as a function of log10|A|.
@@ -205,33 +246,21 @@ def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray
     only, so a log grid with linear interpolation is adequate for policy
     evaluation (the per-call demodulators stay exact).
 
-    The transition does not depend on the value, so it is built once, one
-    :func:`_displacement_step` per target count n <= _TARGET_MAX on the grid.
-    A sweep interpolates the value at the residual factors
-    A |c(0, p) / c(1, p)|, sums over residuals and maximizes over roots,
-    targets and the swap.  The returned arrays are shared by every cache
-    hit and are read-only.
+    Depth 0 is the floor: the swap or nothing.  Depth d is one sweep of the
+    cached depth d - 1 table through the shared :func:`_transition`, which
+    does not depend on the value: interpolate the shallower value at every
+    residual factor, sum over residuals, and maximize over roots, targets
+    and the floor.  The returned arrays are shared by every cache hit and
+    are read-only.
     """
-    log_grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_N)
-    a_grid = 10.0 ** log_grid
-    value = q_swap(a_grid) if include_swap else np.zeros_like(a_grid)
-    slices = []
-    for n in range(_TARGET_MAX + 1):
-        gamma, _, c1n2, ratio, c1p2 = _displacement_step(a_grid, n)
-        f2 = np.exp(-0.5 * gamma * gamma) ** 2
-        # the floor puts skipped residuals (ratio 0, weight 0) at a finite point
-        a_next = a_grid[:, None, None] * np.abs(ratio)
-        points = np.log10(np.maximum(a_next, 1e-300))
-        slices.append((f2 * c1n2, points, f2[..., None] * c1p2))
-    floor = value
-    for _ in range(depth):
-        best = floor
-        for success, points, weights in slices:
-            cont = np.interp(points, log_grid, value)
-            total = success + np.sum(weights * cont, axis=-1)
-            best = np.maximum(best, total.max(axis=-1))
-        value = best
-    log_grid.flags.writeable = False
+    log_grid, success, points, weights = _transition()
+    if depth == 0:
+        a_grid = 10.0 ** log_grid
+        value = q_swap(a_grid) if include_swap else np.zeros_like(a_grid)
+    else:
+        _, shallower = _chain_table(depth - 1, include_swap)
+        total = success + np.sum(weights * np.interp(points, log_grid, shallower), axis=-1)
+        value = np.maximum(_chain_table(0, include_swap)[1], total.max(axis=(0, -1)))
     value.flags.writeable = False
     return log_grid, value
 
@@ -332,15 +361,94 @@ def single_rail_demod_additions(l: int, k: int, alpha: float, n_cut: int = 20) -
 
 # -- protocols with pre-modulated inputs ---------------------------------------
 
-def _premodulated(a0: complex, a1: complex, a_ref: float):
-    """Normalized (a0, a1) of a pre-modulated input and its weight
-    |a0|^2 + |a1 * a_ref|^2; a vanishing reference factor (alpha = 0)
-    leaves nothing to pre-modulate against."""
+class _Outcomes(NamedTuple):
+    """Outcome arrays of a pre-modulated protocol at one alpha.
+
+    None of them depends on the input qubit: its weight ``base`` enters
+    only through :func:`_contributions`, and its amplitudes only through
+    the count probabilities f (|a0|^2 p0 + |a1|^2 p1).  ``counts`` are the
+    leading record columns.
+    """
+
+    a_ref: float
+    counts: tuple
+    f: float
+    p0: np.ndarray
+    p1: np.ndarray
+    phi: np.ndarray
+    weight: np.ndarray
+    g: np.ndarray
+    method: np.ndarray
+
+
+def _nonzero_reference(a_ref: float) -> float:
+    """A vanishing reference factor (alpha = 0) leaves nothing to
+    pre-modulate against."""
     if a_ref == 0.0:
         raise SingularFactorError("the reference amplitude factor vanishes")
+    return a_ref
+
+
+def _dual_outcomes(alpha: float, n_cut: int) -> _Outcomes:
+    """Dual-rail counts (n, m) with n + m <= n_cut: the relative factor phi
+    left after pre-modulating against the (0, 1) factor is swapped away."""
+    a_ref = _nonzero_reference(amp_factor_dual(0, 1, 0, 1, alpha))
+    table = matrix_element_table(1, n_cut, alpha)
+    c0, c1 = table.c
+    f4 = overall_factor(alpha) ** 4
+    counts = np.arange(n_cut + 1)
+    n, m = np.nonzero(counts[:, None] + counts <= n_cut)
+    phi = amp_factor_grid(0, 1, table)[n, m] / a_ref
+    singular = np.isnan(phi)
+    clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
+    return _Outcomes(
+        a_ref, (n, m), f4, (c0[n] * c1[m]) ** 2, (c1[n] * c0[m]) ** 2, phi,
+        f4 * c0[n] ** 2 * c1[m] ** 2, np.where(clean, 1.0, q_swap(phi)),
+        np.where(singular, "singular", np.where(clean, "clean", "swap")))
+
+
+def _single_outcomes(alpha: float, n_cut: int) -> _Outcomes:
+    """Single-rail counts n <= n_cut: the vacuum count is factor-free and
+    every other relative factor phi is demodulated by up to three chained
+    displacements."""
+    a_ref = _nonzero_reference(amp_factor_single(0, 1, 0, alpha))  # equals -alpha
+    c0, c1 = matrix_element_table(1, n_cut, alpha).c
+    f2 = overall_factor(alpha) ** 2
+    phi = c1 / c0 / a_ref
+    clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
+    demod = ~clean & (phi != 0.0)
+    g = np.where(clean, 1.0, 0.0)
+    g[demod] = q_displacement_chain(phi[demod])
+    return _Outcomes(
+        a_ref, (np.arange(n_cut + 1),), f2, c0 ** 2, c1 ** 2, phi, f2 * c0 ** 2, g,
+        np.where(clean, "clean", np.where(demod, "displacement", "skip")))
+
+
+_OUTCOMES = {"dual": _dual_outcomes, "single": _single_outcomes}
+
+
+def _premodulated(a0: complex, a1: complex, a_ref: float):
+    """Normalized (a0, a1) of a pre-modulated input and its weight
+    |a0|^2 + |a1 * a_ref|^2."""
     nrm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
     a0, a1 = complex(a0) / nrm, complex(a1) / nrm
     return a0, a1, abs(a0) ** 2 + abs(a1) ** 2 * a_ref ** 2
+
+
+def _contributions(o: _Outcomes, base) -> np.ndarray:
+    """weight * base * g per outcome, zero at singular ones; ``base`` is one
+    input's weight or a column of them."""
+    return np.where(o.method == "singular", 0.0, o.weight * base * o.g)
+
+
+def _initially_am(rail: str, a0: complex, a1: complex, alpha: float, n_cut: int):
+    o = _OUTCOMES[rail](alpha, n_cut)
+    a0, a1, base = _premodulated(a0, a1, o.a_ref)
+    prob = o.f * (abs(a0) ** 2 * o.p0 + abs(a1) ** 2 * o.p1)
+    contribution = _contributions(o, base)
+    rows = list(zip(*(c.tolist() for c in o.counts), prob.tolist(), o.phi.tolist(),
+                    o.method.tolist(), contribution.tolist()))
+    return rows, float(contribution.sum())
 
 
 def initially_am_dual(a0: complex, a1: complex, alpha: float, n_cut: int = 20):
@@ -354,25 +462,7 @@ def initially_am_dual(a0: complex, a1: complex, alpha: float, n_cut: int = 20):
     ``(records, total)`` with rows (n, m, probability, relative_factor,
     method, contribution).
     """
-    a_ref = amp_factor_dual(0, 1, 0, 1, alpha)
-    a0, a1, base = _premodulated(a0, a1, a_ref)
-    table = matrix_element_table(1, n_cut, alpha)
-    c0, c1 = table.c
-    f4 = overall_factor(alpha) ** 4
-    counts = np.arange(n_cut + 1)
-    n, m = np.nonzero(counts[:, None] + counts <= n_cut)
-    weight = f4 * c0[n] ** 2 * c1[m] ** 2
-    prob = f4 * (abs(a0) ** 2 * (c0[n] * c1[m]) ** 2
-                 + abs(a1) ** 2 * (c1[n] * c0[m]) ** 2)
-    phi = amp_factor_grid(0, 1, table)[n, m] / a_ref
-    singular = np.isnan(phi)
-    clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
-    g = np.where(clean, 1.0, q_swap(phi))
-    contribution = np.where(singular, 0.0, weight * base * g)
-    method = np.where(singular, "singular", np.where(clean, "clean", "swap"))
-    rows = list(zip(n.tolist(), m.tolist(), prob.tolist(), phi.tolist(),
-                    method.tolist(), contribution.tolist()))
-    return rows, float(contribution.sum())
+    return _initially_am("dual", a0, a1, alpha, n_cut)
 
 
 def initially_am_dual_total_reference(a1_original_abs: float, alpha: float,
@@ -418,20 +508,21 @@ def initially_am_single(a0: complex, a1: complex, alpha: float, n_cut: int = 20)
     """Single-rail analogue of :func:`initially_am_dual`: the vacuum count
     is factor-free and every other count is demodulated by up to three
     chained displacements.  Returns ``(records, total)``."""
-    a_ref = amp_factor_single(0, 1, 0, alpha)  # equals -alpha
-    a0, a1, base = _premodulated(a0, a1, a_ref)
-    table = matrix_element_table(1, n_cut, alpha)
-    c0, c1 = table.c
-    f2 = overall_factor(alpha) ** 2
-    weight = f2 * c0 ** 2
-    prob = f2 * (abs(a0) ** 2 * c0 ** 2 + abs(a1) ** 2 * c1 ** 2)
-    phi = c1 / c0 / a_ref
-    clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
-    demod = ~clean & (phi != 0.0)
-    g = np.where(clean, 1.0, 0.0)
-    g[demod] = q_displacement_chain(phi[demod])
-    contribution = weight * base * g
-    method = np.where(clean, "clean", np.where(demod, "displacement", "skip"))
-    rows = list(zip(range(n_cut + 1), prob.tolist(), phi.tolist(),
-                    method.tolist(), contribution.tolist()))
-    return rows, float(contribution.sum())
+    return _initially_am("single", a0, a1, alpha, n_cut)
+
+
+def initially_am_totals(rail: str, a1_abs, alpha: float, n_cut: int = 20):
+    """Totals of the pre-modulated ``rail`` ("dual" or "single") protocol at
+    one alpha for every |a1| in ``a1_abs``, handed over as
+    (sqrt(1 - |a1|^2), |a1|).
+
+    Returns ``(totals, clean_sums)``: per |a1|, exactly the total of
+    :func:`initially_am_dual` / :func:`initially_am_single` and the sum of
+    its "clean" contributions, from one evaluation of the outcomes.
+    """
+    o = _OUTCOMES[rail](alpha, n_cut)
+    base = np.array([_premodulated(math.sqrt(max(0.0, 1.0 - x * x)), x, o.a_ref)[2]
+                     for x in a1_abs])
+    contribution = _contributions(o, base[:, None])
+    clean_columns = contribution[:, o.method == "clean"].T
+    return contribution.sum(axis=-1), sum(clean_columns, np.zeros(len(base)))

@@ -336,10 +336,7 @@ def initially_modulated_checks() -> list[CheckResult]:
     without a numeric table, so checked as shape properties)."""
     out = []
     grid = np.linspace(0.0, 1.0, 50)
-    totals = []
-    for x in grid:
-        a0 = math.sqrt(max(0.0, 1.0 - x * x))
-        totals.append(dm.initially_am_dual(a0, x, 0.2)[1])
+    totals = dm.initially_am_totals("dual", grid, 0.2)[0].tolist()
     out.append(_check_true(
         "pre-modulated dual total exceeds 0.9 for |a1| <= 0.1 at alpha = 0.2",
         min(t for x, t in zip(grid, totals) if x <= 0.1) > 0.9,
@@ -347,12 +344,11 @@ def initially_modulated_checks() -> list[CheckResult]:
     out.append(_check_true(
         "pre-modulated dual total non-increasing in |a1|",
         all(totals[i + 1] <= totals[i] + 1e-12 for i in range(len(totals) - 1))))
-    dominated = True
-    for alpha in (0.15, 0.2, 0.3):
-        for x in (0.02, 0.05, 0.1, 0.2):
-            a0 = math.sqrt(1.0 - x * x)
-            dominated &= (dm.initially_am_single(a0, x, alpha)[1]
-                          > dm.initially_am_dual(a0, x, alpha)[1])
+    a1s = (0.02, 0.05, 0.1, 0.2)
+    dominated = all(
+        (dm.initially_am_totals("single", a1s, alpha)[0]
+         > dm.initially_am_totals("dual", a1s, alpha)[0]).all()
+        for alpha in (0.15, 0.2, 0.3))
     out.append(_check_true(
         "single-rail pre-modulation dominates dual at small alpha, |a1|",
         dominated))

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 from dvcv_teleport import demodulation as dm
@@ -72,6 +73,28 @@ def test_sweep_builds_each_chain_table_once(tmp_path):
                  "--out", str(tmp_path / "single.csv")]) == 0
     info = dm._chain_table.cache_info()
     assert info.misses == info.currsize
+
+
+def test_verify_properties_builds_the_transition_once(monkeypatch, capsys):
+    # the suite reads the tables (3, no swap), (3, swap) and (4, swap); each
+    # depth is one sweep of the shallower cached table, so the nine grid
+    # steps of the transition are built once instead of once per table
+    dm._chain_table.cache_clear()
+    dm._transition.cache_clear()
+    grid_steps = []
+    step = dm._displacement_step
+
+    def counted(a, n):
+        if np.ndim(a):
+            grid_steps.append(n)
+        return step(a, n)
+
+    monkeypatch.setattr(dm, "_displacement_step", counted)
+    assert main(["verify", "--suite", "properties"]) == 0
+    capsys.readouterr()
+    assert grid_steps == list(range(9))
+    info = dm._chain_table.cache_info()
+    assert info.misses == info.currsize == 4 + 5
 
 
 def test_sweep_single_matches_fig4_rows(tmp_path):

@@ -13,6 +13,7 @@ from dvcv_teleport.demodulation import (
     initially_am_dual,
     initially_am_dual_total_reference,
     initially_am_single,
+    initially_am_totals,
     overall_success,
     overall_success_report,
     q_best,
@@ -84,6 +85,38 @@ def test_roots_solve_their_quadratic_without_cancellation():
             g, ok = gamma[:, root], usable[:, root]
             scale = g * g + a * g + n
             assert np.all(np.abs(g * g + s * a * g - n)[ok] <= 1e-14 * scale[ok])
+
+
+def test_roots_of_a_factor_whose_square_overflows():
+    # a^2 overflows past ~1.3e154; the smaller root n / a stays usable
+    res = demod_displacement(AMQubit(0.8, 0.6, 1e200), 1)
+    assert res.gamma == pytest.approx(1e-200, rel=1e-12)
+    assert res.success_probability == pytest.approx(1.0, abs=1e-12)
+    gamma, usable, *_ = _displacement_step(np.array([1e200, 1e300, 1.7e308]), 3)
+    assert usable.tolist() == [[True, False]] * 3
+    assert gamma[:, 0] == pytest.approx([3e-200, 3e-300, 3 / 1.7e308], rel=1e-12)
+
+
+def _log_weight_gap(gamma, n):
+    """log(F^2 c(0, n)^2) at the larger root minus at the smaller one, from
+    -g^2 + 2n ln g in 60-digit decimal arithmetic at the given float roots."""
+    import decimal
+    ctx = decimal.Context(prec=60)
+    lo, hi = (decimal.Decimal(float(g)) for g in gamma)
+    return ctx.subtract(ctx.add(-hi * hi, 2 * n * ctx.ln(hi)),
+                        ctx.add(-lo * lo, 2 * n * ctx.ln(lo)))
+
+
+def test_root_pick_is_the_larger_weight_at_small_factors():
+    # the two roots' weights differ by ~|A|^3 / (3 sqrt(n)) relative, far
+    # below the cancellation error of c(1, n) there
+    for a in np.geomspace(1e-6, 1e-3, 200):
+        for n in range(1, 9):
+            gamma, usable, *_ = _displacement_step(a, n)
+            assert usable.all()
+            want = gamma[1] if _log_weight_gap(gamma, n) >= 0 else gamma[0]
+            for factor in (a, -a):
+                assert demod_displacement(AMQubit(0.8, 0.6, factor), n).gamma == want
 
 
 def test_demodulator_finds_a_root_where_the_step_has_one():
@@ -273,6 +306,41 @@ def test_chain_table_is_one_bellman_step_of_the_shallower_table(depth, include_s
         assert value[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def per_table_loop(depth, include_swap):
+    """Value iteration as one self-contained loop per table: the nine
+    transition slices built afresh, then ``depth`` sweeps from the floor."""
+    log_grid = np.linspace(-6.0, 6.0, 601)
+    a_grid = 10.0 ** log_grid
+    value = q_swap(a_grid) if include_swap else np.zeros_like(a_grid)
+    slices = []
+    for n in range(9):
+        gamma, _, c1n2, ratio, c1p2 = _displacement_step(a_grid, n)
+        f2 = np.exp(-0.5 * gamma * gamma) ** 2
+        a_next = a_grid[:, None, None] * np.abs(ratio)
+        points = np.log10(np.maximum(a_next, 1e-300))
+        slices.append((f2 * c1n2, points, f2[..., None] * c1p2))
+    floor = value
+    for _ in range(depth):
+        best = floor
+        for success, points, weights in slices:
+            cont = np.interp(points, log_grid, value)
+            total = success + np.sum(weights * cont, axis=-1)
+            best = np.maximum(best, total.max(axis=-1))
+        value = best
+    return log_grid, value
+
+
+@pytest.mark.parametrize("include_swap", [False, True])
+def test_chain_tables_equal_the_per_table_loop(include_swap):
+    # sweeping the cached shallower table through the shared transition is
+    # bitwise the loop that rebuilt the transition for every table
+    for depth in range(5):
+        log_grid, value = _chain_table(depth, include_swap)
+        want_grid, want = per_table_loop(depth, include_swap)
+        assert np.array_equal(log_grid, want_grid)
+        assert np.array_equal(value, want)
+
+
 def test_chain_table_arrays_are_read_only():
     # every cache hit shares these arrays; a write would corrupt later values
     log_grid, value = _chain_table(3, True)
@@ -453,11 +521,31 @@ def test_initially_am_behavior_small_alpha():
                 > initially_am_dual(a0, x, 0.2)[1])
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 0.3, 0.4, 0.75, 1.0, 1.2, 1.5])
+@pytest.mark.parametrize("rail", ["dual", "single"])
+def test_initially_am_totals_equal_the_per_input_runs(rail, alpha):
+    run = initially_am_dual if rail == "dual" else initially_am_single
+    a1s = [0.0, 0.3, 0.99, 1.0]
+    if rail == "dual" and alpha == 1.0:
+        # the (0, 1) reference factor is singular at alpha = 1
+        with pytest.raises(SingularFactorError):
+            initially_am_totals(rail, a1s, alpha)
+        return
+    totals, clean_sums = initially_am_totals(rail, a1s, alpha)
+    for x, total, clean in zip(a1s, totals.tolist(), clean_sums.tolist()):
+        records, want = run(math.sqrt(max(0.0, 1.0 - x * x)), x, alpha)
+        assert total == want
+        assert clean == sum(r[-1] for r in records if r[-2] == "clean")
+
+
 def test_initially_am_zero_displacement_is_singular():
     # the reference factor vanishes at alpha = 0: nothing to pre-modulate
     for run in (initially_am_dual, initially_am_single):
         with pytest.raises(SingularFactorError):
             run(0.8, 0.6, 0.0)
+    for rail in ("dual", "single"):
+        with pytest.raises(SingularFactorError):
+            initially_am_totals(rail, [0.6], 0.0)
 
 
 def test_am_qubit_validation():
