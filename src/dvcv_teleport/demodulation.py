@@ -150,7 +150,9 @@ def demod_displacement(am: AMQubit, n: int) -> DemodResult:
     tables are built from: the usable root with the largest success weight,
     the larger root on a tie.  Branches with a vanishing weight (the
     restorable component is gone) are not listed as residuals: they can
-    never contribute.
+    never contribute.  Nor are branches whose new factor is not a finite
+    float: that happens only for |A| past ~1.3e154, at p = 0, whose weight
+    ~n^2 / A^2 is then subnormal.
     """
     if am.factor == 0.0:
         raise ValueError("amplitude factor must be nonzero")
@@ -172,9 +174,11 @@ def demod_displacement(am: AMQubit, n: int) -> DemodResult:
     f2 = overall_factor(g) ** 2
     # the smaller root (i = 0) leaves the ratio +1/|A|, the larger -1/|A|
     sign = (1 if am.factor > 0 else -1) * (1 if i == 0 else -1)
+    with np.errstate(over="ignore"):
+        factors = am.factor * ratio[i]
     residuals = tuple(
-        (p, f2 * c1p2[i, p], AMQubit(am.a0, am.a1, am.factor * ratio[i, p], am.basis))
-        for p in np.flatnonzero(c1p2[i]).tolist())
+        (p, f2 * c1p2[i, p], AMQubit(am.a0, am.a1, factors[p], am.basis))
+        for p in np.flatnonzero((c1p2[i] != 0.0) & np.isfinite(factors)).tolist())
     return DemodResult(
         restored=QubitState(am.a0, sign * am.a1, am.basis),
         success_probability=f2 * c1n2[i],

@@ -121,12 +121,19 @@ def matrix_element(l: int, n: int, alpha: float) -> float:
     return float(matrix_element_rows(l, n, alpha)[l, n])
 
 
+def parity_sign_table(l_max: int, n_max: int, alpha) -> np.ndarray:
+    """Whether c(l, n, -alpha) == (-1)^(n-l) * c(l, n, alpha) to 1e-12, as a
+    boolean table [l, n, ...] over the rows of :func:`matrix_element_rows`."""
+    plus = matrix_element_rows(l_max, n_max, alpha)
+    minus = matrix_element_rows(l_max, n_max, -alpha)
+    sign = np.where((np.arange(n_max + 1) - np.arange(l_max + 1)[:, None]) % 2, -1.0, 1.0)
+    expected = sign.reshape(sign.shape + (1,) * (plus.ndim - 2)) * plus
+    return np.abs(minus - expected) <= SIGN_RULE_TOL * np.maximum(1.0, np.abs(plus))
+
+
 def parity_sign_check(l: int, n: int, alpha: float) -> bool:
     """Whether c(l, n, -alpha) == (-1)^(n-l) * c(l, n, alpha) to 1e-12."""
-    plus = matrix_element(l, n, alpha)
-    minus = matrix_element(l, n, -alpha)
-    expected = (-1.0) ** (n - l) * plus
-    return abs(minus - expected) <= SIGN_RULE_TOL * max(1.0, abs(plus))
+    return bool(parity_sign_table(l, n, alpha)[l, n])
 
 
 def displaced_number_state(l: int, alpha: float, mode: ModeLabel = 0,

@@ -216,22 +216,33 @@ def correct(bob: QubitState, parity: str, n: int, l: int) -> QubitState:
 
 # -- outcome probabilities ----------------------------------------------------
 
-def outcome_probability_dual(qubit: UnknownQubit, l: int, k: int, n: int, m: int,
-                             alpha: float, alpha1: float | None = None) -> float:
-    """Probability of registering counts (n, m), either parity.
+def outcome_probability_grid(qubit: UnknownQubit, l: int, k: int,
+                             table: MatrixElementTable,
+                             table1: MatrixElementTable | None = None) -> np.ndarray:
+    """Probability of registering counts (n, m), either parity, for every
+    count pair at once: entry [n, m] takes c(.,n) from ``table`` and
+    c(.,m) from ``table1`` (default: the same table).
 
     Evaluated in the unreduced product form
     F^4 (|a0 c(l,n) c(k,m)|^2 + |a1 c(k,n) c(l,m)|^2), which stays finite
     on outcomes whose amplitude factor is singular.
     """
+    if table1 is None:
+        table1 = table
+    f4 = table.f ** 2 * table1.f ** 2
+    return f4 * (abs(qubit.a0) ** 2 * np.outer(table.c[l], table1.c[k]) ** 2
+                 + abs(qubit.a1) ** 2 * np.outer(table.c[k], table1.c[l]) ** 2)
+
+
+def outcome_probability_dual(qubit: UnknownQubit, l: int, k: int, n: int, m: int,
+                             alpha: float, alpha1: float | None = None) -> float:
+    """Probability of registering counts (n, m), either parity: one entry
+    of :func:`outcome_probability_grid`."""
     if alpha1 is None:
         alpha1 = alpha
     ta = matrix_element_table(max(l, k), max(n, m), alpha)
     tb = ta if alpha1 == alpha else matrix_element_table(max(l, k), max(n, m), alpha1)
-    f4 = overall_factor(alpha) ** 2 * overall_factor(alpha1) ** 2
-    direct = abs(qubit.a0) ** 2 * (ta.element(l, n) * tb.element(k, m)) ** 2
-    crossed = abs(qubit.a1) ** 2 * (ta.element(k, n) * tb.element(l, m)) ** 2
-    return f4 * (direct + crossed)
+    return float(outcome_probability_grid(qubit, l, k, ta, tb)[n, m])
 
 
 def direct_success_probability(l: int, k: int, alpha: float, n_cut: int = 20) -> float:
@@ -312,9 +323,7 @@ def dual_rail_records(qubit: UnknownQubit, alpha: float, alpha1: float | None = 
     ta = matrix_element_table(max(l, k), n_cut, alpha)
     tb = matrix_element_table(max(l, k), m_cut, alpha1)
     factors = amp_factor_grid(l, k, ta, tb)
-    f4 = overall_factor(alpha) ** 2 * overall_factor(alpha1) ** 2
-    probs = 0.5 * (f4 * (abs(qubit.a0) ** 2 * np.outer(ta.c[l], tb.c[k]) ** 2
-                         + abs(qubit.a1) ** 2 * np.outer(ta.c[k], tb.c[l]) ** 2))
+    probs = 0.5 * outcome_probability_grid(qubit, l, k, ta, tb)
     outcomes = [(parity, n, m) for parity in ("even", "odd")
                 for n, m in np.argwhere(~np.isnan(factors)).tolist()]
     factors, probs = factors.tolist(), probs.tolist()
@@ -475,10 +484,13 @@ def circuit_vs_limit(qubit: UnknownQubit, alpha: float, r: float,
     for rec in records:
         key = rec.outcome.n, rec.outcome.m
         by_counts[key] = by_counts.get(key, 0.0) + rec.probability
+    limits = outcome_probability_grid(
+        qubit, qubit.l, qubit.k,
+        matrix_element_table(max(qubit.l, qubit.k), 2, alpha)).tolist()
     rows = []
     for rec in records:
         n, m = rec.outcome.n, rec.outcome.m
-        p_limit = outcome_probability_dual(qubit, qubit.l, qubit.k, n, m, alpha)
+        p_limit = limits[n][m]
         rel = abs(by_counts[n, m] - p_limit) / p_limit if p_limit > 0 else math.inf
         rows.append((rec, p_limit, rel, record_infidelity(rec, qubit, alpha)))
     return beta, rows

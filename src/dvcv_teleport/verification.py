@@ -184,11 +184,8 @@ def suite_properties() -> list[CheckResult]:
     out.append(_check_below("row normalization defect (l<=5, alpha<=2)",
                             worst_norm, 1e-8))
     out.append(_check_below("row orthogonality defect (l,k<=5)", worst_orth, 1e-8))
-    sign_ok = all(
-        displaced.parity_sign_check(l, n, alpha)
-        for l in range(6) for n in range(15)
-        for alpha in (0.3, 0.8, 1.3, 1.9)
-    )
+    sign_ok = bool(displaced.parity_sign_table(
+        5, 14, np.array([0.3, 0.8, 1.3, 1.9])).all())
     out.append(_check_true("reflection sign rule c(l,n,-a) = (-1)^(n-l) c(l,n,a)",
                            sign_ok))
 
@@ -240,10 +237,8 @@ def suite_properties() -> list[CheckResult]:
     # outcome-probability completeness and the direct/AM split
     qubit = protocol.UnknownQubit(math.sqrt(0.7), math.sqrt(0.3) * 1j)
     for alpha in (0.7, 1.2):
-        total = sum(
-            protocol.outcome_probability_dual(qubit, 0, 1, n, m, alpha)
-            for n in range(21) for m in range(21)
-        )
+        total = float(protocol.outcome_probability_grid(
+            qubit, 0, 1, displaced.matrix_element_table(1, 20, alpha)).sum())
         out.append(_check(f"outcome completeness alpha={alpha}", total, 1.0, 1e-6))
         split = (protocol.direct_success_probability(0, 1, alpha)
                  + protocol.am_probability(0, 1, alpha))

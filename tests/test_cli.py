@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dvcv_teleport import demodulation as dm
+from dvcv_teleport import demodulation as dm, displaced
 from dvcv_teleport.cli import main
 
 
@@ -95,6 +95,25 @@ def test_verify_properties_builds_the_transition_once(monkeypatch, capsys):
     assert grid_steps == list(range(9))
     info = dm._chain_table.cache_info()
     assert info.misses == info.currsize == 4 + 5
+
+
+def test_verify_properties_builds_one_table_per_alpha(monkeypatch, capsys):
+    # one table per displacement for outcome completeness and the sign
+    # rule: 222 coefficient tables from cold caches, not one per outcome
+    dm._chain_table.cache_clear()
+    dm._transition.cache_clear()
+    built = []
+    rows = displaced.matrix_element_rows
+
+    def counted(*args):
+        built.append(args[:2])
+        return rows(*args)
+
+    monkeypatch.setattr(displaced, "matrix_element_rows", counted)
+    monkeypatch.setattr(dm, "matrix_element_rows", counted)
+    assert main(["verify", "--suite", "properties"]) == 0
+    capsys.readouterr()
+    assert len(built) <= 222
 
 
 def test_sweep_single_matches_fig4_rows(tmp_path):

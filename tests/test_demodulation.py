@@ -97,6 +97,23 @@ def test_roots_of_a_factor_whose_square_overflows():
     assert gamma[:, 0] == pytest.approx([3e-200, 3e-300, 3 / 1.7e308], rel=1e-12)
 
 
+def test_residuals_whose_factor_overflows_are_left_out():
+    # for 1.3e154 sqrt(n) < |A| < ~4.5e161 n the p = 0 residual keeps a
+    # subnormal weight ~n^2 / A^2 while its factor ~A^2 / n overflows
+    for a in (1.5e154, 1e160):
+        res = demod_displacement(AMQubit(0.8, 0.6, a), 1)
+        assert res.gamma == pytest.approx(1 / a, rel=1e-12)
+        assert res.success_probability == pytest.approx(1.0, abs=1e-12)
+        assert all(math.isfinite(am.factor) for _, _, am in res.residuals)
+        assert 0 not in [p for p, _, _ in res.residuals]
+    # below the band the p = 0 factor is representable and stays listed;
+    # above it the weight underflows to zero and no residual is listed
+    res = demod_displacement(AMQubit(0.8, 0.6, 1.2e154), 1)
+    assert [(p, am.factor) for p, _, am in res.residuals] == [
+        (0, pytest.approx(-1.44e308, rel=1e-12)), (2, pytest.approx(0.5, rel=1e-12))]
+    assert demod_displacement(AMQubit(0.8, 0.6, 1e162), 1).residuals == ()
+
+
 def _log_weight_gap(gamma, n):
     """log(F^2 c(0, n)^2) at the larger root minus at the smaller one, from
     -g^2 + 2n ln g in 60-digit decimal arithmetic at the given float roots."""

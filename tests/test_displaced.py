@@ -11,6 +11,7 @@ from dvcv_teleport.displaced import (
     matrix_element_table,
     overall_factor,
     parity_sign_check,
+    parity_sign_table,
     scs_norm_factor,
     scs_state,
 )
@@ -106,6 +107,18 @@ def test_negative_arguments_rejected():
 @settings(max_examples=60, deadline=None)
 def test_reflection_sign_rule(l, n, alpha):
     assert parity_sign_check(l, n, alpha)
+
+
+def test_sign_rule_table_matches_the_per_coefficient_rule():
+    alphas = np.array([0.3, 0.8, 1.3, 1.9])
+    table = parity_sign_table(5, 14, alphas)
+    assert table.shape == (6, 15, 4)
+    for l in range(6):
+        for n in range(15):
+            for i, a in enumerate(alphas.tolist()):
+                plus, minus = matrix_element(l, n, a), matrix_element(l, n, -a)
+                expect = abs(minus - (-1.0) ** (n - l) * plus) <= 1e-12 * max(1.0, abs(plus))
+                assert table[l, n, i] == expect
 
 
 def test_sign_rule_examples():

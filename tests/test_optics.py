@@ -26,6 +26,7 @@ from dvcv_teleport.optics import (
     htbs_residual,
     negativity,
     negativity_closed_form,
+    negativity_numeric,
     pad_mode,
     split_amplitudes,
 )
@@ -193,6 +194,51 @@ def test_displacement_columns_match_displaced_states():
     for l in range(4):
         col = displaced_number_state(l, 0.9, n_max=44)
         np.testing.assert_allclose(d[:, l], col.amps.real, atol=1e-9)
+
+
+def _generator(gamma, dim):
+    g = np.zeros((dim, dim))
+    root = gamma * np.sqrt(np.arange(1, dim))
+    g[np.arange(1, dim), np.arange(dim - 1)] = root
+    g[np.arange(dim - 1), np.arange(1, dim)] = -root
+    return g
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1 / math.sqrt(2), 1.0, 1.5, -0.8, 2.5])
+@pytest.mark.parametrize("dim", [13, 40, 80])
+def test_displacement_matrix_is_the_matrix_exponential(gamma, dim):
+    # measured: <= 4.1e-14 from scipy's expm, unitarity <= 1.6e-14,
+    # transpose <= 1.2e-16 on this grid
+    from scipy.linalg import expm
+    d = displacement_matrix(gamma, dim)
+    np.testing.assert_allclose(d, expm(_generator(gamma, dim)), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(d.T @ d, np.eye(dim), rtol=0, atol=5e-14)
+    np.testing.assert_allclose(displacement_matrix(-gamma, dim), d.T, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 2.0, 3.0])
+def test_negativity_from_schmidt_values_matches_partial_transpose(beta):
+    state = channel_state(HybridChannel(beta))
+    d1 = state.amps.shape[0]
+    psi = np.stack([state.amps[:, 0, 1], state.amps[:, 1, 0]], axis=1).reshape(-1)
+    rho = np.outer(psi, psi.conj())
+    rho_pt = rho.reshape(d1, 2, d1, 2).swapaxes(1, 3).reshape(2 * d1, 2 * d1)
+    full = np.linalg.svd(rho_pt, compute_uv=False).sum() - 1.0
+    assert negativity_numeric(HybridChannel(beta)) == pytest.approx(full, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("r", [0.2, 0.05])
+def test_htbs_fidelity_matches_the_density_matrix_form(r, sign):
+    beta = 0.6 * math.sqrt(1 - r * r) / r
+    start = number_state("x", 1, 6)
+    fid, joint = htbs_residual(start, beta, r, sign)
+    m = joint.amps
+    rho = m @ m.conj().T
+    grown = pad_mode(start, "x", m.shape[0] - 1)
+    t = displacement_unitary(grown, "x", sign * beta * r / math.sqrt(1 - r * r)).amps
+    expect = np.vdot(t, rho @ t).real / np.trace(rho).real
+    assert fid == pytest.approx(expect, rel=0, abs=1e-14)
 
 
 def test_htbs_vacuum_regression():

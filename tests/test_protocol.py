@@ -22,6 +22,7 @@ from dvcv_teleport.protocol import (
     dual_rail_records,
     maximize_direct_success,
     outcome_probability_dual,
+    outcome_probability_grid,
     pair_sum_probability,
     record_infidelity,
     single_rail_pipeline,
@@ -369,3 +370,16 @@ def test_brute_force_validation():
     q = UnknownQubit(1, 0)
     with pytest.raises(ValueError):
         brute_force_pipeline(q, 1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("alpha, alpha1", [(0.6, 0.6), (0.9, 0.9), (0.6, 0.75),
+                                           (0.9, 0.4)])
+def test_outcome_probability_is_one_entry_of_the_grid(alpha, alpha1):
+    q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3) * 1j)
+    ta = displaced.matrix_element_table(1, 20, alpha)
+    tb = displaced.matrix_element_table(1, 20, alpha1)
+    grid = outcome_probability_grid(q, 0, 1, ta, tb)
+    assert grid.shape == (21, 21)
+    for n in range(21):
+        for m in range(21):
+            assert outcome_probability_dual(q, 0, 1, n, m, alpha, alpha1) == grid[n, m]
