@@ -74,42 +74,51 @@ class HybridChannel:
 
 # -- beam splitter blocks ---------------------------------------------------
 
-def _bs_blocks(t: float, r: float, b_dim: int, n_total_max: int) -> np.ndarray:
-    """Blocks G[N, jb, nb] = <N-jb, jb| BS |N-nb, nb> for N <= n_total_max
-    and jb, nb < b_dim.
+def _bs_blocks(t: float, r: float, b_dim: int, n_total_max: int,
+               n_total_min: int = 0) -> np.ndarray:
+    """Blocks G[N - n_total_min, jb, nb] = <N-jb, jb| BS |N-nb, nb> for
+    n_total_min <= N <= n_total_max and jb, nb < b_dim.
 
     The first-mode index is implicit (N minus the stored one), which keeps
     the tables small when one mode is a high-occupancy coherent carrier.
     Column nb = 0 is the binomial sqrt(C(N, j)) t^(N-j) r^j; column nb
     follows from column nb - 1 of block N - 1 through
     |N-nb, nb> = b+ |N-nb, nb-1> / sqrt(nb) and b+ -> -r a+ + t b+.
-    Both loops run over the small mode only, each step over every N.
+    Both loops run over the small mode only, each step over every N, on
+    columns stored contiguously (g[nb, N, jb], transposed on return).  A
+    window from n_total_min > 0 runs the recurrence from block
+    n_total_min - (b_dim - 1), the lowest one its columns depend on, so
+    its rows are bitwise those of the full build.
     """
-    n_total = np.arange(n_total_max + 1.0)
-    g = np.zeros((n_total_max + 1, b_dim, b_dim))
-    g[:, 0, 0] = t ** n_total
+    n_first = max(0, n_total_min - (b_dim - 1))
+    n_total = np.arange(n_first, n_total_max + 1.0)
+    g = np.zeros((b_dim, len(n_total), b_dim))
+    g[0, :, 0] = t ** n_total
     for j in range(1, b_dim):
         root = np.sqrt(np.clip(n_total - j + 1, 0, None) / j)
-        g[:, j, 0] = g[:, j - 1, 0] * root * (r / t)
+        g[0, :, j] = g[0, :, j - 1] * root * (r / t)
     sqrt_ja = np.sqrt(np.clip(n_total[1:, None] - np.arange(b_dim), 0, None))
     sqrt_jb = np.sqrt(np.arange(1, b_dim))
     for nb in range(1, b_dim):
-        prev = g[:-1, :, nb - 1]
-        g[1:, :, nb] = -r * sqrt_ja * prev
-        g[1:, 1:, nb] += t * sqrt_jb * prev[:, :-1]
-        g[1:, :, nb] /= math.sqrt(nb)
-    return g
+        prev, col = g[nb - 1, :-1], g[nb, 1:]
+        col[:] = -r * sqrt_ja * prev
+        col[:, 1:] += t * sqrt_jb * prev[:, :-1]
+        col /= math.sqrt(nb)
+    return np.ascontiguousarray(g.transpose(1, 2, 0)[n_total_min - n_first:])
 
 
 def split_amplitudes(amps: np.ndarray, params: BeamSplitterParams,
-                     leak_tolerance: float) -> np.ndarray:
+                     leak_tolerance: float, offset: int = 0) -> np.ndarray:
     """Apply the splitter to amplitudes shaped (dim_a, dim_b, batch, rest).
 
     Every batch entry is a separate input through the same splitter, so
-    one block array serves them all.  Amplitude [a, b] sits in block
-    N = a + b: one gather lays the input out as (N, b, ...) with the
-    smaller mode second, one batched product applies every block, and the
-    inverse gather drops what lands past the other mode's cutoff.  The
+    one block array serves them all.  The larger mode's stored levels are
+    the photon numbers ``offset`` .. ``offset + dim - 1``: a window on a
+    strong carrier, whose lower levels hold no amplitude at double
+    precision.  Amplitude [a, b] sits in block N = a + offset + b: one
+    gather lays the input out as (N, b, ...) with the smaller mode second,
+    one batched product applies every block, and the inverse gather drops
+    what lands past the larger mode's cutoff or below its window.  The
     real blocks act on the real and imaginary parts separately: a complex
     copy of them would take twice their memory.  A batch entry that loses
     more than ``max(leak_tolerance, 1e-14 * its norm^2)`` raises a
@@ -122,7 +131,7 @@ def split_amplitudes(amps: np.ndarray, params: BeamSplitterParams,
         # order flips the sign of r
         amps, r = amps.swapaxes(0, 1), -r
     da, db = amps.shape[:2]
-    blocks = _bs_blocks(t, r, db, da + db - 2)
+    blocks = _bs_blocks(t, r, db, offset + da + db - 2, offset)
     a_idx, b_idx = np.arange(da)[:, None], np.arange(db)
     by_total = np.zeros((da + db - 1,) + amps.shape[1:], dtype=complex)
     by_total[a_idx + b_idx, b_idx] = amps

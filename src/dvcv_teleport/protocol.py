@@ -30,6 +30,10 @@ from .optics import BeamSplitterParams, split_amplitudes
 
 DUAL_RAIL_BASIS = ("01", "10")
 
+#: carrier levels below the first one with |c_n|^2 above this hold no
+#: amplitude at double precision (|c_n| < eps); the circuit skips them
+_CARRIER_FLOOR = np.finfo(float).eps ** 2
+
 #: logical gates on the dual-rail basis (|01>, |10>) == (|0>_L, |1>_L), and
 #: the two powers Z^0, Z^1 a correction word can hold
 Z_GATE = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -377,7 +381,10 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, beta1: float, r: floa
     coherent mode is parity-measured and the two auxiliary modes are
     counted.  Records carry the exact conditional 2x2 density matrix of
     the receiver's dual-rail modes; as r -> 0 at fixed alpha = beta*r/t
-    they converge to the analytic records.
+    they converge to the analytic records.  Each coherent row enters its
+    splitter as the window of levels that hold amplitude at double
+    precision, so a carrier of amplitude beta costs O(beta) blocks, not
+    O(beta^2); the mass left below a window counts as leak.
     """
     if not 0.0 < r <= 0.3:
         raise ValueError("brute-force regime requires 0 < r <= 0.3")
@@ -403,17 +410,19 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, beta1: float, r: floa
     # qubit mode listed first so the carrier displaces it with the
     # conditional sign.
     s3, s4 = [l, k], [k, l]
-    u = np.zeros((d3, d1, 2, 2), dtype=complex)  # (mode 3, carrier, branch, term)
-    for y, amp in enumerate((-beta, beta)):
-        u[s3, :, y, [0, 1]] = coherent_state(amp, n_max=d1 - 1,
-                                             tail_tolerance=tail_tolerance).amps
-    v = np.zeros((d4, d2, 2, 1), dtype=complex)  # (mode 4, ancilla, term)
-    v[s4, :, [0, 1], 0] = coherent_state(-beta1, n_max=d2 - 1,
-                                         tail_tolerance=tail_tolerance).amps
-    u = split_amplitudes(u.reshape(d3, d1, 4, 1), params, tail_tolerance)
-    u = u[:n_cut + 1, :, :, 0].reshape(n_cut + 1, d1, 2, 2)
-    v = split_amplitudes(v, params, tail_tolerance)[:m_cut + 1, :, :, 0]
-    even = np.arange(d1) % 2 == 0
+    c0, minus, trimmed_c = _carrier_window(-beta, d1, tail_tolerance)
+    _, plus, _ = _carrier_window(beta, d1, tail_tolerance)
+    a0, ancilla_row, trimmed_a = _carrier_window(-beta1, d2, tail_tolerance)
+    u = np.zeros((d3, len(plus), 2, 2), dtype=complex)  # (mode 3, carrier, branch, term)
+    for y, row in enumerate((minus, plus)):
+        u[s3, :, y, [0, 1]] = row
+    v = np.zeros((d4, len(ancilla_row), 2, 1), dtype=complex)  # (mode 4, ancilla, term)
+    v[s4, :, [0, 1], 0] = ancilla_row
+    # what the windows skipped counts against the tolerance with the leak
+    u = split_amplitudes(u.reshape(d3, -1, 4, 1), params, tail_tolerance - trimmed_c, c0)
+    u = u[:n_cut + 1, :, :, 0].reshape(n_cut + 1, -1, 2, 2)
+    v = split_amplitudes(v, params, tail_tolerance - trimmed_a, a0)[:m_cut + 1, :, :, 0]
+    even = np.arange(c0, d1) % 2 == 0
     parity_mask = np.array([even, ~even], dtype=float)
     coefs = np.array([qubit.a0, qubit.a1])
     # gram[p, n, m] is the receiver's unnormalized 2x2 density matrix on
@@ -456,12 +465,30 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, beta1: float, r: floa
     return records
 
 
+def _carrier_window(amp: float, dim: int, tail_tolerance: float):
+    """The coherent row of ``dim`` levels from its first level above
+    ``_CARRIER_FLOOR``: ``(first level, row from there, mass before it)``.
+
+    A coherent row is unimodal, so the window ends at the cutoff; at
+    amplitude 50 it holds 888 of 2,831 levels.  It starts below the mean
+    count amp^2, so it stays the longer mode of its splitter, the one
+    ``split_amplitudes`` offsets.
+    """
+    row = coherent_state(amp, n_max=dim - 1, tail_tolerance=tail_tolerance).amps
+    first = int(np.argmax(abs(row) ** 2 > _CARRIER_FLOOR))
+    return first, row[first:], float(np.vdot(row[:first], row[:first]).real)
+
+
 def record_infidelity(record: BruteForceRecord, qubit: UnknownQubit,
                       alpha: float, alpha1: float | None = None) -> float:
     """1 - <target| rho_corrected |target> against the analytic corrected
     state for the record's counts."""
     a_fac = amp_factor_dual(qubit.l, qubit.k, record.outcome.n, record.outcome.m,
                             alpha, alpha1)
+    return _infidelity(record, qubit, a_fac)
+
+
+def _infidelity(record: BruteForceRecord, qubit: UnknownQubit, a_fac: float) -> float:
     tgt = QubitState(qubit.a0, qubit.a1 * a_fac, DUAL_RAIL_BASIS).vec()
     fid = float(np.real(np.vdot(tgt, record.corrected_rho @ tgt)))
     return 1.0 - fid
@@ -484,13 +511,20 @@ def circuit_vs_limit(qubit: UnknownQubit, alpha: float, r: float,
     for rec in records:
         key = rec.outcome.n, rec.outcome.m
         by_counts[key] = by_counts.get(key, 0.0) + rec.probability
-    limits = outcome_probability_grid(
-        qubit, qubit.l, qubit.k,
-        matrix_element_table(max(qubit.l, qubit.k), 2, alpha)).tolist()
+    l, k = qubit.l, qubit.k
+    table = matrix_element_table(max(l, k), 2, alpha)
+    limits = outcome_probability_grid(qubit, l, k, table).tolist()
+    # every record's factor from one grid, bitwise as amp_factor_dual
+    factors = amp_factor_grid(l, k, table).tolist()
     rows = []
     for rec in records:
         n, m = rec.outcome.n, rec.outcome.m
         p_limit = limits[n][m]
         rel = abs(by_counts[n, m] - p_limit) / p_limit if p_limit > 0 else math.inf
-        rows.append((rec, p_limit, rel, record_infidelity(rec, qubit, alpha)))
+        if math.isnan(factors[n][m]):
+            raise SingularFactorError(
+                f"c({l},{n};{alpha}) * c({k},{m};{alpha}) vanishes; outcome ({n},{m}) "
+                "is non-demodulatable"
+            )
+        rows.append((rec, p_limit, rel, _infidelity(rec, qubit, factors[n][m])))
     return beta, rows

@@ -249,6 +249,17 @@ def test_oracle_strong_carrier_is_finite(capsys):
     assert 0.0 < float(lines[-1].rsplit(":", 1)[1]) < 1e-3
 
 
+@pytest.mark.parametrize("r", ["0.005", "0.002"])
+def test_oracle_finest_reflectances_are_finite(r, capsys):
+    # beta = 100 and 250: the circuit runs on the carriers' windows
+    assert main(["oracle", "--alpha", "0.5", "--r", r]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(",")[1:] for line in lines[2:-1]]
+    assert len(rows) == 18
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    assert math.isfinite(float(lines[-1].rsplit(":", 1)[1]))
+
+
 def test_singular_factor_is_a_numeric_guard(tmp_path, monkeypatch, capsys):
     # at alpha = 1, c(1, 1) = 0 makes the (0, 1) amplitude factor singular
     monkeypatch.chdir(tmp_path)

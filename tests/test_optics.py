@@ -19,6 +19,7 @@ from dvcv_teleport.fock import (
 from dvcv_teleport.optics import (
     BeamSplitterParams,
     HybridChannel,
+    _bs_blocks,
     apply_bs,
     channel_state,
     displacement_matrix,
@@ -162,6 +163,39 @@ def test_batch_leak_is_judged_per_entry():
         split_amplitudes(both, bs, 1e-10)
     with pytest.raises(TailMassError):
         split_amplitudes(weak[:, :, None, None], bs, 1e-10)
+
+
+@pytest.mark.parametrize("r", [0.01, -0.3])
+@pytest.mark.parametrize("n_min", [0, 1, 18, 19, 500])
+def test_windowed_blocks_are_rows_of_the_full_build(r, n_min):
+    # b = 19 levels, the oracle's auxiliary size; the window starts its
+    # recurrence b - 1 blocks low, which leaves every returned bit as is
+    t = math.sqrt(1 - r * r)
+    full = _bs_blocks(t, r, 19, 700)
+    window = _bs_blocks(t, r, 19, 700, n_min)
+    assert window.shape == (701 - n_min, 19, 19)
+    assert np.array_equal(window, full[n_min:])
+
+
+def test_amplitude_below_the_window_is_leak():
+    # levels 40.. of a coherent carrier (mean count 64) next to a photon
+    # mode: the splitter moves amplitude from the window's lowest levels to
+    # below it, where it is dropped and counted as loss
+    bs = BeamSplitterParams.from_reflectance(0.1)
+    carrier = coherent_state(8.0).amps
+    lowest = 40
+    amps = np.zeros((len(carrier) - lowest, 24, 1, 1), dtype=complex)
+    amps[:, 1, 0, 0] = carrier[lowest:]
+    # the same input stored from level 0 goes through the full blocks; what
+    # it sends below level 40 is what the window loses
+    padded = np.concatenate((np.zeros((lowest, 24, 1, 1)), amps))
+    ref = split_amplitudes(padded, bs, 1e-10)
+    below = np.vdot(ref[:lowest], ref[:lowest]).real
+    assert below > 1e-5
+    with pytest.raises(TailMassError):
+        split_amplitudes(amps, bs, 0.99 * below, offset=lowest)
+    out = split_amplitudes(amps, bs, 1.01 * below, offset=lowest)
+    np.testing.assert_allclose(out, ref[lowest:], rtol=0, atol=1e-15)
 
 
 def test_overflow_guard():

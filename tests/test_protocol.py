@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvcv_teleport import displaced, optics
+from dvcv_teleport import displaced, optics, protocol
 from dvcv_teleport.fock import QubitState, fidelity
 from dvcv_teleport.protocol import (
     Outcome,
@@ -17,6 +17,7 @@ from dvcv_teleport.protocol import (
     amp_factor_single,
     bob_states_dual,
     brute_force_pipeline,
+    circuit_vs_limit,
     correct,
     direct_success_probability,
     dual_rail_records,
@@ -364,6 +365,38 @@ def test_brute_force_builds_each_splitter_once(monkeypatch):
     q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
     brute_force_pipeline(q, 4.9, 4.9, 0.1)
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("lk", [(0, 1), (1, 2)])
+@pytest.mark.parametrize("r", [0.05, 0.02, 0.01])
+def test_carrier_window_leaves_the_records(r, lk, monkeypatch):
+    # the untrimmed reference: with no floor every carrier row starts at
+    # level 0, so both splitters take the full rows at offset 0
+    q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3), *lk)
+    beta = 0.5 * math.sqrt(1 - r * r) / r
+    windowed = brute_force_pipeline(q, beta, beta, r)
+    monkeypatch.setattr(protocol, "_CARRIER_FLOOR", -math.inf)
+    full = brute_force_pipeline(q, beta, beta, r)
+    assert [rec.outcome for rec in windowed] == [rec.outcome for rec in full]
+    # bitwise equal with numpy 2.4 on x86-64; the trimmed levels hold
+    # amplitudes below 1e-16, far under one rounding of the sums
+    for a, b in zip(windowed, full):
+        assert a.probability == pytest.approx(b.probability, rel=1e-14, abs=0)
+        np.testing.assert_allclose(a.rho, b.rho, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(a.corrected_rho, b.corrected_rho, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("lk", [(0, 1), (1, 2)])
+def test_circuit_approaches_the_limit_as_r_squared(lk):
+    # Paris's O(r^2) approach of the splitter to the displacement, fitted
+    # over r = 0.02 .. 0.002 (beta = 25 .. 250); every fitted slope was
+    # within 4.3e-4 of 2
+    q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3), *lk)
+    rs = (0.02, 0.01, 0.005, 0.002)
+    worst = np.array([np.max([row[2:] for row in circuit_vs_limit(q, 0.5, r)[1]], axis=0)
+                      for r in rs])  # (r, [rel_err, infidelity])
+    slopes = np.polyfit(np.log(rs), np.log(worst), 1)[0]
+    np.testing.assert_allclose(slopes, 2.0, rtol=0, atol=5e-3)
 
 
 def test_brute_force_validation():
