@@ -259,8 +259,6 @@ def cmd_oracle(args) -> int:
         raise UsageError("--alpha must be positive")
     if (args.l - args.k) % 2 == 0:
         raise UsageError("--l and --k must differ by an odd number")
-    if not (math.isfinite(args.a0) and math.isfinite(args.a1)):
-        raise UsageError("--a0 and --a1 must be finite")
     try:
         qubit = protocol.UnknownQubit(args.a0, args.a1, args.l, args.k)
     except ValueError as e:

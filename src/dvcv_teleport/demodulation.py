@@ -29,6 +29,7 @@ from .fock import QubitState
 from .protocol import (
     DUAL_RAIL_BASIS,
     SingularFactorError,
+    _unit_pair,
     amp_factor_dual,
     amp_factor_grid,
     amp_factor_single,
@@ -60,13 +61,11 @@ class AMQubit:
     basis: tuple[str, str] = DUAL_RAIL_BASIS
 
     def __post_init__(self):
-        n = math.sqrt(abs(self.a0) ** 2 + abs(self.a1) ** 2)
-        if n == 0.0:
-            raise ValueError("qubit has zero norm")
+        a0, a1 = _unit_pair(self.a0, self.a1)
         if not math.isfinite(self.factor):
             raise ValueError("amplitude factor must be finite")
-        object.__setattr__(self, "a0", complex(self.a0) / n)
-        object.__setattr__(self, "a1", complex(self.a1) / n)
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "basis", tuple(self.basis))
 
     def physical_amplitudes(self) -> np.ndarray:

@@ -12,11 +12,12 @@ splitter, so no full six-mode tensor is ever materialized.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .displaced import (
     MatrixElementTable,
@@ -39,6 +40,29 @@ _CARRIER_FLOOR = np.finfo(float).eps ** 2
 Z_GATE = np.array([[1.0, 0.0], [0.0, -1.0]])
 H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 Z_POWERS = np.stack([np.linalg.matrix_power(Z_GATE, p) for p in (0, 1)])
+
+
+def _unit_pair(a0, a1) -> tuple[complex, complex]:
+    """(a0, a1) as complex numbers divided by their norm.
+
+    Refuses non-finite and zero pairs.  A pair whose squared norm
+    overflows (or underflows to zero) is first divided by its largest
+    component; every other pair gets sqrt(|a0|^2 + |a1|^2) as it stands.
+    """
+    a0, a1 = complex(a0), complex(a1)
+    if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
+        raise ValueError("qubit amplitudes must be finite")
+    try:
+        n = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
+    except OverflowError:
+        n = math.inf
+    if not 0.0 < n < math.inf:
+        s = max(abs(a0.real), abs(a0.imag), abs(a1.real), abs(a1.imag))
+        if s == 0.0:
+            raise ValueError("qubit has zero norm")
+        a0, a1 = a0 / s, a1 / s
+        n = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
+    return a0 / n, a1 / n
 
 
 class SingularFactorError(ValueError):
@@ -71,11 +95,9 @@ class UnknownQubit:
                 "l - k must be odd for the conditional-sign teleportation; "
                 "pass require_odd=False to construct the state regardless"
             )
-        n = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
-        if n == 0.0:
-            raise ValueError("qubit has zero norm")
-        object.__setattr__(self, "a0", complex(a0) / n)
-        object.__setattr__(self, "a1", complex(a1) / n)
+        a0, a1 = _unit_pair(a0, a1)
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "l", int(l))
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "encoding", encoding)
@@ -280,30 +302,146 @@ def am_probability(l: int, k: int, alpha: float, n_cut: int = 20) -> float:
     return f4 * (total - diag)
 
 
+#: scipy's smallest admissible relative tolerance for brentq
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+
+
+def _golden_min(func, xa, xb, xc, xtol, maxiter=5000):
+    """Golden-section search for a minimum of ``func`` inside the bracket
+    (xa, xb, xc); returns (x, func(x)).
+
+    A line-for-line port of scipy 1.17.1's ``_minimize_scalar_golden``
+    for a 3-point bracket, so it returns scipy's floats bit for bit: the
+    same 0.61803399 ratio, the same stop |x3 - x0| <= xtol (|x1| + |x2|),
+    and the same final pick.  Like scipy, it returns the better inner point
+    without complaint when ``maxiter`` runs out.
+    """
+    if xa > xc:
+        xa, xc = xc, xa
+    if not (xa < xb and xb < xc):
+        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill this "
+                         "requirement: (xa < xb) and (xb < xc)")
+    fa, fb, fc = func(xa), func(xb), func(xc)
+    if not (fb < fa and fb < fc):
+        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill this "
+                         "requirement: (f(xb) < f(xa)) and (f(xb) < f(xc))")
+    gr = 0.61803399
+    gc = 1.0 - gr
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = func(x1), func(x2)
+    for _ in range(maxiter):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, gr * x2 + gc * x3
+            f1, f2 = f2, func(x2)
+        else:
+            x3, x2, x1 = x2, x1, gr * x1 + gc * x0
+            f2, f1 = f1, func(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
+def _brent_root(f, a, b, xtol, rtol=_BRENT_RTOL, maxiter=100):
+    """Root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
+
+    A port of scipy's C ``brentq`` (Brent 1973), so it returns scipy's
+    root bit for bit: the same inverse-interpolation, extrapolation and
+    bisection steps, and the same stop |(x_blk - x)/2| < delta with
+    delta = (xtol + rtol |x|) / 2.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    def negative(y):
+        return math.copysign(1.0, y) < 0
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
+
+
 def maximize_direct_success(l: int, k: int):
-    """Locate the displacement maximizing the direct success mass by
-    golden-section search (bracketed on a coarse scan of [0.05, 1.5]
-    first)."""
+    """Displacement maximizing the direct success mass, and that mass.
+
+    A coarse scan of [0.05, 1.5] brackets the peak, and golden-section
+    search refines it to a relative xtol of 1e-8.  Raises ValueError when
+    the scan peaks at an end of [0.05, 1.5]: the maximum then lies outside
+    the range and there is no bracket.
+    """
     grid = np.linspace(0.05, 1.5, 61)
     vals = [direct_success_probability(l, k, a) for a in grid]
     i = int(np.argmax(vals))
-    i = min(max(i, 1), len(grid) - 2)
-    res = minimize_scalar(
-        lambda a: -direct_success_probability(l, k, a),
-        bracket=(grid[i - 1], grid[i], grid[i + 1]),
-        method="golden",
-        options={"xtol": 1e-8},
-    )
-    return float(res.x), float(-res.fun)
+    if i in (0, len(grid) - 1):
+        raise ValueError(f"the direct success of ({l},{k}) peaks at alpha = "
+                         f"{grid[i]:g}: its maximum lies outside [0.05, 1.5]")
+    x, fx = _golden_min(lambda a: -direct_success_probability(l, k, a),
+                        grid[i - 1], grid[i], grid[i + 1], xtol=1e-8)
+    return float(x), float(-fx)
 
 
 def solve_amp_factor_alpha(l: int, k: int, n: int, m: int, target: float,
                            lo: float, hi: float) -> float:
     """Displacement amplitude at which the (n, m) factor crosses ``target``
-    (the protocol's preferred operating points sit on such roots)."""
+    (the protocol's preferred operating points sit on such roots).
+
+    Brent's bracketed root to xtol 1e-12; raises ValueError unless the
+    factor minus ``target`` changes sign between ``lo`` and ``hi``.
+    """
     def g(a):
         return amp_factor_dual(l, k, n, m, a) - target
-    return float(brentq(g, lo, hi, xtol=1e-12))
+    return float(_brent_root(g, lo, hi, xtol=1e-12))
 
 
 # -- analytic pipelines -------------------------------------------------------

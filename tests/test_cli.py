@@ -1,10 +1,15 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dvcv_teleport
 from dvcv_teleport import demodulation as dm, displaced
 from dvcv_teleport.cli import main
 
@@ -311,3 +316,15 @@ def test_cutoff_flags_only_where_read(capsys):
     assert main(["oracle", "--alpha", "0.5", "--r", "0.2",
                  "--tail-tol", "1e-10"]) == 0
     assert "max corrected-state infidelity" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy_solvers():
+    # scipy.special (the log-space coherent row) is the one scipy part left
+    src = str(Path(dvcv_teleport.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, dvcv_teleport.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60, check=True)
+    solvers = {f"scipy.{p}" for p in ("optimize", "linalg", "sparse", "fft", "spatial")}
+    loaded = [m for m in done.stdout.split() if ".".join(m.split(".")[:2]) in solvers]
+    assert loaded == []

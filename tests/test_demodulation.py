@@ -570,5 +570,10 @@ def test_am_qubit_validation():
         AMQubit(0, 0, 1.0)
     with pytest.raises(ValueError):
         AMQubit(1, 0, math.inf)
+    for a0, a1 in ((math.nan, 1), (math.inf, 0), (1, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            AMQubit(a0, a1, 1.0)
+    big = AMQubit(1e200, 1e200, 2.0)
+    assert (big.a0, big.a1) == (1 / math.sqrt(2), 1 / math.sqrt(2))
     am = AMQubit(2.0, 0, -0.5)
     assert abs(am.a0) == pytest.approx(1.0)

@@ -46,6 +46,26 @@ def test_unknown_qubit_validation():
         UnknownQubit(0, 0)
 
 
+@pytest.mark.parametrize("a0, a1", [(math.nan, 1), (math.inf, 0), (1, math.inf),
+                                    (complex(1, math.nan), 0)])
+def test_unknown_qubit_refuses_non_finite_amplitudes(a0, a1):
+    with pytest.raises(ValueError, match="finite"):
+        UnknownQubit(a0, a1)
+
+
+def test_unknown_qubit_normalizes_past_the_squared_norm_range():
+    # |a0|^2 + |a1|^2 overflows (or underflows) as it stands
+    for big in (1e200, 1e-200):
+        q = UnknownQubit(big, big)
+        assert (q.a0, q.a1) == (1 / math.sqrt(2), 1 / math.sqrt(2))
+    q = UnknownQubit(complex(1e308, -1e308), 0)
+    assert (q.a0, q.a1) == (complex(1, -1) / math.sqrt(2), 0)
+    # ordinary amplitudes divide by sqrt(|a0|^2 + |a1|^2) exactly
+    q = UnknownQubit(0.3, 0.4j)
+    assert (q.a0, q.a1) == (0.3 / math.sqrt(0.3 ** 2 + 0.4 ** 2),
+                            0.4j / math.sqrt(0.3 ** 2 + 0.4 ** 2))
+
+
 def test_outcome_validation():
     with pytest.raises(ValueError):
         Outcome("both", 0, 0)
