@@ -46,22 +46,24 @@ def _unit_pair(a0, a1) -> tuple[complex, complex]:
     """(a0, a1) as complex numbers divided by their norm.
 
     Refuses non-finite and zero pairs.  A pair whose squared norm
-    overflows (or underflows to zero) is first divided by its largest
-    component; every other pair gets sqrt(|a0|^2 + |a1|^2) as it stands.
+    overflows or falls below the normal range (where it would keep too
+    few digits) is first divided by its largest component; every other
+    pair gets sqrt(|a0|^2 + |a1|^2) as it stands.
     """
     a0, a1 = complex(a0), complex(a1)
     if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
         raise ValueError("qubit amplitudes must be finite")
     try:
-        n = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
+        n2 = abs(a0) ** 2 + abs(a1) ** 2
     except OverflowError:
-        n = math.inf
-    if not 0.0 < n < math.inf:
+        n2 = math.inf
+    if not sys.float_info.min <= n2 < math.inf:
         s = max(abs(a0.real), abs(a0.imag), abs(a1.real), abs(a1.imag))
         if s == 0.0:
             raise ValueError("qubit has zero norm")
         a0, a1 = a0 / s, a1 / s
-        n = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
+        n2 = abs(a0) ** 2 + abs(a1) ** 2
+    n = math.sqrt(n2)
     return a0 / n, a1 / n
 
 
@@ -302,11 +304,14 @@ def am_probability(l: int, k: int, alpha: float, n_cut: int = 20) -> float:
     return f4 * (total - diag)
 
 
-#: scipy's smallest admissible relative tolerance for brentq
+#: scipy's smallest admissible relative tolerance for brentq, and the
+#: iteration caps of scipy's golden-section search and brentq
 _BRENT_RTOL = 4 * sys.float_info.epsilon
+_GOLDEN_MAXITER = 5000
+_BRENT_MAXITER = 100
 
 
-def _golden_min(func, xa, xb, xc, xtol, maxiter=5000):
+def _golden_min(func, xa, xb, xc, xtol):
     """Golden-section search for a minimum of ``func`` inside the bracket
     (xa, xb, xc); returns (x, func(x)).
 
@@ -314,7 +319,7 @@ def _golden_min(func, xa, xb, xc, xtol, maxiter=5000):
     for a 3-point bracket, so it returns scipy's floats bit for bit: the
     same 0.61803399 ratio, the same stop |x3 - x0| <= xtol (|x1| + |x2|),
     and the same final pick.  Like scipy, it returns the better inner point
-    without complaint when ``maxiter`` runs out.
+    without complaint when ``_GOLDEN_MAXITER`` runs out.
     """
     if xa > xc:
         xa, xc = xc, xa
@@ -333,7 +338,7 @@ def _golden_min(func, xa, xb, xc, xtol, maxiter=5000):
     else:
         x1, x2 = xb - gc * (xb - xa), xb
     f1, f2 = func(x1), func(x2)
-    for _ in range(maxiter):
+    for _ in range(_GOLDEN_MAXITER):
         if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
             break
         if f2 < f1:
@@ -345,19 +350,14 @@ def _golden_min(func, xa, xb, xc, xtol, maxiter=5000):
     return (x1, f1) if f1 < f2 else (x2, f2)
 
 
-def _brent_root(f, a, b, xtol, rtol=_BRENT_RTOL, maxiter=100):
+def _brent_root(f, a, b, xtol):
     """Root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
 
-    A port of scipy's C ``brentq`` (Brent 1973), so it returns scipy's
-    root bit for bit: the same inverse-interpolation, extrapolation and
-    bisection steps, and the same stop |(x_blk - x)/2| < delta with
-    delta = (xtol + rtol |x|) / 2.
+    A port of scipy's C ``brentq`` (Brent 1973) at its default rtol and
+    maxiter, so it returns scipy's root bit for bit: the same
+    inverse-interpolation, extrapolation and bisection steps, and the same
+    stop |(x_blk - x)/2| < delta with delta = (xtol + 4 eps |x|) / 2.
     """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
-
     def value(x):
         fx = f(x)
         if math.isnan(fx):
@@ -377,14 +377,14 @@ def _brent_root(f, a, b, xtol, rtol=_BRENT_RTOL, maxiter=100):
         return xcur
     if negative(fpre) == negative(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -408,7 +408,7 @@ def _brent_root(f, a, b, xtol, rtol=_BRENT_RTOL, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, "
                        f"value is {xcur}")
 
 

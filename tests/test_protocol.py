@@ -58,6 +58,9 @@ def test_unknown_qubit_normalizes_past_the_squared_norm_range():
     for big in (1e200, 1e-200):
         q = UnknownQubit(big, big)
         assert (q.a0, q.a1) == (1 / math.sqrt(2), 1 / math.sqrt(2))
+    # ... or is subnormal, keeping only a few significant digits
+    q = UnknownQubit(1e-160, 0)
+    assert (q.a0, q.a1) == (1, 0)
     q = UnknownQubit(complex(1e308, -1e308), 0)
     assert (q.a0, q.a1) == (complex(1, -1) / math.sqrt(2), 0)
     # ordinary amplitudes divide by sqrt(|a0|^2 + |a1|^2) exactly

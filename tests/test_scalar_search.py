@@ -25,10 +25,10 @@ def scipy_golden(func, xa, xb, xc, xtol, maxiter=5000):
     return res.x, res.fun
 
 
-def scipy_brent(f, a, b, xtol, maxiter=100):
+def scipy_brent(f, a, b, xtol):
     from scipy.optimize import brentq
 
-    return brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+    return brentq(f, a, b, xtol=xtol)
 
 
 def root_family(seed):
@@ -123,15 +123,16 @@ def test_golden_min_is_scipys_on_a_seeded_family():
                 == scipy_golden(f, xa, xb, xc, xtol))
 
 
-def test_golden_min_out_of_iterations_is_scipys():
+def test_golden_min_out_of_iterations_is_scipys(monkeypatch):
     def f(x):
         return (x - 0.3) ** 2
     for maxiter in (0, 1, 3, 10):
-        assert (_golden_min(f, -1.0, 0.1, 2.0, 1e-12, maxiter)
+        monkeypatch.setattr(protocol, "_GOLDEN_MAXITER", maxiter)
+        assert (_golden_min(f, -1.0, 0.1, 2.0, 1e-12)
                 == scipy_golden(f, -1.0, 0.1, 2.0, 1e-12, maxiter))
 
 
-def test_error_paths_match_scipy():
+def test_error_paths_match_scipy(monkeypatch):
     from scipy.optimize import brentq, minimize_scalar
 
     def square(x):
@@ -148,9 +149,12 @@ def test_error_paths_match_scipy():
         with pytest.raises(ValueError):
             _golden_min(square, *bracket, xtol=1e-8)
     # out of iterations
-    for solver in (brentq, _brent_root):
+    with pytest.raises(RuntimeError):
+        brentq(lambda x: x ** 3 - 0.2, -1.0, 4.0, xtol=1e-12, maxiter=3)
+    with monkeypatch.context() as m:
+        m.setattr(protocol, "_BRENT_MAXITER", 3)
         with pytest.raises(RuntimeError):
-            solver(lambda x: x ** 3 - 0.2, -1.0, 4.0, xtol=1e-12, maxiter=3)
+            _brent_root(lambda x: x ** 3 - 0.2, -1.0, 4.0, xtol=1e-12)
     # a NaN value stops both
     for solver in (brentq, _brent_root):
         with pytest.raises(ValueError):
