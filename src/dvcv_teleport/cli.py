@@ -66,11 +66,17 @@ def _header(args, echo_keys: list[str]) -> list[str]:
 
 def _check_tail(alphas, ls, n_cut: int, tail_tol: float) -> None:
     """Raise TailMassError when the cutoff ``n_cut`` drops more than
-    ``tail_tol`` of a row ``l`` in ``ls`` at any displacement in ``alphas``."""
+    ``tail_tol`` of a row ``l`` in ``ls`` at any displacement in ``alphas``.
+
+    A row that overflows gives a non-finite loss, which counts as over
+    tolerance; the overflow itself is the reported failure, so numpy is
+    not asked to warn about it.
+    """
     for a in alphas:
-        table = matrix_element_table(max(ls), n_cut, a)
-        loss, l = max((table.normalization_defect(l), l) for l in ls)
-        if loss > tail_tol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = matrix_element_table(max(ls), n_cut, a)
+            loss, l = max((table.normalization_defect(l), l) for l in ls)
+        if not loss <= tail_tol:
             raise TailMassError(
                 f"--nmax {n_cut} drops {loss:.3e} of row l={l} at alpha={a:.9g}, "
                 f"above --tail-tol {tail_tol:g}")
@@ -141,6 +147,8 @@ def cmd_sweep(args) -> int:
     alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.steps))
     a1s = _a1_values(args)
     l, k, n_cut = args.l, args.k, args.nmax
+    if l < 0 or k < 0 or l == k:
+        raise UsageError("--l and --k must be distinct nonnegative photon numbers")
     columns, row = CURVES[args.protocol]
     if args.protocol.startswith("init_am"):
         if (l, k) != (0, 1):
@@ -285,6 +293,20 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _tail_tol(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, nmax: bool = False,
                 tail_tol: bool = False) -> None:
     """Add ``--config`` and, where the command reads them, ``--nmax`` and
@@ -293,7 +315,7 @@ def _add_common(p: argparse.ArgumentParser, nmax: bool = False,
         p.add_argument("--nmax", type=_nonnegative_int, default=20,
                        help="photon-number cutoff for analytic sums (default 20)")
     if tail_tol:
-        p.add_argument("--tail-tol", type=float, default=1e-10,
+        p.add_argument("--tail-tol", type=_tail_tol, default=1e-10,
                        help="admissible truncation-tail probability (default 1e-10)")
     p.add_argument("--config", type=str, default=None,
                    help="key=value file supplying defaults for any flag")
@@ -311,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--alpha-min", type=float, required=True)
-    p.add_argument("--alpha-max", type=float, required=True)
+    p.add_argument("--alpha-min", type=_finite_float, required=True)
+    p.add_argument("--alpha-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--a1-abs", type=float, default=None)
     p.add_argument("--a1-grid", type=int, default=None)
@@ -334,12 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("negativity", help="entanglement of the resource state")
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_negativity)
 
     p = sub.add_parser("oracle", help="finite-reflectance circuit vs the limit")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--k", type=int, default=1)

@@ -25,11 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .displaced import matrix_element_rows, matrix_element_table, overall_factor
-from .fock import QubitState
+from .fock import QubitState, _unit_pair
 from .protocol import (
     DUAL_RAIL_BASIS,
     SingularFactorError,
-    _unit_pair,
     amp_factor_dual,
     amp_factor_grid,
     amp_factor_single,
@@ -433,8 +432,7 @@ _OUTCOMES = {"dual": _dual_outcomes, "single": _single_outcomes}
 def _premodulated(a0: complex, a1: complex, a_ref: float):
     """Normalized (a0, a1) of a pre-modulated input and its weight
     |a0|^2 + |a1 * a_ref|^2."""
-    nrm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
-    a0, a1 = complex(a0) / nrm, complex(a1) / nrm
+    a0, a1 = _unit_pair(a0, a1)
     return a0, a1, abs(a0) ** 2 + abs(a1) ** 2 * a_ref ** 2
 
 

@@ -86,12 +86,12 @@ def matrix_element_rows(l_max: int, n_max: int, alpha) -> np.ndarray:
 class MatrixElementTable:
     """Precomputed decomposition coefficients for displaced number states.
 
-    Immutable once built; one table serves every outcome at its alpha.
+    ``c[l, n]`` is c(l, n, alpha) for every row l and count n its shape
+    covers.  Immutable once built; one table serves every outcome at its
+    alpha.
     """
 
     alpha: float
-    l_max: int
-    n_max: int
     c: np.ndarray
     f: float
 
@@ -110,8 +110,7 @@ class MatrixElementTable:
 def matrix_element_table(l_max: int, n_max: int, alpha: float) -> MatrixElementTable:
     c = matrix_element_rows(l_max, n_max, alpha)
     c.flags.writeable = False
-    return MatrixElementTable(alpha=float(alpha), l_max=l_max, n_max=n_max,
-                              c=c, f=overall_factor(alpha))
+    return MatrixElementTable(alpha=float(alpha), c=c, f=overall_factor(alpha))
 
 
 def matrix_element(l: int, n: int, alpha: float) -> float:

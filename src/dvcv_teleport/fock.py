@@ -1,20 +1,25 @@
 """Truncated multi-mode Fock-space states.
 
 States are dense complex amplitude tensors over a per-mode photon-number
-grid.  Every operation is a pure function returning a fresh state; the
-amplitude arrays are frozen (read-only) after construction, so values can
-be shared freely between threads.
+grid.  A state's cutoffs are its array's shape (mode i stops at photon
+number ``amps.shape[i] - 1``); nothing else records them.  Every
+operation is a pure function returning a fresh state; the amplitude
+arrays are frozen (read-only) after construction, so values can be shared
+freely between threads.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
 NORM_EPS = 1e-12
+_NORMAL_MIN = sys.float_info.min
 
 ModeLabel = Hashable
 
@@ -47,46 +52,30 @@ def default_cutoff(amplitude: float) -> int:
 
 
 @dataclass(frozen=True)
-class TruncationConfig:
-    """Per-mode photon-number cutoffs plus the admissible top-level mass."""
-
-    n_max_per_mode: tuple[int, ...]
-    tail_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_max_per_mode", tuple(int(n) for n in self.n_max_per_mode))
-        if any(n < 1 for n in self.n_max_per_mode):
-            raise ValueError("every per-mode cutoff must be >= 1")
-        if not (0.0 <= self.tail_tolerance < 1.0):
-            raise ValueError("tail_tolerance must lie in [0, 1)")
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(n + 1 for n in self.n_max_per_mode)
-
-
-@dataclass(frozen=True)
 class FockState:
-    """A pure state on labelled bosonic modes with per-mode cutoffs.
+    """A pure state on labelled bosonic modes.
 
     ``amps[n1, ..., nM]`` is the coefficient of ``|n1 ... nM>`` in the order
-    given by ``modes``.
+    given by ``modes``; a mode's cutoff is its axis length minus one.
+    ``tail_tolerance`` is the probability a mode may hold at its cutoff
+    before :meth:`check_tail` refuses it.
     """
 
     modes: tuple[ModeLabel, ...]
     amps: np.ndarray
-    trunc: TruncationConfig
+    tail_tolerance: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
         if len(set(self.modes)) != len(self.modes):
             raise ModeCollisionError(f"duplicate mode labels in {self.modes}")
         amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != self.trunc.dims():
-            raise ValueError(
-                f"amplitude shape {amps.shape} does not match cutoffs {self.trunc.dims()}"
-            )
         if len(self.modes) != amps.ndim:
             raise ValueError("one mode label required per amplitude axis")
+        if any(d < 2 for d in amps.shape):
+            raise ValueError("every per-mode cutoff must be >= 1")
+        if not (0.0 <= self.tail_tolerance < 1.0):
+            raise ValueError("tail_tolerance must lie in [0, 1)")
         n2 = float(np.vdot(amps, amps).real)
         if not math.isfinite(n2):
             raise NonFiniteAmplitudeError("state has a non-finite amplitude")
@@ -105,7 +94,7 @@ class FockState:
             raise KeyError(f"mode {mode!r} not in {self.modes}") from None
 
     def n_max(self, mode: ModeLabel) -> int:
-        return self.trunc.n_max_per_mode[self.axis(mode)]
+        return self.amps.shape[self.axis(mode)] - 1
 
     def norm(self) -> float:
         return float(np.sqrt(np.vdot(self.amps, self.amps).real))
@@ -114,12 +103,11 @@ class FockState:
         n = self.norm()
         if abs(n - 1.0) <= NORM_EPS:
             return self
-        return FockState(self.modes, self.amps / n, self.trunc)
+        return FockState(self.modes, self.amps / n, self.tail_tolerance)
 
     def tail_mass(self, mode: ModeLabel) -> float:
         """Probability mass sitting at the mode's top (cutoff) level."""
-        a = self.axis(mode)
-        top = np.take(self.amps, self.trunc.n_max_per_mode[a], axis=a)
+        top = np.take(self.amps, -1, axis=self.axis(mode))
         return float(np.sum(np.abs(top) ** 2))
 
     def check_tail(self, modes: Sequence[ModeLabel] | None = None) -> "FockState":
@@ -132,10 +120,10 @@ class FockState:
         """
         for m in self.modes if modes is None else modes:
             mass = self.tail_mass(m)
-            if mass > self.trunc.tail_tolerance:
+            if mass > self.tail_tolerance:
                 raise TailMassError(
                     f"mode {m!r} holds {mass:.3e} probability at its cutoff "
-                    f"(tolerance {self.trunc.tail_tolerance:.1e})"
+                    f"(tolerance {self.tail_tolerance:.1e})"
                 )
         return self
 
@@ -148,9 +136,7 @@ class FockState:
 def single_mode(mode: ModeLabel, coeffs: Sequence[complex],
                 tail_tolerance: float = 1e-10) -> FockState:
     """Wrap raw Fock coefficients of one mode into a state."""
-    arr = np.asarray(list(coeffs), dtype=complex)
-    trunc = TruncationConfig((arr.size - 1,), tail_tolerance)
-    return FockState((mode,), arr, trunc)
+    return FockState((mode,), np.asarray(list(coeffs), dtype=complex), tail_tolerance)
 
 
 def number_state(mode: ModeLabel, n: int, n_max: int | None = None,
@@ -170,12 +156,8 @@ def tensor(a: FockState, b: FockState) -> FockState:
     shared = set(a.modes) & set(b.modes)
     if shared:
         raise ModeCollisionError(f"modes {sorted(map(repr, shared))} appear on both sides")
-    amps = np.multiply.outer(a.amps, b.amps)
-    trunc = TruncationConfig(
-        a.trunc.n_max_per_mode + b.trunc.n_max_per_mode,
-        min(a.trunc.tail_tolerance, b.trunc.tail_tolerance),
-    )
-    return FockState(a.modes + b.modes, amps, trunc)
+    return FockState(a.modes + b.modes, np.multiply.outer(a.amps, b.amps),
+                     min(a.tail_tolerance, b.tail_tolerance))
 
 
 def project_number(state: FockState, mode: ModeLabel, n: int):
@@ -186,10 +168,9 @@ def project_number(state: FockState, mode: ModeLabel, n: int):
     sweeps can skip impossible branches without touching NaNs.
     """
     ax = state.axis(mode)
-    if n < 0 or n > state.trunc.n_max_per_mode[ax]:
-        raise MeasurementRangeError(
-            f"photon number {n} outside [0, {state.trunc.n_max_per_mode[ax]}] for mode {mode!r}"
-        )
+    n_max = state.amps.shape[ax] - 1
+    if n < 0 or n > n_max:
+        raise MeasurementRangeError(f"photon number {n} outside [0, {n_max}] for mode {mode!r}")
     sliced = np.take(state.amps, n, axis=ax)
     prob = float(np.sum(np.abs(sliced) ** 2))
     if prob == 0.0:
@@ -197,13 +178,7 @@ def project_number(state: FockState, mode: ModeLabel, n: int):
     if sliced.ndim == 0:
         return None, prob  # last mode measured away; only the weight remains
     rest_modes = state.modes[:ax] + state.modes[ax + 1:]
-    rest_cut = state.trunc.n_max_per_mode[:ax] + state.trunc.n_max_per_mode[ax + 1:]
-    reduced = FockState(
-        rest_modes,
-        sliced / np.sqrt(prob),
-        TruncationConfig(rest_cut, state.trunc.tail_tolerance),
-    )
-    return reduced, prob
+    return FockState(rest_modes, sliced / np.sqrt(prob), state.tail_tolerance), prob
 
 
 def project_parity(state: FockState, mode: ModeLabel, parity: str):
@@ -223,7 +198,34 @@ def project_parity(state: FockState, mode: ModeLabel, parity: str):
     prob = float(np.sum(np.abs(masked) ** 2))
     if prob == 0.0:
         return None, 0.0
-    return FockState(state.modes, masked / np.sqrt(prob), state.trunc), prob
+    return FockState(state.modes, masked / np.sqrt(prob), state.tail_tolerance), prob
+
+
+def _unit_pair(a0, a1) -> tuple[complex, complex]:
+    """(a0, a1) as complex numbers divided by their norm.
+
+    Refuses non-finite and zero pairs.  A pair whose squared norm
+    overflows or falls below the normal range (where it would keep too
+    few digits) is first divided by its largest component; every other
+    pair gets sqrt(|a0|^2 + |a1|^2) as it stands.  A non-finite pair has
+    a non-finite squared norm, so only pairs outside the normal range
+    are tested for one.
+    """
+    a0, a1 = complex(a0), complex(a1)
+    try:
+        n2 = abs(a0) ** 2 + abs(a1) ** 2
+    except OverflowError:
+        n2 = math.inf
+    if not _NORMAL_MIN <= n2 < math.inf:
+        if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
+            raise ValueError("qubit amplitudes must be finite")
+        s = max(abs(a0.real), abs(a0.imag), abs(a1.real), abs(a1.imag))
+        if s == 0.0:
+            raise ValueError("qubit has zero norm")
+        a0, a1 = a0 / s, a1 / s
+        n2 = abs(a0) ** 2 + abs(a1) ** 2
+    n = math.sqrt(n2)
+    return a0 / n, a1 / n
 
 
 @dataclass(frozen=True)
@@ -235,11 +237,9 @@ class QubitState:
     basis: tuple[str, str] = ("01", "10")
 
     def __post_init__(self):
-        n = math.sqrt(abs(self.c0) ** 2 + abs(self.c1) ** 2)
-        if n == 0.0:
-            raise ValueError("qubit state has zero norm")
-        object.__setattr__(self, "c0", complex(self.c0) / n)
-        object.__setattr__(self, "c1", complex(self.c1) / n)
+        c0, c1 = _unit_pair(self.c0, self.c1)
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "basis", tuple(self.basis))
 
     def vec(self) -> np.ndarray:

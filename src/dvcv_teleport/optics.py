@@ -26,7 +26,6 @@ from .fock import (
     FockState,
     ModeLabel,
     TailMassError,
-    TruncationConfig,
     tensor,
 )
 
@@ -159,9 +158,9 @@ def apply_bs(state: FockState, mode_a: ModeLabel, mode_b: ModeLabel,
     axes = (state.axis(mode_a), state.axis(mode_b))
     moved = np.moveaxis(state.amps, axes, (0, 1))
     out = split_amplitudes(moved.reshape(moved.shape[:2] + (1, -1)), params,
-                           state.trunc.tail_tolerance)
+                           state.tail_tolerance)
     out = np.moveaxis(out.reshape(moved.shape), (0, 1), axes)
-    return FockState(state.modes, out, state.trunc)
+    return FockState(state.modes, out, state.tail_tolerance)
 
 
 # -- displacement -----------------------------------------------------------
@@ -206,26 +205,20 @@ def displacement_unitary(state: FockState, mode: ModeLabel, gamma: float) -> Foc
     d = displacement_matrix(gamma, dim)
     moved = np.moveaxis(state.amps, ax, 0)
     out = np.tensordot(d, moved, axes=(1, 0))
-    return FockState(state.modes, np.moveaxis(out, 0, ax), state.trunc)
+    return FockState(state.modes, np.moveaxis(out, 0, ax), state.tail_tolerance)
 
 
 def pad_mode(state: FockState, mode: ModeLabel, new_n_max: int) -> FockState:
     """Grow one mode's cutoff, zero-filling the new levels."""
     ax = state.axis(mode)
-    old = state.trunc.n_max_per_mode[ax]
+    old = state.amps.shape[ax] - 1
     if new_n_max < old:
         raise ValueError("pad_mode cannot shrink a mode")
     if new_n_max == old:
         return state
     pad = [(0, 0)] * state.amps.ndim
     pad[ax] = (0, new_n_max - old)
-    cuts = list(state.trunc.n_max_per_mode)
-    cuts[ax] = new_n_max
-    return FockState(
-        state.modes,
-        np.pad(state.amps, pad),
-        TruncationConfig(tuple(cuts), state.trunc.tail_tolerance),
-    )
+    return FockState(state.modes, np.pad(state.amps, pad), state.tail_tolerance)
 
 
 # -- highly transmissive splitter as a displacer ----------------------------
@@ -253,10 +246,9 @@ def htbs_residual(input_state: FockState, beta: float, r: float, sign: int):
     if anc == mode:
         anc = ("htbs", "ancilla", 2)
 
-    grown = pad_mode(input_state, mode,
-                     input_state.trunc.n_max_per_mode[0] + default_cutoff(alpha))
+    grown = pad_mode(input_state, mode, input_state.n_max(mode) + default_cutoff(alpha))
     ancilla = coherent_state(-sign * beta, mode=anc,
-                             tail_tolerance=input_state.trunc.tail_tolerance)
+                             tail_tolerance=input_state.tail_tolerance)
     joint = tensor(grown, ancilla)
     joint = apply_bs(joint, mode, anc, BeamSplitterParams(t, r))
 
@@ -284,8 +276,7 @@ def channel_state(channel: HybridChannel) -> FockState:
     amps = np.zeros((n_max + 1, 2, 2), dtype=complex)
     amps[:, 0, 1] = coherent_state(-beta, n_max=n_max).amps / math.sqrt(2.0)
     amps[:, 1, 0] = coherent_state(beta, n_max=n_max).amps / math.sqrt(2.0)
-    state = FockState((1, 2, 3), amps, TruncationConfig((n_max, 1, 1)))
-    return state.normalize().check_tail(modes=(1,))
+    return FockState((1, 2, 3), amps).normalize().check_tail(modes=(1,))
 
 
 def negativity_closed_form(channel: HybridChannel) -> float:

@@ -12,7 +12,6 @@ splitter, so no full six-mode tensor is ever materialized.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .displaced import (
     matrix_element_table,
     overall_factor,
 )
-from .fock import QubitState
+from .fock import QubitState, _unit_pair
 from .optics import BeamSplitterParams, split_amplitudes
 
 DUAL_RAIL_BASIS = ("01", "10")
@@ -40,31 +39,6 @@ _CARRIER_FLOOR = np.finfo(float).eps ** 2
 Z_GATE = np.array([[1.0, 0.0], [0.0, -1.0]])
 H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 Z_POWERS = np.stack([np.linalg.matrix_power(Z_GATE, p) for p in (0, 1)])
-
-
-def _unit_pair(a0, a1) -> tuple[complex, complex]:
-    """(a0, a1) as complex numbers divided by their norm.
-
-    Refuses non-finite and zero pairs.  A pair whose squared norm
-    overflows or falls below the normal range (where it would keep too
-    few digits) is first divided by its largest component; every other
-    pair gets sqrt(|a0|^2 + |a1|^2) as it stands.
-    """
-    a0, a1 = complex(a0), complex(a1)
-    if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
-        raise ValueError("qubit amplitudes must be finite")
-    try:
-        n2 = abs(a0) ** 2 + abs(a1) ** 2
-    except OverflowError:
-        n2 = math.inf
-    if not sys.float_info.min <= n2 < math.inf:
-        s = max(abs(a0.real), abs(a0.imag), abs(a1.real), abs(a1.imag))
-        if s == 0.0:
-            raise ValueError("qubit has zero norm")
-        a0, a1 = a0 / s, a1 / s
-        n2 = abs(a0) ** 2 + abs(a1) ** 2
-    n = math.sqrt(n2)
-    return a0 / n, a1 / n
 
 
 class SingularFactorError(ValueError):

@@ -251,8 +251,7 @@ def test_criterion_9_demodulation_exactness():
             amps = np.zeros((2, d2 + 1), dtype=complex)
             amps[0, 1] = v[0]
             amps[1, 0] = v[1]
-            st = fock.FockState(("q", "aux"), amps,
-                                fock.TruncationConfig((1, d2)))
+            st = fock.FockState(("q", "aux"), amps)
             st = optics.displacement_unitary(st, "aux", res.gamma)
             red, prob = fock.project_number(st, "aux", target)
             got = fock.QubitState(red.amps[0], red.amps[1])

@@ -71,6 +71,60 @@ def test_sweep_usage_errors(tmp_path):
                  "--alpha-max", "0.5", "--steps", "3", "--nmax", "-3"]) == 2
 
 
+@pytest.mark.parametrize("l, k, code", [
+    ("-1", "0", 2),  # -1 would wrap to the coefficient table's last row
+    ("0", "-1", 2),
+    ("1", "1", 2),
+    ("1", "3", 0),  # no parity rule: the probabilities hold for any l != k
+])
+def test_sweep_checks_the_counts(l, k, code, tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--protocol", "dual", "--l", l, "--k", k,
+                 "--alpha-min", "0.1", "--alpha-max", "1.0", "--steps", "3",
+                 "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--protocol", "dual", "--alpha-min", "0.1", "--alpha-max", "inf",
+     "--steps", "3"),
+    ("sweep", "--protocol", "dual", "--alpha-min", "nan", "--alpha-max", "1",
+     "--steps", "3"),
+    ("sweep", "--protocol", "dual", "--alpha-min", "0.1", "--alpha-max", "20",
+     "--steps", "3", "--tail-tol", "nan"),
+    ("sweep", "--protocol", "dual", "--alpha-min", "0.1", "--alpha-max", "1",
+     "--steps", "3", "--tail-tol", "-1"),
+    ("sweep", "--protocol", "dual", "--alpha-min", "0.1", "--alpha-max", "1",
+     "--steps", "3", "--tail-tol", "1"),
+    ("figure", "fig2", "--tail-tol", "nan"),
+    ("figure", "fig4", "--tail-tol", "inf"),
+    ("oracle", "--alpha", "0.5", "--r", "0.1", "--tail-tol", "nan"),
+    ("oracle", "--alpha", "0.5", "--r", "0.1", "--tail-tol", "-1"),
+    ("oracle", "--alpha", "nan", "--r", "0.1"),
+    ("oracle", "--alpha", "inf", "--r", "0.1"),
+    ("negativity", "--beta", "nan"),
+    ("negativity", "--beta", "inf"),
+])
+def test_non_finite_or_out_of_range_flag_is_usage_error(argv, tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DVCV_TELEPORT_OUT_DIR", raising=False)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("alpha_max", ["1e200", "1e17"])
+def test_overflowing_sweep_is_a_numeric_guard(alpha_max, tmp_path, capsys):
+    # the coefficient rows overflow, so the truncation loss is NaN; NaN
+    # compares false with the tolerance, which must not read as "within"
+    out = tmp_path / "far.csv"
+    assert main(["sweep", "--protocol", "dual", "--alpha-min", "0.1",
+                 "--alpha-max", alpha_max, "--steps", "3", "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_sweep_builds_each_chain_table_once(tmp_path):
     dm._chain_table.cache_clear()
     assert main(["sweep", "--protocol", "single", "--alpha-min", "0.4",

@@ -37,7 +37,7 @@ def am_as_fock(am, modes, n_max2=1):
     amps = np.zeros((2, n_max2 + 1), dtype=complex)
     amps[0, 1] = v[0]
     amps[1, 0] = v[1]
-    return fock.FockState(modes, amps, fock.TruncationConfig((1, n_max2)))
+    return fock.FockState(modes, amps)
 
 
 # -- roots --------------------------------------------------------------------
@@ -243,7 +243,7 @@ def test_swap_composition_oracle():
     amps = np.zeros((2, 2), dtype=complex)
     amps[0, 1] = pre[0]
     amps[1, 0] = pre[1]
-    partner = fock.FockState(("m3", "m4"), amps, fock.TruncationConfig((1, 1)))
+    partner = fock.FockState(("m3", "m4"), amps)
     joint = fock.tensor(st, partner)
     joint = optics.pad_mode(optics.pad_mode(joint, "m2", 2), "m3", 2)
     out = optics.apply_bs(joint, "m2", "m3", optics.BeamSplitterParams.balanced())
@@ -577,3 +577,23 @@ def test_am_qubit_validation():
     assert (big.a0, big.a1) == (1 / math.sqrt(2), 1 / math.sqrt(2))
     am = AMQubit(2.0, 0, -0.5)
     assert abs(am.a0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("run", [initially_am_dual, initially_am_single])
+@pytest.mark.parametrize("a0, a1", [(math.nan, 0.5), (0.5, math.inf), (0, 0)])
+def test_initially_am_refuses_non_finite_and_zero_pairs(run, a0, a1):
+    with pytest.raises(ValueError, match="finite|zero norm"):
+        run(a0, a1, 0.3)
+
+
+@pytest.mark.parametrize("run", [initially_am_dual, initially_am_single])
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e200, 2.0 ** 700])
+def test_initially_am_normalizes_past_the_squared_norm_range(run, scale):
+    # a pair whose |a0|^2 + |a1|^2 under- or overflows is scaled down first
+    rows, total = run(scale, scale / 2, 0.3)
+    want_rows, want = run(1.0, 0.5, 0.3)
+    assert total == pytest.approx(want, rel=1e-14)
+    assert len(rows) == len(want_rows)
+    if scale == 2.0 ** 700:  # an exact power of two scales without rounding
+        assert (rows, total) == (want_rows, want)
+

@@ -12,7 +12,6 @@ from dvcv_teleport.fock import (
     MeasurementRangeError,
     ModeCollisionError,
     QubitState,
-    TruncationConfig,
     fidelity,
     number_state,
     project_number,
@@ -20,13 +19,14 @@ from dvcv_teleport.fock import (
     single_mode,
     tensor,
 )
+from dvcv_teleport.optics import pad_mode
 
 
 def random_state(rng, modes, dims):
     shape = tuple(d + 1 for d in dims)
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     amps /= np.linalg.norm(amps)
-    return FockState(modes, amps, TruncationConfig(dims))
+    return FockState(modes, amps)
 
 
 def coherent_coeffs(alpha, n_max):
@@ -35,11 +35,26 @@ def coherent_coeffs(alpha, n_max):
     return np.exp(-abs(alpha) ** 2 / 2) * alpha ** n / np.sqrt(fact)
 
 
-def test_truncation_config_validation():
-    with pytest.raises(ValueError):
-        TruncationConfig((0, 2))
-    with pytest.raises(ValueError):
-        TruncationConfig((2,), tail_tolerance=1.0)
+def test_fock_state_validation():
+    with pytest.raises(ValueError, match="cutoff"):
+        FockState(("a", "b"), np.ones((1, 3)))
+    with pytest.raises(ValueError, match="tail_tolerance"):
+        FockState(("a",), np.ones(3), tail_tolerance=1.0)
+
+
+def test_cutoffs_are_the_array_shape():
+    # every state a function builds reads its cutoffs off its own array
+    a = single_mode("a", [0.6, 0.0, 0.8])
+    joint = tensor(a, number_state("b", 1, 3))
+    assert (joint.n_max("a"), joint.n_max("b")) == (2, 3)
+    assert joint.tail_mass("a") == pytest.approx(0.64)
+    assert joint.tail_mass("b") == 0.0
+    rest, _ = project_number(joint, "a", 2)
+    assert rest.modes == ("b",) and rest.n_max("b") == 3
+    assert rest.tail_mass("b") == 0.0
+    grown = pad_mode(joint, "a", 5)
+    assert grown.amps.shape == (6, 4) and grown.n_max("a") == 5
+    assert grown.tail_mass("a") == 0.0
 
 
 def test_vacuum_tensor_product():
@@ -70,7 +85,7 @@ def test_tensor_norm_multiplies(seed):
     rng = np.random.default_rng(seed)
     a = random_state(rng, ("a",), (3,))
     b = random_state(rng, ("b", "c"), (2, 2))
-    scaled = FockState(a.modes, 0.7 * a.amps, a.trunc)
+    scaled = FockState(a.modes, 0.7 * a.amps)
     prod = tensor(scaled, b)
     # independent oracle: direct summation over all multi-indices
     direct = math.sqrt(sum(
@@ -89,7 +104,7 @@ def test_project_number_basics():
 
     bell_amps = np.zeros((2, 2), dtype=complex)
     bell_amps[0, 1] = bell_amps[1, 0] = 1 / np.sqrt(2)
-    bell = FockState((1, 2), bell_amps, TruncationConfig((1, 1)))
+    bell = FockState((1, 2), bell_amps)
     rest, p = project_number(bell, 1, 1)
     assert p == pytest.approx(0.5)
     np.testing.assert_allclose(rest.amps, [1, 0])
@@ -159,6 +174,33 @@ def test_tensor_projection_commutation():
 def test_normalize_closure():
     state = single_mode("m", [0.3, 0.1, 0.2])
     assert abs(state.normalize().norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("c0, c1", [(math.nan, 1), (1, math.inf),
+                                    (complex(0, math.nan), 1), (0, 0), (0.0, -0.0)])
+def test_qubit_state_refuses_non_finite_and_zero_pairs(c0, c1):
+    with pytest.raises(ValueError, match="finite|zero norm"):
+        QubitState(c0, c1)
+
+
+@pytest.mark.parametrize("c0, c1, want", [
+    (1e-170, 0, (1, 0)),  # |c0|^2 underflows to zero
+    (1e-160, 0, (1, 0)),  # |c0|^2 is subnormal
+    (1e200, 0, (1, 0)),  # |c0|^2 overflows
+    (1e200, 1e200, (1 / math.sqrt(2), 1 / math.sqrt(2))),
+])
+def test_qubit_state_normalizes_past_the_squared_norm_range(c0, c1, want):
+    q = QubitState(c0, c1)
+    assert (q.c0, q.c1) == want
+
+
+def test_qubit_state_keeps_the_bits_of_ordinary_pairs():
+    # numpy amplitudes (an eigenvector, a sliced state) as well as Python ones
+    for c0, c1 in ((0.3, 0.4j), (np.complex128(0.6 - 0.1j), np.float64(-0.2)),
+                   (np.complex128(1e-3j), np.complex128(2e-3))):
+        n = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+        q = QubitState(c0, c1)
+        assert (q.c0, q.c1) == (complex(c0) / n, complex(c1) / n)
 
 
 def test_qubit_fidelity():

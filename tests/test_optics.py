@@ -9,7 +9,6 @@ from dvcv_teleport.displaced import coherent_state, displaced_number_state
 from dvcv_teleport.fock import (
     FockState,
     TailMassError,
-    TruncationConfig,
     default_cutoff,
     number_state,
     project_number,
@@ -38,7 +37,7 @@ BALANCED = BeamSplitterParams.balanced()
 def random_two_mode(rng, d=5):
     amps = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     amps /= np.linalg.norm(amps)
-    return FockState(("a", "b"), amps, TruncationConfig((d - 1, d - 1)))
+    return FockState(("a", "b"), amps)
 
 
 def test_params_validation():
@@ -86,9 +85,9 @@ def test_coherent_transformation_law():
         "a", "b", bs)
     expect = tensor(
         coherent_state(bs.t * x - bs.r * y, mode="a",
-                       n_max=joint.trunc.n_max_per_mode[0]),
+                       n_max=joint.n_max("a")),
         coherent_state(bs.r * x + bs.t * y, mode="b",
-                       n_max=joint.trunc.n_max_per_mode[1]),
+                       n_max=joint.n_max("b")),
     )
     np.testing.assert_allclose(joint.amps, expect.amps, atol=1e-11)
 
@@ -317,7 +316,7 @@ def test_channel_state_structure():
     rest, p = project_number(state, 3, 1)
     rest, p2 = project_number(rest, 2, 0)
     assert p * p2 == pytest.approx(0.5, abs=1e-12)
-    expect = coherent_state(-1.0, mode=1, n_max=rest.trunc.n_max_per_mode[0])
+    expect = coherent_state(-1.0, mode=1, n_max=rest.n_max(1))
     np.testing.assert_allclose(rest.amps, expect.amps, atol=1e-10)
 
 
