@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .fock import (
     FockState,
@@ -50,11 +49,65 @@ def _coherent_row(n_max: int, alpha) -> np.ndarray:
     return row
 
 
+#: cephes ``lgam``'s Stirling-series coefficients and log(sqrt(2 pi))
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+_SMALL_LOG_FACTORIALS = np.array([math.log(math.factorial(n)) for n in range(12)])
+_log_factorials = np.empty(0)
+
+
+def _log_factorial_range(lo: int, hi: int) -> np.ndarray:
+    """log(n!) for lo <= n < hi, as cephes ``lgam(n + 1)`` computes it.
+
+    The branches, edges and operation order are cephes's (the code behind
+    scipy's ``gammaln``), so the floats are scipy's bit for bit.  Every log
+    comes from ``math.log`` (libm): numpy's SIMD log differs from libm in
+    the last bit on some integers.
+    """
+    n = np.arange(lo, hi)
+    x = n + 1.0
+    log_x = np.fromiter(map(math.log, range(lo + 1, hi + 1)), float, hi - lo)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    tail = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p \
+        + 0.0833333333333333333333
+    # cephes returns q alone above x = 1e8, where the correction is below
+    # half an ulp of q, so adding it there changes no bit
+    q += np.where(x < 1000.0, series, tail) / x
+    small = x < 13.0
+    q[small] = _SMALL_LOG_FACTORIALS[n[small]]
+    return q
+
+
+def _log_factorial(n_max: int) -> np.ndarray:
+    """log(n!) for n <= n_max, bitwise scipy's ``gammaln(n + 1.0)``.
+
+    The values do not depend on the amplitude, so one read-only table
+    grows to the largest n_max asked for and serves every later row.
+    """
+    global _log_factorials
+    table = _log_factorials
+    if len(table) <= n_max:
+        table = np.concatenate((table, _log_factorial_range(len(table), n_max + 1)))
+        table.flags.writeable = False
+        _log_factorials = table
+    return table[:n_max + 1]
+
+
 def _scaled_coherent_row(n_max: int, alpha: float) -> np.ndarray:
     """F(alpha) * alpha^n / sqrt(n!) for n <= n_max, summed in the exponent
     so that a strong amplitude neither overflows alpha^n nor underflows F."""
     n = np.arange(n_max + 1)
-    log_mag = xlogy(n, abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * alpha * alpha
+    a = abs(alpha)
+    # xlogy(n, |alpha|): at alpha = 0 the n = 0 term is 0 and the rest -inf,
+    # so the row is exactly (1, 0, 0, ...)
+    n_log_a = np.where(n > 0, -math.inf, 0.0) if a == 0.0 else n * math.log(a)
+    log_mag = n_log_a - 0.5 * _log_factorial(n_max) - 0.5 * alpha * alpha
     return np.exp(log_mag) * np.sign(alpha) ** n
 
 

@@ -302,5 +302,7 @@ def negativity_numeric(channel: HybridChannel) -> float:
 
 def negativity(channel: HybridChannel) -> tuple[float, float]:
     """(closed form, numeric partial-transpose value); they agree to ~1e-6
-    once the truncation holds the coherent tails."""
-    return negativity_closed_form(channel), negativity_numeric(channel)
+    once the truncation holds the coherent tails.  The numeric value goes
+    first, so an amplitude past the cutoff guard fails there, by name."""
+    numeric = negativity_numeric(channel)
+    return negativity_closed_form(channel), numeric

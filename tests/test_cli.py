@@ -372,13 +372,55 @@ def test_cutoff_flags_only_where_read(capsys):
     assert "max corrected-state infidelity" in capsys.readouterr().out
 
 
-def test_import_loads_no_scipy_solvers():
-    # scipy.special (the log-space coherent row) is the one scipy part left
+def _run_python(code, *argv):
     src = str(Path(dvcv_teleport.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, dvcv_teleport.cli; print(*sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        timeout=60, check=True)
-    solvers = {f"scipy.{p}" for p in ("optimize", "linalg", "sparse", "fft", "spatial")}
-    loaded = [m for m in done.stdout.split() if ".".join(m.split(".")[:2]) in solvers]
-    assert loaded == []
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_scipy():
+    done = _run_python("import sys, dvcv_teleport.cli; print(*sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert [m for m in done.stdout.split() if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--alpha", "0.5", "--r", "0.05"),
+    ("negativity", "--beta", "1"),
+    ("verify", "--suite", "oracle"),
+])
+def test_commands_run_without_scipy(argv):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    done = _run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from dvcv_teleport.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "assert [m for m in sys.modules if m.split('.')[0] == 'scipy'] == ['scipy']\n"
+        "assert sys.modules['scipy'] is None\n"
+        "sys.exit(code)\n", *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--alpha", "1e200", "--r", "0.1"),
+    ("negativity", "--beta", "1e200"),
+    ("oracle", "--alpha", "1e4", "--r", "0.1"),
+    ("negativity", "--beta", "1e4"),
+])
+def test_unallocatable_cutoff_is_a_numeric_guard(argv):
+    # under a 2 GiB address-space limit, so a missing guard fails here with
+    # a MemoryError instead of taking the host's memory (1e4 asks for 6-75 GB)
+    done = _run_python(
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, hard))\n"
+        "from dvcv_teleport.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n", *argv)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("numeric guard: amplitude ")
+    assert "photon-number cutoff" in done.stderr

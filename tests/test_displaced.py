@@ -199,3 +199,58 @@ def test_cat_norm_factors():
 
 def test_overall_factor():
     assert overall_factor(0.7) == pytest.approx(math.exp(-0.245))
+
+
+# -- the in-package log-factorial against scipy.special ----------------------
+# Its floats must be scipy's exactly, so no output moves; scipy is imported
+# inside each test, as an oracle only.
+
+ROW_AMPLITUDES = (0.0, -0.0, 1e-300, -1e-5, 0.3, -0.5, 1.0, 2.5, -10.0, 25.0,
+                  -50.0, 100.0, 250.0, 1e3)
+ROW_CUTOFFS = (0, 1, 11, 12, 13, 998, 999, 2830, 64048)
+
+
+def bits(values):
+    """The float64 bit patterns, so that == also compares sign bits."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_log_factorial_is_gammaln_bit_for_bit(monkeypatch):
+    from scipy.special import gammaln
+
+    # every branch of cephes lgam: x = n + 1 below 13, below 1000, above
+    monkeypatch.setattr(displaced, "_log_factorials", np.empty(0))
+    n = np.arange(200_001)
+    np.testing.assert_array_equal(bits(displaced._log_factorial(200_000)),
+                                  bits(gammaln(n + 1.0)))
+
+
+def test_log_factorial_past_the_series_cut_is_gammaln_bit_for_bit():
+    from scipy.special import gammaln
+
+    # cephes drops the series correction above x = 1e8
+    n = np.arange(10 ** 8 - 20, 10 ** 8 + 20)
+    np.testing.assert_array_equal(bits(displaced._log_factorial_range(n[0], n[-1] + 1)),
+                                  bits(gammaln(n + 1.0)))
+
+
+def test_log_factorial_table_grows_without_moving(monkeypatch):
+    monkeypatch.setattr(displaced, "_log_factorials", np.empty(0))
+    small = displaced._log_factorial(30).copy()
+    grown = displaced._log_factorial(3000)
+    assert not grown.flags.writeable
+    np.testing.assert_array_equal(bits(grown[:31]), bits(small))
+    np.testing.assert_array_equal(bits(grown), bits(displaced._log_factorial_range(0, 3001)))
+    assert len(displaced._log_factorial(40)) == 41
+
+
+def test_scaled_coherent_row_is_the_xlogy_gammaln_row_bit_for_bit():
+    from scipy.special import gammaln, xlogy
+
+    for alpha in ROW_AMPLITUDES:
+        for n_max in ROW_CUTOFFS:
+            n = np.arange(n_max + 1)
+            log_mag = xlogy(n, abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * alpha * alpha
+            want = np.exp(log_mag) * np.sign(alpha) ** n
+            got = displaced._scaled_coherent_row(n_max, alpha)
+            np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"{alpha=} {n_max=}")

@@ -233,3 +233,16 @@ def test_non_finite_amplitudes_rejected(bad):
     # NaN compares false with everything, so a zero-norm test alone lets it in
     with pytest.raises(fock.NonFiniteAmplitudeError):
         single_mode("m", [0.5, bad])
+
+
+def test_default_cutoff_admits_every_amplitude_in_use():
+    # beta = 250, the carrier of the oracle at r = 0.002, is the largest
+    assert fock.default_cutoff(250.0) == 64012
+    assert fock.default_cutoff(-996.0) == 998004 <= fock.MAX_CUTOFF
+
+
+@pytest.mark.parametrize("amplitude", [997.0, -1e4, 1e200, math.inf, math.nan])
+def test_default_cutoff_refuses_an_unallocatable_cutoff(amplitude):
+    # raised before any array is made, so 1e4 never asks for gigabytes
+    with pytest.raises(fock.TailMassError, match=r"amplitude .* photon-number cutoff"):
+        fock.default_cutoff(amplitude)
