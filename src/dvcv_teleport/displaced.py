@@ -55,16 +55,15 @@ _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
            8.33333333333331927722e-2)
 _LS2PI = 0.91893853320467274178
 _SMALL_LOG_FACTORIALS = np.array([math.log(math.factorial(n)) for n in range(12)])
-_log_factorials = np.empty(0)
 
 
 def _log_factorial_range(lo: int, hi: int) -> np.ndarray:
-    """log(n!) for lo <= n < hi, as cephes ``lgam(n + 1)`` computes it.
+    """log(n!) for lo <= n < hi, bitwise scipy's ``gammaln(n + 1.0)``.
 
-    The branches, edges and operation order are cephes's (the code behind
-    scipy's ``gammaln``), so the floats are scipy's bit for bit.  Every log
-    comes from ``math.log`` (libm): numpy's SIMD log differs from libm in
-    the last bit on some integers.
+    The branches, edges and operation order are those of cephes ``lgam``
+    (the code behind ``gammaln``), so the floats are scipy's bit for bit.
+    Every log comes from ``math.log`` (libm): numpy's SIMD log differs
+    from libm in the last bit on some integers.
     """
     n = np.arange(lo, hi)
     x = n + 1.0
@@ -84,21 +83,6 @@ def _log_factorial_range(lo: int, hi: int) -> np.ndarray:
     return q
 
 
-def _log_factorial(n_max: int) -> np.ndarray:
-    """log(n!) for n <= n_max, bitwise scipy's ``gammaln(n + 1.0)``.
-
-    The values do not depend on the amplitude, so one read-only table
-    grows to the largest n_max asked for and serves every later row.
-    """
-    global _log_factorials
-    table = _log_factorials
-    if len(table) <= n_max:
-        table = np.concatenate((table, _log_factorial_range(len(table), n_max + 1)))
-        table.flags.writeable = False
-        _log_factorials = table
-    return table[:n_max + 1]
-
-
 def _scaled_coherent_row(n_max: int, alpha: float) -> np.ndarray:
     """F(alpha) * alpha^n / sqrt(n!) for n <= n_max, summed in the exponent
     so that a strong amplitude neither overflows alpha^n nor underflows F."""
@@ -107,7 +91,7 @@ def _scaled_coherent_row(n_max: int, alpha: float) -> np.ndarray:
     # xlogy(n, |alpha|): at alpha = 0 the n = 0 term is 0 and the rest -inf,
     # so the row is exactly (1, 0, 0, ...)
     n_log_a = np.where(n > 0, -math.inf, 0.0) if a == 0.0 else n * math.log(a)
-    log_mag = n_log_a - 0.5 * _log_factorial(n_max) - 0.5 * alpha * alpha
+    log_mag = n_log_a - 0.5 * _log_factorial_range(0, n_max + 1) - 0.5 * alpha * alpha
     return np.exp(log_mag) * np.sign(alpha) ** n
 
 
@@ -232,7 +216,7 @@ def scs_state(parity: str, beta: float, mode: ModeLabel = 0,
         n_max = default_cutoff(beta)
     sign = 1.0 if parity == "even" else -1.0
     plus = _scaled_coherent_row(n_max, beta)
-    minus = _scaled_coherent_row(n_max, -beta)
+    minus = plus * (-1.0) ** np.arange(n_max + 1)  # bitwise the row at -beta
     amps = scs_norm_factor(parity, beta) * (minus + sign * plus)
     state = single_mode(mode, amps.astype(complex), tail_tolerance)
     defect = abs(state.norm() - 1.0)

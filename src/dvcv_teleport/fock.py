@@ -20,9 +20,10 @@ import numpy as np
 
 NORM_EPS = 1e-12
 _NORMAL_MIN = sys.float_info.min
-#: largest default photon-number cutoff (amplitude ~997); a state at this
-#: cutoff peaks near 0.3 GB in ``negativity`` or ``oracle``, and every
-#: amplitude the checks and benchmarks use stays below 64,100 levels
+#: largest default photon-number cutoff (amplitude ~997); ``negativity`` of
+#: a state at this cutoff peaks near 0.3 GB, and every amplitude the checks
+#: and benchmarks use stays below 64,100 levels.  It bounds single states
+#: only: the circuit's splitters are bounded by ``optics.MAX_SPLIT_CELLS``
 MAX_CUTOFF = 1_000_000
 
 ModeLabel = Hashable

@@ -30,6 +30,10 @@ from .fock import (
 )
 
 _UNITARITY_TOL = 1e-12
+#: largest splitter accepted, in float64 cells of its block array plus its
+#: inputs laid out by total photon number (two cells per amplitude); the
+#: circuit oracle peaks near 0.3 GB at this size (~18 bytes per cell)
+MAX_SPLIT_CELLS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,19 @@ def _bs_blocks(t: float, r: float, b_dim: int, n_total_max: int,
     return np.ascontiguousarray(g.transpose(1, 2, 0)[n_total_min - n_first:])
 
 
+def check_split_size(dim_a: int, dim_b: int, batch: int) -> None:
+    """Raise TailMassError, before anything is allocated, when a splitter
+    on a (dim_a, dim_b) grid with ``batch`` inputs exceeds
+    :data:`MAX_SPLIT_CELLS`.  The blocks grow with the smaller mode
+    squared, so a strong amplitude on both modes is what gets refused."""
+    small = min(dim_a, dim_b)
+    cells = (dim_a + dim_b - 1) * small * (small + 2 * batch)
+    if cells > MAX_SPLIT_CELLS:
+        raise TailMassError(
+            f"a beam splitter on {dim_a} x {dim_b} levels with {batch} inputs needs "
+            f"{cells:,} cells, above the largest supported ({MAX_SPLIT_CELLS:,})")
+
+
 def split_amplitudes(amps: np.ndarray, params: BeamSplitterParams,
                      leak_tolerance: float, offset: int = 0) -> np.ndarray:
     """Apply the splitter to amplitudes shaped (dim_a, dim_b, batch, rest).
@@ -121,8 +138,9 @@ def split_amplitudes(amps: np.ndarray, params: BeamSplitterParams,
     real blocks act on the real and imaginary parts separately: a complex
     copy of them would take twice their memory.  A batch entry that loses
     more than ``max(leak_tolerance, 1e-14 * its norm^2)`` raises a
-    TailMassError.
+    TailMassError, as does a grid past :func:`check_split_size`.
     """
+    check_split_size(amps.shape[0], amps.shape[1], math.prod(amps.shape[2:]))
     t, r = params.t, params.r
     swap = amps.shape[1] > amps.shape[0]
     if swap:

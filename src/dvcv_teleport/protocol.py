@@ -26,7 +26,7 @@ from .displaced import (
     overall_factor,
 )
 from .fock import QubitState, _unit_pair
-from .optics import BeamSplitterParams, split_amplitudes
+from .optics import BeamSplitterParams, check_split_size, split_amplitudes
 
 DUAL_RAIL_BASIS = ("01", "10")
 
@@ -522,9 +522,12 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, beta1: float, r: floa
     # qubit mode listed first so the carrier displaces it with the
     # conditional sign.
     s3, s4 = [l, k], [k, l]
-    c0, minus, trimmed_c = _carrier_window(-beta, d1, tail_tolerance)
-    _, plus, _ = _carrier_window(beta, d1, tail_tolerance)
+    c0, plus, trimmed_c = _carrier_window(beta, d1, tail_tolerance)
+    minus = plus.real * (-1.0) ** np.arange(c0, d1)  # bitwise the window at -beta
     a0, ancilla_row, trimmed_a = _carrier_window(-beta1, d2, tail_tolerance)
+    # refuse before the splitters' inputs are made
+    check_split_size(d3, len(plus), 4)
+    check_split_size(d4, len(ancilla_row), 2)
     u = np.zeros((d3, len(plus), 2, 2), dtype=complex)  # (mode 3, carrier, branch, term)
     for y, row in enumerate((minus, plus)):
         u[s3, :, y, [0, 1]] = row

@@ -405,13 +405,16 @@ def test_commands_run_without_scipy(argv):
     assert done.stdout
 
 
-@pytest.mark.parametrize("argv", [
-    ("oracle", "--alpha", "1e200", "--r", "0.1"),
-    ("negativity", "--beta", "1e200"),
-    ("oracle", "--alpha", "1e4", "--r", "0.1"),
-    ("negativity", "--beta", "1e4"),
+@pytest.mark.parametrize("argv, refusal", [
+    (("oracle", "--alpha", "1e200", "--r", "0.1"), "photon-number cutoff"),
+    (("negativity", "--beta", "1e200"), "photon-number cutoff"),
+    (("oracle", "--alpha", "1e4", "--r", "0.1"), "photon-number cutoff"),
+    (("negativity", "--beta", "1e4"), "photon-number cutoff"),
+    # carriers within the cutoff, splitters past it: 5.8 GiB and ~24 TB of blocks
+    (("oracle", "--alpha", "20", "--r", "0.3"), "beam splitter"),
+    (("oracle", "--alpha", "100", "--r", "0.3"), "beam splitter"),
 ])
-def test_unallocatable_cutoff_is_a_numeric_guard(argv):
+def test_unallocatable_input_is_a_numeric_guard(argv, refusal):
     # under a 2 GiB address-space limit, so a missing guard fails here with
     # a MemoryError instead of taking the host's memory (1e4 asks for 6-75 GB)
     done = _run_python(
@@ -422,5 +425,5 @@ def test_unallocatable_cutoff_is_a_numeric_guard(argv):
         "sys.exit(main(sys.argv[1:]))\n", *argv)
     assert done.returncode == 3, done.stderr
     assert done.stdout == ""
-    assert done.stderr.startswith("numeric guard: amplitude ")
-    assert "photon-number cutoff" in done.stderr
+    assert done.stderr.startswith("numeric guard: ")
+    assert refusal in done.stderr

@@ -19,8 +19,10 @@ from dvcv_teleport.optics import (
     BeamSplitterParams,
     HybridChannel,
     _bs_blocks,
+    MAX_SPLIT_CELLS,
     apply_bs,
     channel_state,
+    check_split_size,
     displacement_matrix,
     displacement_unitary,
     htbs_residual,
@@ -195,6 +197,24 @@ def test_amplitude_below_the_window_is_leak():
         split_amplitudes(amps, bs, 0.99 * below, offset=lowest)
     out = split_amplitudes(amps, bs, 1.01 * below, offset=lowest)
     np.testing.assert_allclose(out, ref[lowest:], rtol=0, atol=1e-15)
+
+
+def test_split_size_admits_the_oracle_in_use():
+    # the largest splitter of the tests, verify and the benchmarks: alpha
+    # 0.5 at r = 0.002, 19 levels of mode 3 against a 4,374-level window
+    check_split_size(4374, 19, 4)
+    check_split_size(19, 4374, 4)
+    assert 2_253_096 <= MAX_SPLIT_CELLS
+
+
+def test_oversized_splitter_is_refused_before_allocating():
+    # a zero-stride view of 16 bytes stands for a 6.4 GB input: the guard
+    # must raise before the blocks or the input layout are made
+    huge = np.broadcast_to(np.zeros((1, 1, 1, 1), dtype=complex), (20_000, 20_000, 1, 1))
+    with pytest.raises(TailMassError, match="beam splitter on 20000 x 20000 levels"):
+        split_amplitudes(huge, BALANCED, 1e-10)
+    with pytest.raises(TailMassError, match="with 4 inputs"):
+        check_split_size(146, 628, 4)  # the oracle at alpha 8.8, r = 0.3
 
 
 def test_overflow_guard():

@@ -390,6 +390,18 @@ def test_brute_force_builds_each_splitter_once(monkeypatch):
     assert len(builds) == 2
 
 
+@pytest.mark.parametrize("beta", [2.4, 49.9, 249.9])
+def test_negated_carrier_window_is_the_window_at_minus_beta(beta):
+    # the circuit flips the odd levels of the +beta window for the -beta one
+    dim = displaced.default_cutoff(beta) + 20
+    c0, plus, trimmed = protocol._carrier_window(beta, dim, 1e-10)
+    m0, minus, m_trimmed = protocol._carrier_window(-beta, dim, 1e-10)
+    assert (c0, trimmed) == (m0, m_trimmed)
+    flipped = plus.real * (-1.0) ** np.arange(c0, dim)
+    np.testing.assert_array_equal(flipped.view(np.int64), minus.real.view(np.int64))
+    assert not np.signbit(minus.imag).any()
+
+
 @pytest.mark.parametrize("lk", [(0, 1), (1, 2)])
 @pytest.mark.parametrize("r", [0.05, 0.02, 0.01])
 def test_carrier_window_leaves_the_records(r, lk, monkeypatch):
