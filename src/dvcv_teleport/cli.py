@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, demodulation as dm, protocol, verification
 from .displaced import matrix_element_table
-from .fock import MeasurementRangeError, NonFiniteAmplitudeError, TailMassError
+from .fock import MAX_CUTOFF, MeasurementRangeError, NonFiniteAmplitudeError, TailMassError
 from .optics import HybridChannel, negativity
 
 ENV_OUT_DIR = "DVCV_TELEPORT_OUT_DIR"
@@ -286,10 +286,12 @@ def cmd_oracle(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
-def _nonnegative_int(text: str) -> int:
+def _cutoff(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if value > MAX_CUTOFF:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_CUTOFF:,}, got {value}")
     return value
 
 
@@ -312,7 +314,7 @@ def _add_common(p: argparse.ArgumentParser, nmax: bool = False,
     """Add ``--config`` and, where the command reads them, ``--nmax`` and
     ``--tail-tol``."""
     if nmax:
-        p.add_argument("--nmax", type=_nonnegative_int, default=20,
+        p.add_argument("--nmax", type=_cutoff, default=20,
                        help="photon-number cutoff for analytic sums (default 20)")
     if tail_tol:
         p.add_argument("--tail-tol", type=_tail_tol, default=1e-10,

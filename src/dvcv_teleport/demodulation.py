@@ -29,9 +29,9 @@ from .fock import QubitState, _unit_pair
 from .protocol import (
     DUAL_RAIL_BASIS,
     SingularFactorError,
+    _factor_row,
     amp_factor_dual,
     amp_factor_grid,
-    amp_factor_single,
     direct_success_probability,
 )
 
@@ -349,9 +349,8 @@ def single_rail_demod_additions(l: int, k: int, alpha: float, n_cut: int = 20) -
     displacement (depth 3), plus whatever mass is already factor-free."""
     table = matrix_element_table(max(l, k), n_cut, alpha)
     weight = overall_factor(alpha) ** 2 * table.c[l] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = table.c[k] / table.c[l]
-    defined = table.c[l] != 0.0
+    factor = _factor_row(l, k, table)
+    defined = ~np.isnan(factor)
     clean = defined & (np.abs(np.abs(factor) - 1.0) <= _CLEAN_TOL)
     demod = defined & ~clean & (factor != 0.0)
     w, f = weight[demod], factor[demod]
@@ -413,10 +412,12 @@ def _single_outcomes(alpha: float, n_cut: int) -> _Outcomes:
     """Single-rail counts n <= n_cut: the vacuum count is factor-free and
     every other relative factor phi is demodulated by up to three chained
     displacements."""
-    a_ref = _nonzero_reference(amp_factor_single(0, 1, 0, alpha))  # equals -alpha
-    c0, c1 = matrix_element_table(1, n_cut, alpha).c
+    table = matrix_element_table(1, n_cut, alpha)
+    c0, c1 = table.c
+    row = _factor_row(0, 1, table)
+    a_ref = _nonzero_reference(float(row[0]))  # equals -alpha
     f2 = overall_factor(alpha) ** 2
-    phi = c1 / c0 / a_ref
+    phi = row / a_ref
     clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
     demod = ~clean & (phi != 0.0)
     g = np.where(clean, 1.0, 0.0)

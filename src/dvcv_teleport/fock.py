@@ -150,7 +150,7 @@ class FockState:
 def single_mode(mode: ModeLabel, coeffs: Sequence[complex],
                 tail_tolerance: float = 1e-10) -> FockState:
     """Wrap raw Fock coefficients of one mode into a state."""
-    return FockState((mode,), np.asarray(list(coeffs), dtype=complex), tail_tolerance)
+    return FockState((mode,), np.asarray(coeffs, dtype=complex), tail_tolerance)
 
 
 def number_state(mode: ModeLabel, n: int, n_max: int | None = None,

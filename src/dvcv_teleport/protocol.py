@@ -29,6 +29,7 @@ from .fock import QubitState, _unit_pair
 from .optics import BeamSplitterParams, check_split_size, split_amplitudes
 
 DUAL_RAIL_BASIS = ("01", "10")
+_PARITIES = ("even", "odd")
 
 #: carrier levels below the first one with |c_n|^2 above this hold no
 #: amplitude at double precision (|c_n| < eps); the circuit skips them
@@ -90,7 +91,7 @@ class Outcome:
     m: int | None = None
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd"):
+        if self.parity not in _PARITIES:
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
         if self.n < 0 or (self.m is not None and self.m < 0):
             raise ValueError("photon counts must be nonnegative")
@@ -124,51 +125,47 @@ class BruteForceRecord(TeleportRecord):
 
 # -- amplitude factors -------------------------------------------------------
 
-def amp_factor_dual(l: int, k: int, n: int, m: int, alpha: float,
-                    alpha1: float | None = None) -> float:
+def amp_factor_grid(l: int, k: int, table: MatrixElementTable) -> np.ndarray:
+    """:func:`amp_factor_dual` for every count pair (n, m) of ``table`` at
+    once.  Singular outcomes hold NaN; equal counts hold exactly one."""
+    num = np.outer(table.c[k], table.c[l])
+    den = np.outer(table.c[l], table.c[k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grid = np.where(den == 0.0, np.nan, num / den)
+    np.fill_diagonal(grid, 1.0)
+    return grid
+
+
+def _factor_row(l: int, k: int, table: MatrixElementTable) -> np.ndarray:
+    """:func:`amp_factor_single` for every count n of ``table`` at once;
+    NaN where c(l, n) vanishes."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(table.c[l] == 0.0, np.nan, table.c[k] / table.c[l])
+
+
+def _grid_factor(grid: np.ndarray, l: int, k: int, n: int, m: int, alpha: float) -> float:
+    """Entry (n, m) of the :func:`amp_factor_grid` at ``alpha``; raises
+    SingularFactorError where it is undefined."""
+    if math.isnan(grid[n, m]):
+        raise SingularFactorError(f"c({l},{n};{alpha}) * c({k},{m};{alpha}) vanishes; "
+                                  f"outcome ({n},{m}) is non-demodulatable")
+    return float(grid[n, m])
+
+
+def amp_factor_dual(l: int, k: int, n: int, m: int, alpha: float) -> float:
     """Known multiplier acquired by a1 when the counts (n, m) are registered:
-    c(k,n)c(l,m) / (c(l,n)c(k,m)).  Equal counts give exactly one when the
-    two displacements match."""
-    if alpha1 is None:
-        alpha1 = alpha
-    if n == m and alpha == alpha1:
-        return 1.0
-    table_a = matrix_element_table(max(l, k), max(n, m), alpha)
-    table_b = table_a if alpha1 == alpha else matrix_element_table(max(l, k), max(n, m), alpha1)
-    den = table_a.element(l, n) * table_b.element(k, m)
-    if den == 0.0:
-        raise SingularFactorError(
-            f"c({l},{n};{alpha}) * c({k},{m};{alpha1}) vanishes; outcome ({n},{m}) "
-            "is non-demodulatable"
-        )
-    return table_a.element(k, n) * table_b.element(l, m) / den
+    c(k,n)c(l,m) / (c(l,n)c(k,m)), exactly one on equal counts."""
+    table = matrix_element_table(max(l, k), max(n, m), alpha)
+    return _grid_factor(amp_factor_grid(l, k, table), l, k, n, m, alpha)
 
 
 def amp_factor_single(l: int, k: int, n: int, alpha: float) -> float:
     """Single-rail analogue c(k,n)/c(l,n)."""
-    table = matrix_element_table(max(l, k), n, alpha)
-    den = table.element(l, n)
-    if den == 0.0:
-        raise SingularFactorError(
-            f"c({l},{n};{alpha}) vanishes; outcome {n} is non-demodulatable"
-        )
-    return table.element(k, n) / den
-
-
-def amp_factor_grid(l: int, k: int, table: MatrixElementTable,
-                    table1: MatrixElementTable | None = None) -> np.ndarray:
-    """:func:`amp_factor_dual` for every count pair at once: entry [n, m]
-    takes c(.,n) from ``table`` and c(.,m) from ``table1`` (default: the
-    same table).  Singular outcomes hold NaN."""
-    if table1 is None:
-        table1 = table
-    num = np.outer(table.c[k], table1.c[l])
-    den = np.outer(table.c[l], table1.c[k])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grid = np.where(den == 0.0, np.nan, num / den)
-    if table1.alpha == table.alpha:
-        np.fill_diagonal(grid, 1.0)
-    return grid
+    a_fac = _factor_row(l, k, matrix_element_table(max(l, k), n, alpha))[n]
+    if math.isnan(a_fac):
+        raise SingularFactorError(f"c({l},{n};{alpha}) vanishes; "
+                                  f"outcome {n} is non-demodulatable")
+    return float(a_fac)
 
 
 def norm_factor(a1_abs: float, amp_factor: float) -> float:
@@ -178,16 +175,15 @@ def norm_factor(a1_abs: float, amp_factor: float) -> float:
 
 # -- conditional states and corrections --------------------------------------
 
-def bob_states_dual(qubit: UnknownQubit, alpha: float, alpha1: float | None,
-                    n: int, m: int):
+def bob_states_dual(qubit: UnknownQubit, alpha: float, n: int, m: int):
     """Both parity branches of the conditional state for counts (n, m).
 
     Returns ``(even_branch, odd_branch, norm)``; the branches differ by a
     logical Z, and the correction word of :func:`correct` maps either onto
     ``(a0, a1 * A)`` up to normalization.
     """
-    a_fac = amp_factor_dual(qubit.l, qubit.k, n, m, alpha, alpha1)
-    even, odd = (_bob_state(qubit, a_fac, n, parity) for parity in ("even", "odd"))
+    a_fac = amp_factor_dual(qubit.l, qubit.k, n, m, alpha)
+    even, odd = (rec.bob_state for rec in _records(qubit, _PARITIES, n, m, a_fac, 0.0))
     return even, odd, norm_factor(abs(qubit.a1), a_fac)
 
 
@@ -204,8 +200,7 @@ def _bob_state(qubit: UnknownQubit, a_fac: float, n: int, parity: str) -> QubitS
 def z_power_for(parity: str, n: int, l: int) -> int:
     """Exponent of the Z gate in the correction word; only its parity
     matters since Z squares to the identity."""
-    p = n - l if parity == "even" else n - l + 1
-    return p % 2
+    return (n - l + (parity != "even")) % 2
 
 
 def correct(bob: QubitState, parity: str, n: int, l: int) -> QubitState:
@@ -219,63 +214,49 @@ def correct(bob: QubitState, parity: str, n: int, l: int) -> QubitState:
 # -- outcome probabilities ----------------------------------------------------
 
 def outcome_probability_grid(qubit: UnknownQubit, l: int, k: int,
-                             table: MatrixElementTable,
-                             table1: MatrixElementTable | None = None) -> np.ndarray:
+                             table: MatrixElementTable) -> np.ndarray:
     """Probability of registering counts (n, m), either parity, for every
-    count pair at once: entry [n, m] takes c(.,n) from ``table`` and
-    c(.,m) from ``table1`` (default: the same table).
+    count pair of ``table`` at once.
 
     Evaluated in the unreduced product form
     F^4 (|a0 c(l,n) c(k,m)|^2 + |a1 c(k,n) c(l,m)|^2), which stays finite
     on outcomes whose amplitude factor is singular.
     """
-    if table1 is None:
-        table1 = table
-    f4 = table.f ** 2 * table1.f ** 2
-    return f4 * (abs(qubit.a0) ** 2 * np.outer(table.c[l], table1.c[k]) ** 2
-                 + abs(qubit.a1) ** 2 * np.outer(table.c[k], table1.c[l]) ** 2)
+    f2 = table.f ** 2
+    return f2 * f2 * (abs(qubit.a0) ** 2 * np.outer(table.c[l], table.c[k]) ** 2
+                      + abs(qubit.a1) ** 2 * np.outer(table.c[k], table.c[l]) ** 2)
 
 
 def outcome_probability_dual(qubit: UnknownQubit, l: int, k: int, n: int, m: int,
-                             alpha: float, alpha1: float | None = None) -> float:
+                             alpha: float) -> float:
     """Probability of registering counts (n, m), either parity: one entry
     of :func:`outcome_probability_grid`."""
-    if alpha1 is None:
-        alpha1 = alpha
-    ta = matrix_element_table(max(l, k), max(n, m), alpha)
-    tb = ta if alpha1 == alpha else matrix_element_table(max(l, k), max(n, m), alpha1)
-    return float(outcome_probability_grid(qubit, l, k, ta, tb)[n, m])
+    table = matrix_element_table(max(l, k), max(n, m), alpha)
+    return float(outcome_probability_grid(qubit, l, k, table)[n, m])
 
 
 def direct_success_probability(l: int, k: int, alpha: float, n_cut: int = 20) -> float:
     """Mass of the equal-count outcomes, where the output carries no
     amplitude factor; independent of the teleported superposition."""
     table = matrix_element_table(max(l, k), n_cut, alpha)
-    f4 = overall_factor(alpha) ** 4
-    return f4 * float(np.sum(table.c[l] ** 2 * table.c[k] ** 2))
+    return overall_factor(alpha) ** 4 * float(np.sum(table.c[l] ** 2 * table.c[k] ** 2))
 
 
 def pair_sum_probability(l: int, k: int, n: int, m: int, alpha: float) -> float:
     """Probability of {(n, m), (m, n)} jointly; drops every dependence on
     the teleported superposition."""
     table = matrix_element_table(max(l, k), max(n, m), alpha)
-    f4 = overall_factor(alpha) ** 4
-    return f4 * (
-        (table.element(l, n) * table.element(k, m)) ** 2
-        + (table.element(l, m) * table.element(k, n)) ** 2
-    )
+    return overall_factor(alpha) ** 4 * ((table.element(l, n) * table.element(k, m)) ** 2
+                                         + (table.element(l, m) * table.element(k, n)) ** 2)
 
 
 def am_probability(l: int, k: int, alpha: float, n_cut: int = 20) -> float:
     """Mass of unequal-count outcomes (amplitude-modulated deliveries);
     complements direct_success_probability to one."""
     table = matrix_element_table(max(l, k), n_cut, alpha)
-    f4 = overall_factor(alpha) ** 4
-    cl2 = table.c[l] ** 2
-    ck2 = table.c[k] ** 2
-    total = float(np.sum(np.outer(cl2, ck2)))
+    cl2, ck2 = table.c[l] ** 2, table.c[k] ** 2
     diag = float(np.sum(cl2 * ck2))
-    return f4 * (total - diag)
+    return overall_factor(alpha) ** 4 * (float(np.sum(np.outer(cl2, ck2))) - diag)
 
 
 #: scipy's smallest admissible relative tolerance for brentq, and the
@@ -413,44 +394,62 @@ def solve_amp_factor_alpha(l: int, k: int, n: int, m: int, target: float,
     Brent's bracketed root to xtol 1e-12; raises ValueError unless the
     factor minus ``target`` changes sign between ``lo`` and ``hi``.
     """
-    def g(a):
-        return amp_factor_dual(l, k, n, m, a) - target
-    return float(_brent_root(g, lo, hi, xtol=1e-12))
+    return float(_brent_root(lambda a: amp_factor_dual(l, k, n, m, a) - target,
+                             lo, hi, xtol=1e-12))
 
 
 # -- analytic pipelines -------------------------------------------------------
 
-def dual_rail_records(qubit: UnknownQubit, alpha: float, alpha1: float | None = None,
+def _records(qubit: UnknownQubit, parity, n, m, factor, prob) -> list[TeleportRecord]:
+    """Records of the outcomes given by arrays of parity, counts n and m (m
+    None on a single rail), factor and probability, broadcast together.
+    The branch sign (-1)^(n-l) (+-1 by parity) is (-1)^z for the Z power z
+    of the correction word, so one z array gives both.  Raises ValueError
+    on an outcome the qubit cannot produce: a0 = 0 and A = 0 make both
+    branch amplitudes a0 +- a1 A vanish."""
+    if (qubit.l - qubit.k) % 2 == 0:
+        raise ValueError("conditional-sign teleportation requires l - k odd")
+    parity, n, m, factor, prob = map(np.ravel, np.broadcast_arrays(parity, n, m, factor, prob))
+    if qubit.a0 == 0 and (factor == 0).any():
+        i = np.argmax(factor == 0)
+        counts = n[i] if m[i] is None else f"({n[i]},{m[i]})"
+        raise ValueError(f"outcome {counts} cannot occur for this qubit: a0 = 0 and "
+                         "the amplitude factor is 0, so both branches vanish")
+    z = (n - qubit.l + (parity != "even")) % 2
+    minus = np.where(z == 1, -1.0, 1.0) * (qubit.a0 - qubit.a1 * factor)
+    bobs = [QubitState(c0, c1, DUAL_RAIL_BASIS)
+            for c0, c1 in zip((qubit.a0 + qubit.a1 * factor).tolist(), minus.tolist())]
+    # every record's correction word H Z^z in one product, bitwise as correct()
+    vecs = np.array([(bob.c0, bob.c1) for bob in bobs], dtype=complex).reshape(-1, 2, 1)
+    fixed = np.matmul(H_GATE, np.matmul(Z_POWERS[z], vecs))[..., 0].tolist()
+    columns = zip(*(x.tolist() for x in (parity, n, m, prob, factor, z)))
+    return [TeleportRecord(Outcome(p, n_, m_), bob, p_, a, zp,
+                           QubitState(*vec, DUAL_RAIL_BASIS))
+            for (p, n_, m_, p_, a, zp), bob, vec in zip(columns, bobs, fixed)]
+
+
+def dual_rail_records(qubit: UnknownQubit, alpha: float,
                       n_cut: int = 8, m_cut: int = 8) -> list[TeleportRecord]:
     """Enumerate the conditional records of the ideal dual-rail protocol in
     lexicographic (parity, n, m) order.
 
     The two parities of one (n, m) share its probability equally (the
     strong-amplitude limit of the channel); summed over everything the
-    probabilities approach one as the cuts grow.  Outcomes with a singular
-    amplitude factor are omitted (non-demodulatable); their probability is
-    still available through outcome_probability_dual.
+    probabilities approach one as the cuts grow.  Omitted are outcomes
+    with a singular amplitude factor (non-demodulatable) and outcomes the
+    qubit cannot produce (a0 = 0 where the factor is 0, probability 0);
+    outcome_probability_dual still gives their probability.
     """
     if qubit.encoding != "dual_rail":
         raise ValueError("dual_rail_records expects a dual-rail qubit")
     l, k = qubit.l, qubit.k
-    if alpha1 is None:
-        alpha1 = alpha
-    ta = matrix_element_table(max(l, k), n_cut, alpha)
-    tb = matrix_element_table(max(l, k), m_cut, alpha1)
-    factors = amp_factor_grid(l, k, ta, tb)
-    probs = 0.5 * outcome_probability_grid(qubit, l, k, ta, tb)
-    outcomes = [(parity, n, m) for parity in ("even", "odd")
-                for n, m in np.argwhere(~np.isnan(factors)).tolist()]
-    factors, probs = factors.tolist(), probs.tolist()
-    bobs = [_bob_state(qubit, factors[n][m], n, parity) for parity, n, m in outcomes]
-    z_powers = [z_power_for(parity, n, l) for parity, n, _ in outcomes]
-    # every record's correction word H Z^p in one product, bitwise as correct()
-    vecs = np.array([(bob.c0, bob.c1) for bob in bobs], dtype=complex).reshape(-1, 2, 1)
-    fixed = np.matmul(H_GATE, np.matmul(Z_POWERS[z_powers], vecs))[..., 0].tolist()
-    return [TeleportRecord(Outcome(parity, n, m), bob, probs[n][m], factors[n][m], zp,
-                           QubitState(c0, c1, DUAL_RAIL_BASIS))
-            for (parity, n, m), bob, zp, (c0, c1) in zip(outcomes, bobs, z_powers, fixed)]
+    table = matrix_element_table(max(l, k), max(n_cut, m_cut), alpha)
+    cut = np.s_[:n_cut + 1, :m_cut + 1]
+    factors = amp_factor_grid(l, k, table)[cut]
+    probs = 0.5 * outcome_probability_grid(qubit, l, k, table)[cut]
+    # a0 = 0 and A = 0 leave no conditional state: an outcome of probability 0
+    n, m = np.nonzero(~np.isnan(factors) & ((factors != 0) | (qubit.a0 != 0)))
+    return _records(qubit, np.array(_PARITIES)[:, None], n, m, factors[n, m], probs[n, m])
 
 
 def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int,
@@ -458,32 +457,70 @@ def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int,
     """Conditional record of the single-rail variant for count ``n``.
 
     ``probability`` covers both parities (they split it equally); the
-    corrected state is identical for either branch.
+    corrected state is identical for either branch.  Raises ValueError when
+    the qubit cannot produce the count.
     """
     if qubit.encoding != "single_rail":
         raise ValueError("single_rail_pipeline expects a single-rail qubit")
     l, k = qubit.l, qubit.k
     a_fac = amp_factor_single(l, k, n, alpha)
     table = matrix_element_table(max(l, k), n, alpha)
-    prob = overall_factor(alpha) ** 2 * (
-        abs(qubit.a0) ** 2 * table.element(l, n) ** 2
-        + abs(qubit.a1) ** 2 * table.element(k, n) ** 2
-    )
-    bob = _bob_state(qubit, a_fac, n, parity)
-    corrected = correct(bob, parity, n, l)
-    return TeleportRecord(
-        outcome=Outcome(parity, n, None),
-        bob_state=bob,
-        probability=prob,
-        amp_factor=a_fac,
-        z_power=z_power_for(parity, n, l),
-        corrected_state=corrected,
-    )
+    prob = overall_factor(alpha) ** 2 * (abs(qubit.a0) ** 2 * table.element(l, n) ** 2
+                                         + abs(qubit.a1) ** 2 * table.element(k, n) ** 2)
+    return _records(qubit, parity, n, None, a_fac, prob)[0]
 
 
 # -- brute-force finite-reflectance circuit -----------------------------------
 
-def brute_force_pipeline(qubit: UnknownQubit, beta: float, beta1: float, r: float,
+def _circuit_gram(qubit: UnknownQubit, beta: float, r: float, n_cut: int, m_cut: int,
+                  tail_tolerance: float) -> np.ndarray:
+    """The circuit of :func:`brute_force_pipeline` up to the receiver: its
+    unnormalized 2x2 density matrix gram[p, n, m] on parity p and counts
+    (n, m).  Each coherent row enters its splitter as the window of levels
+    that hold amplitude at double precision, so a carrier of amplitude beta
+    costs O(beta) blocks, not O(beta^2); the mass left below a window
+    counts as leak."""
+    if not 0.0 < r <= 0.3:
+        raise ValueError("brute-force regime requires 0 < r <= 0.3")
+    if qubit.encoding != "dual_rail":
+        raise ValueError("the circuit oracle covers the dual-rail variant")
+    t = math.sqrt(1.0 - r * r)
+    l, k = qubit.l, qubit.k
+    params = BeamSplitterParams(t, r)
+    d3 = max(l, k) + default_cutoff(beta * r / t) + 2
+    d1 = default_cutoff(beta) + d3
+    if n_cut >= d3 or m_cut >= d3:
+        raise ValueError("requested counts exceed the auxiliary cutoffs")
+    # channel branches: carrier -beta accompanies logical |01>, +beta |10>;
+    # the ancilla is driven at -beta.  Superposition term i puts s3[i]
+    # photons on mode 3 and s4[i] on mode 4.  Each splitter takes every
+    # (branch, term) input as one batch, the qubit mode listed first so
+    # the carrier displaces it with the conditional sign.
+    s3, s4 = [l, k], [k, l]
+    c0, plus, trimmed = _carrier_window(beta, d1, tail_tolerance)
+    minus = plus.real * (-1.0) ** np.arange(c0, d1)  # bitwise the window at -beta
+    # refuse before the inputs are made; the ancilla's splitter is smaller
+    check_split_size(d3, len(plus), 4)
+    u = np.zeros((d3, len(plus), 2, 2), dtype=complex)  # (mode 3, carrier, branch, term)
+    for y, row in enumerate((minus, plus)):
+        u[s3, :, y, [0, 1]] = row
+    v = np.zeros((d3, len(plus), 2, 1), dtype=complex)  # (mode 4, ancilla, term)
+    v[s4, :, [0, 1], 0] = minus
+    # what the window skipped counts against the tolerance with the leak
+    u = split_amplitudes(u.reshape(d3, -1, 4, 1), params, tail_tolerance - trimmed, c0)
+    u = u[:n_cut + 1, :, :, 0].reshape(n_cut + 1, -1, 2, 2)
+    v = split_amplitudes(v, params, tail_tolerance - trimmed, c0)[:m_cut + 1, :, :, 0]
+    even = np.arange(c0, d1) % 2 == 0
+    parity_mask = np.array([even, ~even], dtype=float)
+    coefs = np.array([qubit.a0, qubit.a1])
+    # entry [x, y] overlaps what accompanies branch y with what accompanies
+    # branch x, projected on parity p
+    carrier = np.einsum("ncyt,pc,ncxs->pnytxs", u.conj(), parity_mask, u)
+    ancilla = np.einsum("mct,mcs->mts", v.conj(), v)
+    return np.einsum("t,s,pnytxs,mts->pnmxy", coefs.conj(), coefs, carrier, ancilla)
+
+
+def brute_force_pipeline(qubit: UnknownQubit, beta: float, r: float,
                          n_cut: int = 2, m_cut: int = 2,
                          tail_tolerance: float = 1e-10) -> list[BruteForceRecord]:
     """Simulate the full circuit at finite reflectance.
@@ -493,91 +530,31 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, beta1: float, r: floa
     coherent mode is parity-measured and the two auxiliary modes are
     counted.  Records carry the exact conditional 2x2 density matrix of
     the receiver's dual-rail modes; as r -> 0 at fixed alpha = beta*r/t
-    they converge to the analytic records.  Each coherent row enters its
-    splitter as the window of levels that hold amplitude at double
-    precision, so a carrier of amplitude beta costs O(beta) blocks, not
-    O(beta^2); the mass left below a window counts as leak.
+    they converge to the analytic records.
     """
-    if not 0.0 < r <= 0.3:
-        raise ValueError("brute-force regime requires 0 < r <= 0.3")
-    if qubit.encoding != "dual_rail":
-        raise ValueError("the circuit oracle covers the dual-rail variant")
-    t = math.sqrt(1.0 - r * r)
-    l, k = qubit.l, qubit.k
-    params = BeamSplitterParams(t, r)
-
-    hi = max(l, k)
-    alpha = beta * r / t
-    alpha1 = beta1 * r / t
-    d3 = hi + default_cutoff(alpha) + 2
-    d4 = hi + default_cutoff(alpha1) + 2
-    d1 = default_cutoff(beta) + d3
-    d2 = default_cutoff(beta1) + d4
-    if n_cut >= d3 or m_cut >= d4:
-        raise ValueError("requested counts exceed the auxiliary cutoffs")
-
-    # channel branches: carrier -beta accompanies logical |01>, +beta |10>;
-    # superposition term i puts s3[i] photons on mode 3 and s4[i] on mode 4.
-    # Each splitter takes every (branch, term) input as one batch, the
-    # qubit mode listed first so the carrier displaces it with the
-    # conditional sign.
-    s3, s4 = [l, k], [k, l]
-    c0, plus, trimmed_c = _carrier_window(beta, d1, tail_tolerance)
-    minus = plus.real * (-1.0) ** np.arange(c0, d1)  # bitwise the window at -beta
-    a0, ancilla_row, trimmed_a = _carrier_window(-beta1, d2, tail_tolerance)
-    # refuse before the splitters' inputs are made
-    check_split_size(d3, len(plus), 4)
-    check_split_size(d4, len(ancilla_row), 2)
-    u = np.zeros((d3, len(plus), 2, 2), dtype=complex)  # (mode 3, carrier, branch, term)
-    for y, row in enumerate((minus, plus)):
-        u[s3, :, y, [0, 1]] = row
-    v = np.zeros((d4, len(ancilla_row), 2, 1), dtype=complex)  # (mode 4, ancilla, term)
-    v[s4, :, [0, 1], 0] = ancilla_row
-    # what the windows skipped counts against the tolerance with the leak
-    u = split_amplitudes(u.reshape(d3, -1, 4, 1), params, tail_tolerance - trimmed_c, c0)
-    u = u[:n_cut + 1, :, :, 0].reshape(n_cut + 1, -1, 2, 2)
-    v = split_amplitudes(v, params, tail_tolerance - trimmed_a, a0)[:m_cut + 1, :, :, 0]
-    even = np.arange(c0, d1) % 2 == 0
-    parity_mask = np.array([even, ~even], dtype=float)
-    coefs = np.array([qubit.a0, qubit.a1])
-    # gram[p, n, m] is the receiver's unnormalized 2x2 density matrix on
-    # parity p and counts (n, m): entry [x, y] overlaps what accompanies
-    # branch y with what accompanies branch x, projected on parity p
-    carrier = np.einsum("ncyt,pc,ncxs->pnytxs", u.conj(), parity_mask, u)
-    ancilla = np.einsum("mct,mcs->mts", v.conj(), v)
-    gram = np.einsum("t,s,pnytxs,mts->pnmxy", coefs.conj(), coefs, carrier, ancilla)
-
-    records = []
-    for p, parity in enumerate(("even", "odd")):
-        for n in range(n_cut + 1):
-            for m in range(m_cut + 1):
-                prob = 0.5 * float(np.trace(gram[p, n, m]).real)
-                if prob <= 0.0:
-                    continue
-                rho = gram[p, n, m] / (2.0 * prob)
-                zp = z_power_for(parity, n, l)
-                gate = H_GATE @ Z_POWERS[zp]
-                rho_c = gate @ rho @ gate.conj().T
-                evecs = np.linalg.eigh(rho)[1]
-                bob = QubitState(evecs[0, -1], evecs[1, -1], DUAL_RAIL_BASIS)
-                evecs_c = np.linalg.eigh(rho_c)[1]
-                corrected = QubitState(evecs_c[0, -1], evecs_c[1, -1], DUAL_RAIL_BASIS)
-                if abs(qubit.a0) > 0 and abs(qubit.a1) > 0 and abs(corrected.c0) > 1e-12:
-                    a_est = float((corrected.c1 / corrected.c0 * qubit.a0 / qubit.a1).real)
-                else:
-                    a_est = math.nan
-                records.append(BruteForceRecord(
-                    outcome=Outcome(parity, n, m),
-                    bob_state=bob,
-                    probability=prob,
-                    amp_factor=a_est,
-                    z_power=zp,
-                    corrected_state=corrected,
-                    rho=rho,
-                    corrected_rho=rho_c,
-                    purity=float(np.trace(rho @ rho).real),
-                ))
-    return records
+    gram = _circuit_gram(qubit, beta, r, n_cut, m_cut, tail_tolerance)
+    # every outcome at once, in (parity, n, m) order; a NaN stays visible
+    prob = 0.5 * np.trace(gram, axis1=-2, axis2=-1).real
+    parity, n, m = np.nonzero(~(prob <= 0.0))
+    prob = prob[parity, n, m]
+    rho = gram[parity, n, m] / (2.0 * prob)[:, None, None]
+    z = (n - qubit.l + parity) % 2
+    gate = H_GATE @ Z_POWERS[z]
+    rho_c = gate @ rho @ gate.conj().transpose(0, 2, 1)
+    # the trace of the stacked product, bitwise as each record's own
+    purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    bobs = np.linalg.eigh(rho)[1][..., -1].tolist()
+    fixed = [QubitState(*vec, DUAL_RAIL_BASIS)
+             for vec in np.linalg.eigh(rho_c)[1][..., -1].tolist()]
+    # the factor each corrected state carries; NaN where a0, a1 or c0 vanishes
+    est = [float((c.c1 / c.c0 * qubit.a0 / qubit.a1).real)
+           if abs(qubit.a0) > 0 and abs(qubit.a1) > 0 and abs(c.c0) > 1e-12 else math.nan
+           for c in fixed]
+    return [BruteForceRecord(Outcome(_PARITIES[p], n_, m_),
+                             QubitState(*bob, DUAL_RAIL_BASIS), p_, a, zp, c, rh, rh_c, pur)
+            for p, n_, m_, bob, p_, a, zp, c, rh, rh_c, pur
+            in zip(parity.tolist(), n.tolist(), m.tolist(), bobs, prob.tolist(), est,
+                   z.tolist(), fixed, rho, rho_c, purity.tolist())]
 
 
 def _carrier_window(amp: float, dim: int, tail_tolerance: float):
@@ -595,18 +572,16 @@ def _carrier_window(amp: float, dim: int, tail_tolerance: float):
 
 
 def record_infidelity(record: BruteForceRecord, qubit: UnknownQubit,
-                      alpha: float, alpha1: float | None = None) -> float:
+                      alpha: float) -> float:
     """1 - <target| rho_corrected |target> against the analytic corrected
     state for the record's counts."""
-    a_fac = amp_factor_dual(qubit.l, qubit.k, record.outcome.n, record.outcome.m,
-                            alpha, alpha1)
+    a_fac = amp_factor_dual(qubit.l, qubit.k, record.outcome.n, record.outcome.m, alpha)
     return _infidelity(record, qubit, a_fac)
 
 
 def _infidelity(record: BruteForceRecord, qubit: UnknownQubit, a_fac: float) -> float:
     tgt = QubitState(qubit.a0, qubit.a1 * a_fac, DUAL_RAIL_BASIS).vec()
-    fid = float(np.real(np.vdot(tgt, record.corrected_rho @ tgt)))
-    return 1.0 - fid
+    return 1.0 - float(np.real(np.vdot(tgt, record.corrected_rho @ tgt)))
 
 
 def circuit_vs_limit(qubit: UnknownQubit, alpha: float, r: float,
@@ -620,7 +595,7 @@ def circuit_vs_limit(qubit: UnknownQubit, alpha: float, r: float,
     probability of those counts (both parities).
     """
     beta = alpha * math.sqrt(1.0 - r * r) / r
-    records = brute_force_pipeline(qubit, beta, beta, r, n_cut=2, m_cut=2,
+    records = brute_force_pipeline(qubit, beta, r, n_cut=2, m_cut=2,
                                    tail_tolerance=tail_tolerance)
     by_counts: dict[tuple[int, int], float] = {}
     for rec in records:
@@ -629,17 +604,12 @@ def circuit_vs_limit(qubit: UnknownQubit, alpha: float, r: float,
     l, k = qubit.l, qubit.k
     table = matrix_element_table(max(l, k), 2, alpha)
     limits = outcome_probability_grid(qubit, l, k, table).tolist()
-    # every record's factor from one grid, bitwise as amp_factor_dual
-    factors = amp_factor_grid(l, k, table).tolist()
+    factors = amp_factor_grid(l, k, table)
     rows = []
     for rec in records:
         n, m = rec.outcome.n, rec.outcome.m
         p_limit = limits[n][m]
         rel = abs(by_counts[n, m] - p_limit) / p_limit if p_limit > 0 else math.inf
-        if math.isnan(factors[n][m]):
-            raise SingularFactorError(
-                f"c({l},{n};{alpha}) * c({k},{m};{alpha}) vanishes; outcome ({n},{m}) "
-                "is non-demodulatable"
-            )
-        rows.append((rec, p_limit, rel, _infidelity(rec, qubit, factors[n][m])))
+        rows.append((rec, p_limit, rel,
+                     _infidelity(rec, qubit, _grid_factor(factors, l, k, n, m, alpha))))
     return beta, rows

@@ -205,8 +205,7 @@ def test_criterion_8_circuit_oracle_convergence():
     for r in (0.2, 0.1, 0.05):
         t0 = time.perf_counter()
         t = math.sqrt(1 - r * r)
-        records = protocol.brute_force_pipeline(qubit, alpha * t / r,
-                                                alpha * t / r, r,
+        records = protocol.brute_force_pipeline(qubit, alpha * t / r, r,
                                                 n_cut=2, m_cut=2)
         elapsed = time.perf_counter() - t0
         if r == 0.05:

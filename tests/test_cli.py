@@ -236,6 +236,14 @@ def test_figure_negative_nmax_is_usage_error():
     assert main(["figure", "fig4", "--nmax", "-3"]) == 2
 
 
+def test_nmax_past_the_largest_cutoff_is_usage_error(tmp_path):
+    # refused by the parser, so nothing is computed and no file is written
+    assert main(["figure", "fig2", "--nmax", "1000001", "--out", str(tmp_path)]) == 2
+    assert main(["sweep", "--protocol", "dual", "--alpha-min", "0.1", "--alpha-max", "0.5",
+                 "--steps", "3", "--nmax", "1000001", "--out", str(tmp_path / "s.csv")]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_truncation_loss_past_tail_tol_is_a_numeric_guard(tmp_path):
     # --nmax 0 keeps only the n = 0 term; alpha = 5 needs far more than
     # the default 20 levels; row l = 2 loses 6.3e-10 at alpha = 1.5

@@ -126,14 +126,14 @@ def test_single_rail_factors():
 
 def test_bob_states_a1_zero():
     q = UnknownQubit(1, 0)
-    even, odd, _ = bob_states_dual(q, 0.7, None, 0, 2)
+    even, odd, _ = bob_states_dual(q, 0.7, 0, 2)
     assert abs(even.c0) == pytest.approx(abs(even.c1))
     assert abs(odd.c0) == pytest.approx(abs(odd.c1))
 
 
 def test_bob_states_equal_counts_act_as_hadamard():
     q = UnknownQubit(math.sqrt(0.3), math.sqrt(0.7))
-    even, _, _ = bob_states_dual(q, 0.7, None, 2, 2)
+    even, _, _ = bob_states_dual(q, 0.7, 2, 2)
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     expect = h @ q_vec(q)
     got = even.vec() * np.sign(even.c0.real) * np.sign(expect[0].real)
@@ -146,7 +146,7 @@ def q_vec(q):
 
 def test_parity_branches_differ_by_z():
     q = UnknownQubit(math.sqrt(0.4), math.sqrt(0.6) * 1j)
-    even, odd, _ = bob_states_dual(q, 0.9, None, 1, 3)
+    even, odd, _ = bob_states_dual(q, 0.9, 1, 3)
     np.testing.assert_allclose(even.vec() * np.array([1, -1]), odd.vec(),
                                atol=1e-12)
 
@@ -160,7 +160,7 @@ def test_correct_restores_modulated_form():
         n, m = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         alpha = rng.uniform(0.4, 1.1)
         a_fac = amp_factor_dual(0, 1, n, m, alpha)
-        even, odd, _ = bob_states_dual(q, alpha, None, n, m)
+        even, odd, _ = bob_states_dual(q, alpha, n, m)
         target = QubitState(q.a0, q.a1 * a_fac)
         assert fidelity(correct(even, "even", n, 0), target) > 1 - 1e-12
         assert fidelity(correct(odd, "odd", n, 0), target) > 1 - 1e-12
@@ -266,20 +266,20 @@ def test_dual_records_complete_and_ordered():
     assert keys == sorted(keys, key=lambda x: (x[0] != "even", x[1], x[2]))
     # each record agrees with the per-outcome references (factors exactly,
     # probabilities to a few ulps); singular outcomes are omitted
-    for alpha, alpha1 in ((1.0, None), (0.7, 0.75)):
-        records = dual_rail_records(q, alpha, alpha1, n_cut=6, m_cut=9)
+    for alpha in (1.0, 0.7):
+        records = dual_rail_records(q, alpha, n_cut=6, m_cut=9)
         expected = []
         for n in range(7):
             for m in range(10):
                 try:
-                    expected.append((n, m, amp_factor_dual(0, 1, n, m, alpha, alpha1)))
+                    expected.append((n, m, amp_factor_dual(0, 1, n, m, alpha)))
                 except SingularFactorError:
                     pass
         assert len(expected) < 70 if alpha == 1.0 else len(expected) == 70
         assert [(r.outcome.n, r.outcome.m, r.amp_factor) for r in records] == expected * 2
         for r in records:
             assert r.probability == pytest.approx(0.5 * outcome_probability_dual(
-                q, 0, 1, r.outcome.n, r.outcome.m, alpha, alpha1), rel=1e-14)
+                q, 0, 1, r.outcome.n, r.outcome.m, alpha), rel=1e-14)
 
 
 @pytest.mark.parametrize("l,k", [(0, 1), (1, 2)])
@@ -288,18 +288,17 @@ def test_dual_records_correct_like_the_scalar_word(l, k, alpha):
     # the batched correction is bitwise the per-record correct()
     for a0, a1 in ((math.sqrt(0.6), math.sqrt(0.4)), (0.6, 0.8j), (0.3 + 0.4j, -0.5 + 0.2j)):
         q = UnknownQubit(a0, a1, l, k)
-        for alpha1 in (None, alpha + 0.05):
-            records = dual_rail_records(q, alpha, alpha1, n_cut=6, m_cut=9)
-            assert records
-            for r in records:
-                parity, n = r.outcome.parity, r.outcome.n
-                bob = _bob_state(q, r.amp_factor, n, parity)
-                assert r.bob_state == bob
-                assert r.z_power == z_power_for(parity, n, l)
-                assert r.corrected_state == correct(bob, parity, n, l)
+        records = dual_rail_records(q, alpha, n_cut=6, m_cut=9)
+        assert records
+        for r in records:
+            parity, n = r.outcome.parity, r.outcome.n
+            bob = _bob_state(q, r.amp_factor, n, parity)
+            assert r.bob_state == bob
+            assert r.z_power == z_power_for(parity, n, l)
+            assert r.corrected_state == correct(bob, parity, n, l)
 
 
-def test_dual_records_build_two_coefficient_tables(monkeypatch):
+def test_dual_records_build_one_coefficient_table(monkeypatch):
     calls = []
     rows = displaced.matrix_element_rows
 
@@ -308,8 +307,38 @@ def test_dual_records_build_two_coefficient_tables(monkeypatch):
         return rows(*args)
 
     monkeypatch.setattr(displaced, "matrix_element_rows", counted)
-    dual_rail_records(UnknownQubit(0.6, 0.8j, 1, 2), 0.7, 0.75)
-    assert len(calls) <= 2
+    dual_rail_records(UnknownQubit(0.6, 0.8j, 1, 2), 0.7, n_cut=6, m_cut=9)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("alpha", [1.0, math.sqrt(2)])
+def test_outcomes_the_qubit_cannot_produce_are_left_out(alpha):
+    # c(1, n0) = 0 at n0 = alpha^2, so A(n0, m) = 0 for m != n0; with a0 = 0
+    # both branch amplitudes a0 +- a1 A vanish and the outcome has
+    # probability zero
+    n0 = round(alpha ** 2)
+    q = UnknownQubit(0, 1)
+    vanish = [(n0, m) for m in range(9) if m != n0]
+    for n, m in vanish:
+        assert outcome_probability_dual(q, 0, 1, n, m, alpha) == 0.0
+    grid = protocol.amp_factor_grid(0, 1, displaced.matrix_element_table(1, 8, alpha))
+    kept = [(n, m) for n, m in np.argwhere(~np.isnan(grid)).tolist() if (n, m) not in vanish]
+    assert (n0, n0) in kept  # equal counts: factor one, a well-defined branch
+    records = dual_rail_records(q, alpha)
+    assert [(r.outcome.n, r.outcome.m) for r in records] == kept * 2
+    with pytest.raises(ValueError, match=rf"outcome \({n0},0\) cannot occur"):
+        bob_states_dual(q, alpha, n0, 0)
+    with pytest.raises(ValueError, match=f"outcome {n0} cannot occur"):
+        single_rail_pipeline(UnknownQubit(0, 1, encoding="single_rail"), alpha, n0)
+
+
+def test_even_difference_is_refused_by_the_pipelines():
+    dual = UnknownQubit(0.6, 0.8, 0, 2, require_odd=False)
+    with pytest.raises(ValueError, match="l - k odd"):
+        dual_rail_records(dual, 0.7)
+    single = UnknownQubit(0.6, 0.8, 0, 2, encoding="single_rail", require_odd=False)
+    with pytest.raises(ValueError, match="l - k odd"):
+        single_rail_pipeline(single, 0.7, 1)
 
 
 def test_single_rail_pipeline():
@@ -335,8 +364,7 @@ def test_brute_force_converges_to_analytic():
     worst_prev = None
     for r in (0.2, 0.1):
         t = math.sqrt(1 - r * r)
-        records = brute_force_pipeline(q, alpha * t / r, alpha * t / r, r,
-                                       n_cut=1, m_cut=1)
+        records = brute_force_pipeline(q, alpha * t / r, r, n_cut=1, m_cut=1)
         worst = max(record_infidelity(rec, q, alpha) for rec in records)
         by_counts = {}
         for rec in records:
@@ -358,7 +386,7 @@ def test_brute_force_regression_point():
     q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
     r = 0.1
     beta = 0.5 * math.sqrt(1 - r * r) / r
-    records = brute_force_pipeline(q, beta, beta, r, n_cut=0, m_cut=0)
+    records = brute_force_pipeline(q, beta, r, n_cut=0, m_cut=0)
     worst = max(record_infidelity(rec, q, 0.5) for rec in records)
     assert worst < 0.02
     assert min(rec.purity for rec in records) > 0.96
@@ -366,7 +394,7 @@ def test_brute_force_regression_point():
 
 def test_brute_force_records_shape():
     q = UnknownQubit(1, 1)
-    records = brute_force_pipeline(q, 2.4, 2.4, 0.25, n_cut=1, m_cut=1)
+    records = brute_force_pipeline(q, 2.4, 0.25, n_cut=1, m_cut=1)
     assert len(records) == 8  # two parities x four count pairs
     for rec in records:
         assert 0.0 < rec.probability < 1.0
@@ -386,7 +414,7 @@ def test_brute_force_builds_each_splitter_once(monkeypatch):
 
     monkeypatch.setattr(optics, "_bs_blocks", counted)
     q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
-    brute_force_pipeline(q, 4.9, 4.9, 0.1)
+    brute_force_pipeline(q, 4.9, 0.1)
     assert len(builds) == 2
 
 
@@ -409,9 +437,9 @@ def test_carrier_window_leaves_the_records(r, lk, monkeypatch):
     # level 0, so both splitters take the full rows at offset 0
     q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3), *lk)
     beta = 0.5 * math.sqrt(1 - r * r) / r
-    windowed = brute_force_pipeline(q, beta, beta, r)
+    windowed = brute_force_pipeline(q, beta, r)
     monkeypatch.setattr(protocol, "_CARRIER_FLOOR", -math.inf)
-    full = brute_force_pipeline(q, beta, beta, r)
+    full = brute_force_pipeline(q, beta, r)
     assert [rec.outcome for rec in windowed] == [rec.outcome for rec in full]
     # bitwise equal with numpy 2.4 on x86-64; the trimmed levels hold
     # amplitudes below 1e-16, far under one rounding of the sums
@@ -419,6 +447,41 @@ def test_carrier_window_leaves_the_records(r, lk, monkeypatch):
         assert a.probability == pytest.approx(b.probability, rel=1e-14, abs=0)
         np.testing.assert_allclose(a.rho, b.rho, rtol=0, atol=1e-15)
         np.testing.assert_allclose(a.corrected_rho, b.corrected_rho, rtol=0, atol=1e-15)
+
+
+def _records_one_at_a_time(qubit, gram):
+    """The circuit's records from its Gram array, one outcome per pass:
+    (outcome, probability, rho, corrected rho, purity, both top eigenvectors)."""
+    rows = []
+    for p, parity in enumerate(("even", "odd")):
+        for n in range(gram.shape[1]):
+            for m in range(gram.shape[2]):
+                prob = 0.5 * float(np.trace(gram[p, n, m]).real)
+                if prob <= 0.0:
+                    continue
+                rho = gram[p, n, m] / (2.0 * prob)
+                gate = protocol.H_GATE @ protocol.Z_POWERS[z_power_for(parity, n, qubit.l)]
+                rho_c = gate @ rho @ gate.conj().T
+                rows.append((Outcome(parity, n, m), prob, rho, rho_c,
+                             float(np.trace(rho @ rho).real),
+                             np.linalg.eigh(rho)[1][:, -1], np.linalg.eigh(rho_c)[1][:, -1]))
+    return rows
+
+
+@pytest.mark.parametrize("lk", [(0, 1), (1, 2)])
+@pytest.mark.parametrize("r", [0.2, 0.05, 0.01])
+def test_stacked_circuit_records_equal_the_per_outcome_loop(r, lk):
+    q = UnknownQubit(0.3 + 0.4j, -0.5 + 0.2j, *lk)
+    beta = 0.5 * math.sqrt(1 - r * r) / r
+    records = brute_force_pipeline(q, beta, r)
+    expected = _records_one_at_a_time(q, protocol._circuit_gram(q, beta, r, 2, 2, 1e-10))
+    assert len(records) == len(expected) == 18
+    for rec, (outcome, prob, rho, rho_c, purity, bob, fixed) in zip(records, expected):
+        assert (rec.outcome, rec.probability, rec.purity) == (outcome, prob, purity)
+        assert rec.rho.tobytes() == rho.tobytes()
+        assert rec.corrected_rho.tobytes() == rho_c.tobytes()
+        assert rec.bob_state == QubitState(*bob)
+        assert rec.corrected_state == QubitState(*fixed)
 
 
 @pytest.mark.parametrize("lk", [(0, 1), (1, 2)])
@@ -437,17 +500,14 @@ def test_circuit_approaches_the_limit_as_r_squared(lk):
 def test_brute_force_validation():
     q = UnknownQubit(1, 0)
     with pytest.raises(ValueError):
-        brute_force_pipeline(q, 1.0, 1.0, 0.5)
+        brute_force_pipeline(q, 1.0, 0.5)
 
 
-@pytest.mark.parametrize("alpha, alpha1", [(0.6, 0.6), (0.9, 0.9), (0.6, 0.75),
-                                           (0.9, 0.4)])
-def test_outcome_probability_is_one_entry_of_the_grid(alpha, alpha1):
+@pytest.mark.parametrize("alpha", [0.6, 0.9])
+def test_outcome_probability_is_one_entry_of_the_grid(alpha):
     q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3) * 1j)
-    ta = displaced.matrix_element_table(1, 20, alpha)
-    tb = displaced.matrix_element_table(1, 20, alpha1)
-    grid = outcome_probability_grid(q, 0, 1, ta, tb)
+    grid = outcome_probability_grid(q, 0, 1, displaced.matrix_element_table(1, 20, alpha))
     assert grid.shape == (21, 21)
     for n in range(21):
         for m in range(21):
-            assert outcome_probability_dual(q, 0, 1, n, m, alpha, alpha1) == grid[n, m]
+            assert outcome_probability_dual(q, 0, 1, n, m, alpha) == grid[n, m]
