@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__, demodulation as dm, protocol, verification
 from .displaced import matrix_element_table
 from .fock import MAX_CUTOFF, MeasurementRangeError, NonFiniteAmplitudeError, TailMassError
-from .optics import HybridChannel, negativity
+from .optics import MAX_SPLIT_CELLS, HybridChannel, negativity
 
 ENV_OUT_DIR = "DVCV_TELEPORT_OUT_DIR"
 
@@ -46,6 +45,13 @@ def _out_dir(path: str | None) -> Path:
 
 def _write_csv(path: Path, header_lines: list[str], columns: tuple[str, ...],
                rows: list[tuple]) -> None:
+    """Write the CSV; a non-finite cell raises FloatingPointError first."""
+    cells = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(cells))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise FloatingPointError(f"{columns[j]} is {cells[i, j]} at "
+                                 f"{columns[0]}={cells[i, 0]:.9g}; no file written")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         for line in header_lines:
@@ -64,61 +70,86 @@ def _header(args, echo_keys: list[str]) -> list[str]:
     ]
 
 
-def _check_tail(alphas, ls, n_cut: int, tail_tol: float) -> None:
-    """Raise TailMassError when the cutoff ``n_cut`` drops more than
-    ``tail_tol`` of a row ``l`` in ``ls`` at any displacement in ``alphas``.
-
-    A row that overflows gives a non-finite loss, which counts as over
-    tolerance; the overflow itself is the reported failure, so numpy is
-    not asked to warn about it.
-    """
-    for a in alphas:
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = matrix_element_table(max(ls), n_cut, a)
-            loss, l = max((table.normalization_defect(l), l) for l in ls)
-        if not loss <= tail_tol:
-            raise TailMassError(
-                f"--nmax {n_cut} drops {loss:.3e} of row l={l} at alpha={a:.9g}, "
-                f"above --tail-tol {tail_tol:g}")
-
-
 # -- curves ------------------------------------------------------------------
-# A row function gives the values that follow the leading column of one
-# output row; `sweep` and `figure` share them and walk alpha serially.
+# A column function maps one coefficient table over the whole alpha grid
+# (rows up to max(l, k)) to the columns after alpha, one array each: a value
+# per alpha or, for the init_am curves, which read the original |a1| values
+# in place of (l, k), per alpha and |a1|.  `sweep` and `figure` share them.
 
-def _dual_row(alpha, l, k, n_cut):
-    p = protocol.direct_success_probability(l, k, alpha, n_cut)
-    q = protocol.am_probability(l, k, alpha, n_cut)
+def _dual(table, l, k, a1s):
+    p, q = protocol._direct_mass(l, k, table), protocol._am_mass(l, k, table)
     return p, q, p + q
 
 
-def _single_row(alpha, l, k, n_cut):
-    adds = dm.single_rail_demod_additions(l, k, alpha, n_cut)
-    return (adds["clean"], adds["swap"], adds["displacement_first"],
-            adds["displacement_chain"])
+def _single(table, l, k, a1s):
+    adds = dm._single_rail_additions(l, k, table)
+    return adds["clean"], adds["swap"], adds["displacement_first"], adds["displacement_chain"]
 
 
-def _init_am_rows(rail, alpha, a1s, n_cut):
-    """Total success and clean-outcome mass of the pre-modulated ``rail``
-    ("dual" or "single") protocol, defined for l=0, k=1, one row per
-    original |a1| in ``a1s``."""
-    totals, clean = dm.initially_am_totals(rail, a1s, alpha, n_cut)
-    return zip(totals.tolist(), clean.tolist())
+def _pair_sums(pairs):
+    """fig2/fig3: direct mass, the pair sums of ``pairs`` and the sign-free
+    total (direct mass plus the (l, k) pair sum).  Pair sums are exact, so
+    they read rows up to their counts whatever the cutoff."""
+    top = max(map(max, pairs))
+
+    def columns(table, l, k, a1s):
+        p = protocol._direct_mass(l, k, table)
+        if table.c.shape[-1] <= top:
+            table = matrix_element_table(max(l, k), top, table.alpha)
+        sums = [protocol._pair_sum(l, k, n, m, table) for n, m in (*pairs, (l, k))]
+        return (p, *sums[:-1], p + sums[-1])
+    return columns
 
 
-#: protocol -> (columns, row function); the init_am row functions take the
-#: list of original |a1| in place of (l, k) and give one row per |a1|
+#: protocol -> (columns, column function, counted modes)
 CURVES = {
-    "dual": (("alpha", "p_direct", "p_modulated", "p_total"), _dual_row),
+    "dual": (("alpha", "p_direct", "p_modulated", "p_total"), _dual, 2),
     "single": (("alpha", "p_clean", "dp_swap", "dp_disp_first", "dp_disp_chain"),
-               _single_row),
+               _single, 1),
     "init_am_dual": (("alpha", "a1_abs", "total_success", "p_clean_outcome"),
-                     partial(_init_am_rows, "dual")),
+                     lambda table, l, k, a1s: dm._am_totals("dual", a1s, table), 2),
     "init_am_single": (("alpha", "a1_abs", "total_success", "p_clean_outcome"),
-                       partial(_init_am_rows, "single")),
+                       lambda table, l, k, a1s: dm._am_totals("single", a1s, table), 1),
 }
 PROTOCOLS = tuple(CURVES)
-FIGURES = ("fig2", "fig3", "fig4", "fig5")
+
+
+def _curve_rows(curve, alphas, l: int, k: int, a1s, n_cut: int, tail_tol: float):
+    """Rows (alpha, values), or (alpha, |a1|, values) when ``a1s`` is
+    given, of ``curve`` on ``alphas``, all from one coefficient table.
+
+    Raises UsageError before building it when the curve's largest array,
+    about rows x alpha values x |a1| values x (n_cut + 1)^(counted modes)
+    cells, passes ``optics.MAX_SPLIT_CELLS``.  Raises TailMassError when the
+    cutoff drops more than ``tail_tol`` of row l or k at any alpha; an
+    overflowing row's non-finite loss counts as over tolerance, so numpy is
+    not asked to warn about the overflow.
+    """
+    _, column_function, modes = curve
+    points = len(alphas) * max(1, len(a1s))
+    cells = (max(l, k) + 1) * points * (n_cut + 1) ** modes
+    if cells > MAX_SPLIT_CELLS:
+        raise UsageError(
+            f"--nmax {n_cut} at {points:,} points needs {cells:,} cells, above the largest "
+            f"supported ({MAX_SPLIT_CELLS:,}); lower --nmax, or a sweep's --steps or --a1-grid")
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = matrix_element_table(max(l, k), n_cut, np.asarray(alphas, dtype=float))
+        losses = np.array([table.normalization_defect(row) for row in (l, k)])
+    over = ~(losses <= tail_tol)
+    if over.any():
+        i = int(np.argmax(over.any(axis=0)))
+        loss, row = max((x, row) for x, row, o in zip(losses[:, i].tolist(), (l, k), over[:, i])
+                        if o)
+        raise TailMassError(
+            f"--nmax {n_cut} drops {loss:.3e} of row l={row} at alpha={table.alpha[i]:.9g}, "
+            f"above --tail-tol {tail_tol:g}")
+    # the writer refuses any non-finite cell, so numpy is not asked to warn
+    with np.errstate(all="ignore"):
+        columns = [np.asarray(v).tolist() for v in column_function(table, l, k, a1s)]
+    if not a1s:
+        return list(zip(alphas, *columns))
+    return [(a, x, *cells) for a, *per_a1 in zip(alphas, *columns)
+            for x, *cells in zip(a1s, *per_a1)]
 
 
 # -- sweep ---------------------------------------------------------------
@@ -149,7 +180,6 @@ def cmd_sweep(args) -> int:
     l, k, n_cut = args.l, args.k, args.nmax
     if l < 0 or k < 0 or l == k:
         raise UsageError("--l and --k must be distinct nonnegative photon numbers")
-    columns, row = CURVES[args.protocol]
     if args.protocol.startswith("init_am"):
         if (l, k) != (0, 1):
             raise UsageError("the init_am protocols are defined for l=0, k=1")
@@ -157,18 +187,13 @@ def cmd_sweep(args) -> int:
             raise UsageError("the init_am protocols need --a1-abs or --a1-grid")
     elif a1s:
         raise UsageError("--a1-abs/--a1-grid apply to the init_am protocols only")
-    _check_tail(alphas, (l, k), n_cut, args.tail_tol)
-    if a1s:
-        rows = [(a, x, *values) for a in alphas
-                for x, values in zip(a1s, row(a, a1s, n_cut))]
-    else:
-        rows = [(a, *row(a, l, k, n_cut)) for a in alphas]
-
-    out_path = args.out
-    if out_path is None:
-        name = f"sweep_{args.protocol}_{l}{k}.csv"
-        out_path = _out_dir(None) / name
-    _write_csv(Path(out_path), _header(args, [
+    out_path = Path(args.out) if args.out is not None else (
+        _out_dir(None) / f"sweep_{args.protocol}_{l}{k}.csv")
+    if out_path.is_dir():
+        raise UsageError(f"--out {out_path} is a directory; sweep writes one file")
+    columns = CURVES[args.protocol][0]
+    rows = _curve_rows(CURVES[args.protocol], alphas, l, k, a1s, n_cut, args.tail_tol)
+    _write_csv(out_path, _header(args, [
         "protocol", "l", "k", "alpha_min", "alpha_max", "steps",
         "a1_abs", "a1_grid",
     ]), columns, rows)
@@ -184,42 +209,34 @@ def _alpha_grid(lo, hi, step, extras=()) -> list[float]:
     return sorted(vals)
 
 
-def _pair_sum_rows(l, k, pairs, extras, n_cut, tail_tol):
-    """fig2/fig3: direct mass, the pair sums of ``pairs`` and the sign-free
-    total (direct mass plus the (l, k) pair sum) on the alpha grid."""
-    columns = ("alpha", "p_direct", *(f"ps_{n}{m}" for n, m in pairs), "p_signfree")
-    alphas = _alpha_grid(0.05, 1.2, 0.01, extras)
-    _check_tail(alphas, (l, k), n_cut, tail_tol)
-    rows = []
-    for a in alphas:
-        p = protocol.direct_success_probability(l, k, a, n_cut)
-        sums = [protocol.pair_sum_probability(l, k, n, m, a) for n, m in pairs]
-        rows.append((a, p, *sums, p + protocol.pair_sum_probability(l, k, l, k, a)))
-    return columns, rows
+#: fig2-fig4: (alpha grid, (l, k), curve); fig2 and fig3 carry the
+#: operating points exactly.  fig5 is the init_am totals of both rails at
+#: three alpha, one row per original |a1|.
+_FIGURE_CURVES = {
+    "fig2": (_alpha_grid(0.05, 1.2, 0.01, (1.0 / math.sqrt(2.0), 0.628482)), (0, 1),
+             (("alpha", "p_direct", "ps_01", "ps_02", "ps_12", "ps_03", "p_signfree"),
+              _pair_sums(((0, 1), (0, 2), (1, 2), (0, 3))), 1)),
+    "fig3": (_alpha_grid(0.05, 1.2, 0.01, (0.4072, 0.5053)), (1, 2),
+             (("alpha", "p_direct", "ps_01", "ps_02", "ps_12", "ps_13", "p_signfree"),
+              _pair_sums(((0, 1), (0, 2), (1, 2), (1, 3))), 1)),
+    "fig4": (_alpha_grid(0.05, 1.5, 0.025), (0, 1), CURVES["single"]),
+}
+FIGURES = (*_FIGURE_CURVES, "fig5")
 
 
 def _figure_rows(name: str, n_cut: int, tail_tol: float):
-    if name == "fig2":
-        return _pair_sum_rows(0, 1, ((0, 1), (0, 2), (1, 2), (0, 3)),
-                              (1.0 / math.sqrt(2.0), 0.628482), n_cut, tail_tol)
-    if name == "fig3":
-        return _pair_sum_rows(1, 2, ((0, 1), (0, 2), (1, 2), (1, 3)),
-                              (0.4072, 0.5053), n_cut, tail_tol)
-    if name == "fig4":
-        columns, row = CURVES["single"]
-        alphas = _alpha_grid(0.05, 1.5, 0.025)
-        _check_tail(alphas, (0, 1), n_cut, tail_tol)
-        return columns, [(a, *row(a, 0, 1, n_cut)) for a in alphas]
+    if name in _FIGURE_CURVES:
+        alphas, (l, k), curve = _FIGURE_CURVES[name]
+        return curve[0], _curve_rows(curve, alphas, l, k, [], n_cut, tail_tol)
     if name == "fig5":
-        alphas = (0.2, 0.3, 0.4)
-        _check_tail(alphas, (0, 1), n_cut, tail_tol)
-        rails = ("dual", "single")
+        alphas, a1s, rails = (0.2, 0.3, 0.4), list(np.linspace(0.0, 0.99, 100)), ("dual", "single")
         columns = ("a1_abs", *(f"{rail}_alpha{a:.2f}".replace(".", "")
                                for rail in rails for a in alphas))
-        a1s = np.linspace(0.0, 0.99, 100)
-        totals = [dm.initially_am_totals(rail, a1s, a, n_cut)[0].tolist()
-                  for rail in rails for a in alphas]
-        return columns, list(zip(a1s, *totals))
+        # rows run over rail, alpha, then |a1|: a column per (rail, alpha)
+        totals = [row[2] for rail in rails for row in _curve_rows(
+            CURVES[f"init_am_{rail}"], alphas, 0, 1, a1s, n_cut, tail_tol)]
+        return columns, list(zip(a1s, *(totals[i:i + len(a1s)]
+                                        for i in range(0, len(totals), len(a1s)))))
     raise UsageError(f"unknown figure {name!r}; choose from {FIGURES}")
 
 
@@ -422,7 +439,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TailMassError, MeasurementRangeError, OverflowError,
+    except (TailMassError, MeasurementRangeError, OverflowError, FloatingPointError,
             NonFiniteAmplitudeError, protocol.SingularFactorError) as e:
         print(f"numeric guard: {e}", file=sys.stderr)
         return 3

@@ -24,15 +24,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .displaced import matrix_element_rows, matrix_element_table, overall_factor
+from .displaced import (
+    MatrixElementTable,
+    _float_or_array,
+    _per_entry,
+    matrix_element_rows,
+    matrix_element_table,
+    overall_factor,
+)
 from .fock import QubitState, _unit_pair
 from .protocol import (
     DUAL_RAIL_BASIS,
     SingularFactorError,
+    _direct_mass,
     _factor_row,
-    amp_factor_dual,
     amp_factor_grid,
-    direct_success_probability,
 )
 
 _CLEAN_TOL = 1e-12
@@ -133,7 +139,7 @@ def _displacement_step(a, n: int):
     # rows at 0 stand in for unusable roots, whose rows overflow for strong
     # factors; the masks below drop them
     at = np.where(usable, gamma, 0.0)
-    c0, c1 = np.moveaxis(matrix_element_rows(1, max(n, _RESIDUAL_MAX), at), 1, -1)
+    c0, c1 = matrix_element_rows(1, max(n, _RESIDUAL_MAX), at)
     c1n2 = np.where(usable, c1[..., n] ** 2, 0.0)
     c0, c1 = c0[..., :_RESIDUAL_MAX + 1], c1[..., :_RESIDUAL_MAX + 1]
     kept = usable[..., None] & (np.arange(_RESIDUAL_MAX + 1) != n) & (c1 != 0.0)
@@ -333,7 +339,7 @@ def overall_success_report(l: int, k: int, alpha: float, policy="best",
     contribution = weight * q
     rows = list(zip(n.tolist(), m.tolist(), factor.tolist(), method.tolist(),
                     q.tolist(), weight.tolist(), contribution.tolist()))
-    total = direct_success_probability(l, k, alpha, n_cut) + float(contribution.sum())
+    total = _direct_mass(l, k, table) + float(contribution.sum())
     return total, rows
 
 
@@ -343,27 +349,45 @@ def overall_success(l: int, k: int, alpha: float, policy="best",
     return total
 
 
-def single_rail_demod_additions(l: int, k: int, alpha: float, n_cut: int = 20) -> dict:
+def _f_column(table: MatrixElementTable, p: int):
+    """F^p per amplitude of ``table``, on a last axis over its counts."""
+    return np.asarray(_per_entry(pow, table.f, p))[..., None]
+
+
+def _row_sums(values: np.ndarray, mask: np.ndarray):
+    """np.sum of the entries ``mask`` selects on the last axis, row by row:
+    zeroing the rest of each row instead would pair the terms differently."""
+    rows = zip(values.reshape(-1, values.shape[-1]), mask.reshape(-1, mask.shape[-1]))
+    return _float_or_array(np.reshape([np.sum(v[m]) for v, m in rows], mask.shape[:-1]))
+
+
+def single_rail_demod_additions(l: int, k: int, alpha, n_cut: int = 20) -> dict:
     """Demodulated additions for the single-rail variant as curve data:
     the swap route, a single displacement attempt, and the chained
-    displacement (depth 3), plus whatever mass is already factor-free."""
-    table = matrix_element_table(max(l, k), n_cut, alpha)
-    weight = overall_factor(alpha) ** 2 * table.c[l] ** 2
+    displacement (depth 3), plus whatever mass is already factor-free.
+    Each is a float for a float ``alpha``, else one value per amplitude."""
+    return _single_rail_additions(l, k, matrix_element_table(max(l, k), n_cut, alpha))
+
+
+def _single_rail_additions(l: int, k: int, table: MatrixElementTable) -> dict:
+    weight = _f_column(table, 2) * table.c[l] ** 2
     factor = _factor_row(l, k, table)
     defined = ~np.isnan(factor)
     clean = defined & (np.abs(np.abs(factor) - 1.0) <= _CLEAN_TOL)
     demod = defined & ~clean & (factor != 0.0)
     w, f = weight[demod], factor[demod]
-    return {"clean": float(weight[clean].sum()),
-            "swap": float(np.sum(w * q_swap(f))),
-            "displacement_first": float(np.sum(w * q_displacement_chain(f, 1))),
-            "displacement_chain": float(np.sum(w * q_displacement_chain(f)))}
+    routes = np.zeros((3,) + factor.shape)
+    routes[:, demod] = w * q_swap(f), w * q_displacement_chain(f, 1), w * q_displacement_chain(f)
+    swap, first, chain = (_row_sums(route, demod) for route in routes)
+    return {"clean": _row_sums(weight, clean), "swap": swap,
+            "displacement_first": first, "displacement_chain": chain}
 
 
 # -- protocols with pre-modulated inputs ---------------------------------------
 
 class _Outcomes(NamedTuple):
-    """Outcome arrays of a pre-modulated protocol at one alpha.
+    """Outcome arrays of a pre-modulated protocol, per alpha of a table:
+    ``a_ref`` per alpha, the rest with an outcome axis last.
 
     None of them depends on the input qubit: its weight ``base`` enters
     only through :func:`_contributions`, and its amplitudes only through
@@ -371,9 +395,9 @@ class _Outcomes(NamedTuple):
     leading record columns.
     """
 
-    a_ref: float
+    a_ref: float | np.ndarray
     counts: tuple
-    f: float
+    f: np.ndarray
     p0: np.ndarray
     p1: np.ndarray
     phi: np.ndarray
@@ -382,48 +406,51 @@ class _Outcomes(NamedTuple):
     method: np.ndarray
 
 
-def _nonzero_reference(a_ref: float) -> float:
-    """A vanishing reference factor (alpha = 0) leaves nothing to
-    pre-modulate against."""
-    if a_ref == 0.0:
-        raise SingularFactorError("the reference amplitude factor vanishes")
-    return a_ref
+def _nonzero_reference(a_ref, alpha):
+    """The (0, 1) reference factor per alpha.  Raises SingularFactorError
+    at the first alpha where it is undefined (c(1, 1) = 0) or vanishes
+    (alpha = 0): nothing is left to pre-modulate against."""
+    bad = np.flatnonzero(~(np.abs(a_ref) > 0.0))
+    if bad.size:
+        raise SingularFactorError(f"the reference amplitude factor is {np.ravel(a_ref)[bad[0]]} "
+                                  f"at alpha={np.ravel(alpha)[bad[0]]}")
+    return _float_or_array(a_ref)
 
 
-def _dual_outcomes(alpha: float, n_cut: int) -> _Outcomes:
-    """Dual-rail counts (n, m) with n + m <= n_cut: the relative factor phi
-    left after pre-modulating against the (0, 1) factor is swapped away."""
-    a_ref = _nonzero_reference(amp_factor_dual(0, 1, 0, 1, alpha))
-    table = matrix_element_table(1, n_cut, alpha)
+def _dual_outcomes(table: MatrixElementTable) -> _Outcomes:
+    """Dual-rail counts (n, m) with n + m <= the table's cutoff: the
+    relative factor phi left after pre-modulating against the (0, 1) factor
+    is swapped away."""
     c0, c1 = table.c
-    f4 = overall_factor(alpha) ** 4
-    counts = np.arange(n_cut + 1)
-    n, m = np.nonzero(counts[:, None] + counts <= n_cut)
-    phi = amp_factor_grid(0, 1, table)[n, m] / a_ref
+    grid = amp_factor_grid(0, 1, table)
+    a_ref = _nonzero_reference(grid[..., 0, 1], table.alpha)
+    f4 = _f_column(table, 4)
+    counts = np.arange(c0.shape[-1])
+    n, m = np.nonzero(counts[:, None] + counts < len(counts))
+    phi = grid[..., n, m] / np.asarray(a_ref)[..., None]
     singular = np.isnan(phi)
     clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
     return _Outcomes(
-        a_ref, (n, m), f4, (c0[n] * c1[m]) ** 2, (c1[n] * c0[m]) ** 2, phi,
-        f4 * c0[n] ** 2 * c1[m] ** 2, np.where(clean, 1.0, q_swap(phi)),
+        a_ref, (n, m), f4, (c0[..., n] * c1[..., m]) ** 2, (c1[..., n] * c0[..., m]) ** 2,
+        phi, f4 * c0[..., n] ** 2 * c1[..., m] ** 2, np.where(clean, 1.0, q_swap(phi)),
         np.where(singular, "singular", np.where(clean, "clean", "swap")))
 
 
-def _single_outcomes(alpha: float, n_cut: int) -> _Outcomes:
-    """Single-rail counts n <= n_cut: the vacuum count is factor-free and
-    every other relative factor phi is demodulated by up to three chained
-    displacements."""
-    table = matrix_element_table(1, n_cut, alpha)
+def _single_outcomes(table: MatrixElementTable) -> _Outcomes:
+    """Single-rail counts n up to the table's cutoff: the vacuum count is
+    factor-free and every other relative factor phi is demodulated by up to
+    three chained displacements."""
     c0, c1 = table.c
     row = _factor_row(0, 1, table)
-    a_ref = _nonzero_reference(float(row[0]))  # equals -alpha
-    f2 = overall_factor(alpha) ** 2
-    phi = row / a_ref
+    a_ref = _nonzero_reference(row[..., 0], table.alpha)  # equals -alpha
+    f2 = _f_column(table, 2)
+    phi = row / np.asarray(a_ref)[..., None]
     clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
     demod = ~clean & (phi != 0.0)
     g = np.where(clean, 1.0, 0.0)
     g[demod] = q_displacement_chain(phi[demod])
     return _Outcomes(
-        a_ref, (np.arange(n_cut + 1),), f2, c0 ** 2, c1 ** 2, phi, f2 * c0 ** 2, g,
+        a_ref, (np.arange(c0.shape[-1]),), f2, c0 ** 2, c1 ** 2, phi, f2 * c0 ** 2, g,
         np.where(clean, "clean", np.where(demod, "displacement", "skip")))
 
 
@@ -439,12 +466,13 @@ def _premodulated(a0: complex, a1: complex, a_ref: float):
 
 def _contributions(o: _Outcomes, base) -> np.ndarray:
     """weight * base * g per outcome, zero at singular ones; ``base`` is one
-    input's weight or a column of them."""
+    input's weight, or an array of them that broadcasts against the
+    outcome arrays."""
     return np.where(o.method == "singular", 0.0, o.weight * base * o.g)
 
 
 def _initially_am(rail: str, a0: complex, a1: complex, alpha: float, n_cut: int):
-    o = _OUTCOMES[rail](alpha, n_cut)
+    o = _OUTCOMES[rail](matrix_element_table(1, n_cut, alpha))
     a0, a1, base = _premodulated(a0, a1, o.a_ref)
     prob = o.f * (abs(a0) ** 2 * o.p0 + abs(a1) ** 2 * o.p1)
     contribution = _contributions(o, base)
@@ -513,18 +541,30 @@ def initially_am_single(a0: complex, a1: complex, alpha: float, n_cut: int = 20)
     return _initially_am("single", a0, a1, alpha, n_cut)
 
 
-def initially_am_totals(rail: str, a1_abs, alpha: float, n_cut: int = 20):
-    """Totals of the pre-modulated ``rail`` ("dual" or "single") protocol at
-    one alpha for every |a1| in ``a1_abs``, handed over as
-    (sqrt(1 - |a1|^2), |a1|).
+def initially_am_totals(rail: str, a1_abs, alpha, n_cut: int = 20):
+    """Totals of the pre-modulated ``rail`` ("dual" or "single") protocol
+    for every |a1| in ``a1_abs``, handed over as (sqrt(1 - |a1|^2), |a1|),
+    at a float ``alpha`` or at every amplitude of an array.
 
-    Returns ``(totals, clean_sums)``: per |a1|, exactly the total of
-    :func:`initially_am_dual` / :func:`initially_am_single` and the sum of
-    its "clean" contributions, from one evaluation of the outcomes.
+    Returns ``(totals, clean_sums)``, each shaped like ``alpha`` with an
+    |a1| axis last: exactly the total of :func:`initially_am_dual` /
+    :func:`initially_am_single` and the sum of its "clean" contributions,
+    from one evaluation of the outcomes.
     """
-    o = _OUTCOMES[rail](alpha, n_cut)
-    base = np.array([_premodulated(math.sqrt(max(0.0, 1.0 - x * x)), x, o.a_ref)[2]
-                     for x in a1_abs])
-    contribution = _contributions(o, base[:, None])
-    clean_columns = contribution[:, o.method == "clean"].T
-    return contribution.sum(axis=-1), sum(clean_columns, np.zeros(len(base)))
+    return _am_totals(rail, a1_abs, matrix_element_table(1, n_cut, alpha))
+
+
+def _am_totals(rail: str, a1_abs, table: MatrixElementTable):
+    o = _OUTCOMES[rail](table)
+    # each input's weight |a0|^2 + |a1|^2 a_ref^2 as _premodulated forms it,
+    # on a leading |a1| axis
+    pairs = [_unit_pair(math.sqrt(max(0.0, 1.0 - x * x)), x) for x in a1_abs]
+    w0, w1 = (np.array([abs(pair[i]) ** 2 for pair in pairs], dtype=float)
+              .reshape((-1,) + (1,) * (np.ndim(o.a_ref) + 1)) for i in (0, 1))
+    base = w0 + w1 * np.asarray(_per_entry(pow, o.a_ref, 2))[..., None]
+    # the outcome axis made contiguous, as it is at one alpha: numpy pairs
+    # the terms of a strided sum differently
+    contribution = np.ascontiguousarray(_contributions(o, base))
+    # summed column by column from zero, as a Python sum of the clean columns
+    clean = np.cumsum(np.where(o.method == "clean", contribution, 0.0), axis=-1)[..., -1]
+    return (np.moveaxis(contribution.sum(axis=-1), 0, -1), np.moveaxis(clean, 0, -1))

@@ -40,12 +40,28 @@ def overall_factor(alpha: float) -> float:
     return math.exp(-0.5 * alpha * alpha)
 
 
+def _per_entry(fn, *args):
+    """``fn`` of Python floats at each entry of array arguments, or of float
+    ones: numpy's array exp and power differ from libm's (``math.exp``,
+    float ``**``) in the last bit on some entries."""
+    if not any(getattr(x, "ndim", 0) for x in args):
+        return fn(*map(float, args))
+    return np.frompyfunc(fn, len(args), 1)(*args).astype(float)
+
+
+def _float_or_array(x):
+    """A float or 0-d result as a Python float, any other array as it is."""
+    return x if getattr(x, "ndim", 0) else float(x)
+
+
 def _coherent_row(n_max: int, alpha) -> np.ndarray:
-    """Row alpha^n / sqrt(n!) for n <= n_max, amplitude axes last."""
-    row = np.empty((n_max + 1,) + getattr(alpha, "shape", ()))
-    row[0] = 1.0
+    """Row alpha^n / sqrt(n!) for n <= n_max, after the amplitude axes."""
+    row = np.empty(getattr(alpha, "shape", ()) + (n_max + 1,))
+    # filled through the reversed-axes view, where the count comes first
+    rev, a = row.T, getattr(alpha, "T", alpha)
+    rev[0] = 1.0
     for n in range(1, n_max + 1):
-        row[n] = row[n - 1] * alpha / math.sqrt(n)
+        rev[n] = rev[n - 1] * a / math.sqrt(n)
     return row
 
 
@@ -97,22 +113,24 @@ def _scaled_coherent_row(n_max: int, alpha: float) -> np.ndarray:
 
 def _ladder(row0: np.ndarray, l_max: int, alpha) -> np.ndarray:
     """Rows 0..l_max of the l-recurrence started from row ``row0`` (its n
-    axis first); the recurrence is linear, so a row scaled by F stays so."""
-    shape = row0.shape[1:]
+    axis last); the recurrence is linear, so a row scaled by F stays so."""
+    shape = row0.shape[:-1]
     c = np.empty((l_max + 1,) + row0.shape)
     c[0] = row0
-    sqrt_n = np.sqrt(np.arange(row0.shape[0])).reshape((-1,) + (1,) * len(shape))
+    sqrt_n = np.sqrt(np.arange(row0.shape[-1]))
+    a = alpha[..., None] if shape else alpha
     for l in range(l_max):
-        shifted = np.concatenate((np.zeros((1,) + shape), c[l, :-1]))
-        c[l + 1] = (sqrt_n * shifted - alpha * c[l]) / math.sqrt(l + 1)
+        shifted = np.concatenate((np.zeros(shape + (1,)), c[l, ..., :-1]), axis=-1)
+        c[l + 1] = (sqrt_n * shifted - a * c[l]) / math.sqrt(l + 1)
     return c
 
 
 def matrix_element_rows(l_max: int, n_max: int, alpha) -> np.ndarray:
-    """Table c[l, n, ...] for 0 <= l <= l_max, 0 <= n <= n_max (without F).
+    """Table c[l, ..., n] for 0 <= l <= l_max, 0 <= n <= n_max (without F).
 
-    ``alpha`` may be a float or an ndarray; the array's axes come last, and
-    each amplitude's table is bitwise the one a float ``alpha`` gives.
+    ``alpha`` may be a float or an ndarray, whose axes come between l and
+    n, so each row is contiguous over n; each amplitude's table is bitwise
+    the one a float ``alpha`` gives.
     """
     if l_max < 0 or n_max < 0:
         raise ValueError("l_max and n_max must be nonnegative")
@@ -123,31 +141,34 @@ def matrix_element_rows(l_max: int, n_max: int, alpha) -> np.ndarray:
 class MatrixElementTable:
     """Precomputed decomposition coefficients for displaced number states.
 
-    ``c[l, n]`` is c(l, n, alpha) for every row l and count n its shape
-    covers.  Immutable once built; one table serves every outcome at its
-    alpha.
+    ``c[l, ..., n]`` is c(l, n, alpha) for every row l and count n its
+    shape covers, at a float ``alpha`` or an array of them (``f`` likewise).
+    Immutable once built; one table serves every outcome at every alpha.
     """
 
-    alpha: float
+    alpha: float | np.ndarray
     c: np.ndarray
-    f: float
+    f: float | np.ndarray
 
     def element(self, l: int, n: int) -> float:
         return float(self.c[l, n])
 
-    def normalization_defect(self, l: int) -> float:
+    def normalization_defect(self, l: int):
         """|F^2 * sum_n c^2 - 1| for one row; small iff the cutoff holds the tail."""
-        return abs(self.f ** 2 * float(np.dot(self.c[l], self.c[l])) - 1.0)
+        return self.orthogonality_defect(l, l)
 
-    def orthogonality_defect(self, l: int, k: int) -> float:
-        val = self.f ** 2 * float(np.dot(self.c[l], self.c[k]))
-        return abs(val - (1.0 if l == k else 0.0))
+    def orthogonality_defect(self, l: int, k: int):
+        # one (1 x n) @ (n x 1) product per amplitude, bitwise np.dot of the rows
+        dot = (self.c[l][..., None, :] @ self.c[k][..., :, None])[..., 0, 0]
+        val = _per_entry(pow, self.f, 2) * dot
+        return _float_or_array(np.abs(val - (1.0 if l == k else 0.0)))
 
 
-def matrix_element_table(l_max: int, n_max: int, alpha: float) -> MatrixElementTable:
+def matrix_element_table(l_max: int, n_max: int, alpha) -> MatrixElementTable:
     c = matrix_element_rows(l_max, n_max, alpha)
     c.flags.writeable = False
-    return MatrixElementTable(alpha=float(alpha), c=c, f=overall_factor(alpha))
+    return MatrixElementTable(alpha=_per_entry(float, alpha), c=c,
+                              f=_per_entry(overall_factor, alpha))
 
 
 def matrix_element(l: int, n: int, alpha: float) -> float:
@@ -159,11 +180,11 @@ def matrix_element(l: int, n: int, alpha: float) -> float:
 
 def parity_sign_table(l_max: int, n_max: int, alpha) -> np.ndarray:
     """Whether c(l, n, -alpha) == (-1)^(n-l) * c(l, n, alpha) to 1e-12, as a
-    boolean table [l, n, ...] over the rows of :func:`matrix_element_rows`."""
+    boolean table [l, ..., n] over the rows of :func:`matrix_element_rows`."""
     plus = matrix_element_rows(l_max, n_max, alpha)
     minus = matrix_element_rows(l_max, n_max, -alpha)
     sign = np.where((np.arange(n_max + 1) - np.arange(l_max + 1)[:, None]) % 2, -1.0, 1.0)
-    expected = sign.reshape(sign.shape + (1,) * (plus.ndim - 2)) * plus
+    expected = sign.reshape((l_max + 1,) + (1,) * (plus.ndim - 2) + (n_max + 1,)) * plus
     return np.abs(minus - expected) <= SIGN_RULE_TOL * np.maximum(1.0, np.abs(plus))
 
 

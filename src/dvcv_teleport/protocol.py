@@ -20,6 +20,8 @@ import numpy as np
 
 from .displaced import (
     MatrixElementTable,
+    _float_or_array,
+    _per_entry,
     coherent_state,
     default_cutoff,
     matrix_element_table,
@@ -127,12 +129,15 @@ class BruteForceRecord(TeleportRecord):
 
 def amp_factor_grid(l: int, k: int, table: MatrixElementTable) -> np.ndarray:
     """:func:`amp_factor_dual` for every count pair (n, m) of ``table`` at
-    once.  Singular outcomes hold NaN; equal counts hold exactly one."""
-    num = np.outer(table.c[k], table.c[l])
-    den = np.outer(table.c[l], table.c[k])
+    once, on its last two axes.  Singular outcomes hold NaN; equal counts
+    hold exactly one."""
+    cl, ck = table.c[l], table.c[k]
+    num = ck[..., :, None] * cl[..., None, :]
+    den = cl[..., :, None] * ck[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         grid = np.where(den == 0.0, np.nan, num / den)
-    np.fill_diagonal(grid, 1.0)
+    diagonal = np.arange(grid.shape[-1])
+    grid[..., diagonal, diagonal] = 1.0
     return grid
 
 
@@ -235,28 +240,45 @@ def outcome_probability_dual(qubit: UnknownQubit, l: int, k: int, n: int, m: int
     return float(outcome_probability_grid(qubit, l, k, table)[n, m])
 
 
-def direct_success_probability(l: int, k: int, alpha: float, n_cut: int = 20) -> float:
-    """Mass of the equal-count outcomes, where the output carries no
-    amplitude factor; independent of the teleported superposition."""
-    table = matrix_element_table(max(l, k), n_cut, alpha)
-    return overall_factor(alpha) ** 4 * float(np.sum(table.c[l] ** 2 * table.c[k] ** 2))
+def _direct_mass(l: int, k: int, table: MatrixElementTable):
+    """:func:`direct_success_probability` over the counts of ``table``."""
+    return _float_or_array(_per_entry(pow, table.f, 4)
+                           * np.sum(table.c[l] ** 2 * table.c[k] ** 2, axis=-1))
 
 
-def pair_sum_probability(l: int, k: int, n: int, m: int, alpha: float) -> float:
-    """Probability of {(n, m), (m, n)} jointly; drops every dependence on
-    the teleported superposition."""
-    table = matrix_element_table(max(l, k), max(n, m), alpha)
-    return overall_factor(alpha) ** 4 * ((table.element(l, n) * table.element(k, m)) ** 2
-                                         + (table.element(l, m) * table.element(k, n)) ** 2)
+def _pair_sum(l: int, k: int, n: int, m: int, table: MatrixElementTable):
+    """:func:`pair_sum_probability` from ``table``, in Python floats."""
+    cn, cm = table.c[..., n], table.c[..., m]
+    return _per_entry(lambda f, x, y: f ** 4 * (x ** 2 + y ** 2), table.f,
+                      cn[l] * cm[k], cm[l] * cn[k])
 
 
-def am_probability(l: int, k: int, alpha: float, n_cut: int = 20) -> float:
-    """Mass of unequal-count outcomes (amplitude-modulated deliveries);
-    complements direct_success_probability to one."""
-    table = matrix_element_table(max(l, k), n_cut, alpha)
+def _am_mass(l: int, k: int, table: MatrixElementTable):
+    """:func:`am_probability` over the counts of ``table``."""
     cl2, ck2 = table.c[l] ** 2, table.c[k] ** 2
-    diag = float(np.sum(cl2 * ck2))
-    return overall_factor(alpha) ** 4 * (float(np.sum(np.outer(cl2, ck2))) - diag)
+    every = np.sum(cl2[..., :, None] * ck2[..., None, :], axis=(-2, -1))
+    return _float_or_array(_per_entry(pow, table.f, 4)
+                           * (every - np.sum(cl2 * ck2, axis=-1)))
+
+
+def direct_success_probability(l: int, k: int, alpha, n_cut: int = 20):
+    """Mass of the equal-count outcomes, where the output carries no
+    amplitude factor; independent of the teleported superposition.  A
+    float ``alpha`` gives a float, an array one value per amplitude."""
+    return _direct_mass(l, k, matrix_element_table(max(l, k), n_cut, alpha))
+
+
+def pair_sum_probability(l: int, k: int, n: int, m: int, alpha):
+    """Probability of {(n, m), (m, n)} jointly; drops every dependence on
+    the teleported superposition.  Per amplitude for an array ``alpha``."""
+    return _pair_sum(l, k, n, m, matrix_element_table(max(l, k), max(n, m), alpha))
+
+
+def am_probability(l: int, k: int, alpha, n_cut: int = 20):
+    """Mass of unequal-count outcomes (amplitude-modulated deliveries);
+    complements direct_success_probability to one.  Per amplitude for an
+    array ``alpha``."""
+    return _am_mass(l, k, matrix_element_table(max(l, k), n_cut, alpha))
 
 
 #: scipy's smallest admissible relative tolerance for brentq, and the
@@ -376,8 +398,7 @@ def maximize_direct_success(l: int, k: int):
     the range and there is no bracket.
     """
     grid = np.linspace(0.05, 1.5, 61)
-    vals = [direct_success_probability(l, k, a) for a in grid]
-    i = int(np.argmax(vals))
+    i = int(np.argmax(direct_success_probability(l, k, grid)))
     if i in (0, len(grid) - 1):
         raise ValueError(f"the direct success of ({l},{k}) peaks at alpha = "
                          f"{grid[i]:g}: its maximum lies outside [0.05, 1.5]")

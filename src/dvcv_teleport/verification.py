@@ -174,13 +174,10 @@ def suite_properties() -> list[CheckResult]:
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
     # decomposition-table normalization / orthogonality / sign rule
-    worst_norm = worst_orth = 0.0
-    for alpha in (0.5, 1.0, 1.5, 2.0):
-        table = displaced.matrix_element_table(5, 80, alpha)
-        for l in range(6):
-            worst_norm = max(worst_norm, table.normalization_defect(l))
-            for kk in range(6):
-                worst_orth = max(worst_orth, table.orthogonality_defect(l, kk))
+    table = displaced.matrix_element_table(5, 80, np.array([0.5, 1.0, 1.5, 2.0]))
+    worst_norm = max(table.normalization_defect(l).max() for l in range(6))
+    worst_orth = max(table.orthogonality_defect(l, kk).max()
+                     for l in range(6) for kk in range(6))
     out.append(_check_below("row normalization defect (l<=5, alpha<=2)",
                             worst_norm, 1e-8))
     out.append(_check_below("row orthogonality defect (l,k<=5)", worst_orth, 1e-8))
@@ -339,10 +336,9 @@ def initially_modulated_checks() -> list[CheckResult]:
         "pre-modulated dual total non-increasing in |a1|",
         all(totals[i + 1] <= totals[i] + 1e-12 for i in range(len(totals) - 1))))
     a1s = (0.02, 0.05, 0.1, 0.2)
-    dominated = all(
-        (dm.initially_am_totals("single", a1s, alpha)[0]
-         > dm.initially_am_totals("dual", a1s, alpha)[0]).all()
-        for alpha in (0.15, 0.2, 0.3))
+    alphas = np.array([0.15, 0.2, 0.3])
+    dominated = bool((dm.initially_am_totals("single", a1s, alphas)[0]
+                      > dm.initially_am_totals("dual", a1s, alphas)[0]).all())
     out.append(_check_true(
         "single-rail pre-modulation dominates dual at small alpha, |a1|",
         dominated))

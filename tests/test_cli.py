@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -156,11 +157,8 @@ def test_verify_properties_builds_the_transition_once(monkeypatch, capsys):
     assert info.misses == info.currsize == 4 + 5
 
 
-def test_verify_properties_builds_one_table_per_alpha(monkeypatch, capsys):
-    # one table per displacement for outcome completeness and the sign
-    # rule: 222 coefficient tables from cold caches, not one per outcome
-    dm._chain_table.cache_clear()
-    dm._transition.cache_clear()
+def _count_tables(monkeypatch) -> list:
+    """The (l_max, n_max) of every coefficient table built from now on."""
     built = []
     rows = displaced.matrix_element_rows
 
@@ -170,9 +168,39 @@ def test_verify_properties_builds_one_table_per_alpha(monkeypatch, capsys):
 
     monkeypatch.setattr(displaced, "matrix_element_rows", counted)
     monkeypatch.setattr(dm, "matrix_element_rows", counted)
+    return built
+
+
+def test_verify_properties_builds_one_table_per_alpha(monkeypatch, capsys):
+    # one table per displacement for outcome completeness and the sign
+    # rule: 203 coefficient tables from cold caches, not one per outcome
+    dm._chain_table.cache_clear()
+    dm._transition.cache_clear()
+    built = _count_tables(monkeypatch)
     assert main(["verify", "--suite", "properties"]) == 0
     capsys.readouterr()
-    assert len(built) <= 222
+    assert len(built) <= 203
+
+
+def test_sweep_tables_do_not_grow_with_the_alpha_grid(monkeypatch, tmp_path):
+    built = _count_tables(monkeypatch)
+    counts = []
+    for steps in ("11", "41"):
+        built.clear()
+        assert main(["sweep", "--protocol", "dual", "--alpha-min", "0.1",
+                     "--alpha-max", "1.2", "--steps", steps,
+                     "--out", str(tmp_path / f"dual{steps}.csv")]) == 0
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+def test_pair_sum_figure_builds_one_table(name, monkeypatch, tmp_path):
+    # the tail check, the direct mass and every pair sum over all 118
+    # alpha read one table
+    built = _count_tables(monkeypatch)
+    assert main(["figure", name, "--out", str(tmp_path)]) == 0
+    assert len(built) <= 1
 
 
 def test_sweep_single_matches_fig4_rows(tmp_path):
@@ -242,6 +270,67 @@ def test_nmax_past_the_largest_cutoff_is_usage_error(tmp_path):
     assert main(["sweep", "--protocol", "dual", "--alpha-min", "0.1", "--alpha-max", "0.5",
                  "--steps", "3", "--nmax", "1000001", "--out", str(tmp_path / "s.csv")]) == 2
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    # 2 rows x 118 alpha x 10^6 levels: ~1.9 GB in the table alone
+    ("figure", "fig2", "--nmax", "1000000"),
+    # the modulated mass sums a (41, 1001, 1001) outcome grid
+    ("sweep", "--protocol", "dual", "--alpha-min", "0.1", "--alpha-max", "1.2",
+     "--steps", "41", "--nmax", "1000"),
+    ("figure", "fig5", "--nmax", "200"),
+])
+def test_curve_past_the_cell_bound_is_usage_error(argv, tmp_path):
+    # refused before any table is built; under a 2 GiB address-space limit,
+    # so a missing bound fails with a MemoryError instead of taking the
+    # host's memory
+    out = tmp_path / "s.csv" if argv[0] == "sweep" else tmp_path
+    start = time.perf_counter()
+    done = _run_python(
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, hard))\n"
+        "from dvcv_teleport.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n", *argv, "--out", str(out))
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 2, done.stderr
+    assert "--nmax" in done.stderr and "cells" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_curve_within_the_cell_bound_runs(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--protocol", "dual", "--alpha-min", "0.1", "--alpha-max", "1.2",
+                 "--steps", "2", "--nmax", "1000", "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--protocol", "single", "--alpha-min", "1e-300", "--alpha-max", "1.5e-300"),
+    ("--protocol", "init_am_single", "--alpha-min", "1e-17", "--alpha-max", "2e-17",
+     "--a1-abs", "0.8"),
+    ("--protocol", "init_am_dual", "--alpha-min", "1e-100", "--alpha-max", "1.5e-100",
+     "--a1-abs", "0.8"),
+])
+def test_non_finite_cell_is_a_numeric_guard(argv, tmp_path, capsys):
+    # each of these writes NaN cells without the writer's finiteness gate
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *argv, "--steps", "2", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert " is nan at alpha=" in captured.err
+    assert not out.exists()
+
+
+def test_sweep_out_directory_is_usage_error(monkeypatch, tmp_path, capsys):
+    def refused(*args):
+        raise AssertionError("a table was built before the usage check")
+
+    monkeypatch.setattr(displaced, "matrix_element_rows", refused)
+    assert main(["sweep", "--protocol", "dual", "--alpha-min", "0.1",
+                 "--alpha-max", "1.2", "--steps", "3", "--out", str(tmp_path)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_truncation_loss_past_tail_tol_is_a_numeric_guard(tmp_path):

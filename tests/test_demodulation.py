@@ -7,6 +7,7 @@ from dvcv_teleport import displaced, fock, optics
 from dvcv_teleport.demodulation import (
     _chain_table,
     _displacement_step,
+    _row_sums,
     AMQubit,
     demod_displacement,
     demod_swap,
@@ -19,6 +20,7 @@ from dvcv_teleport.demodulation import (
     q_best,
     q_displacement_chain,
     q_swap,
+    single_rail_demod_additions,
 )
 from dvcv_teleport.displaced import matrix_element, matrix_element_rows, overall_factor
 from dvcv_teleport.fock import QubitState, fidelity
@@ -553,6 +555,88 @@ def test_initially_am_totals_equal_the_per_input_runs(rail, alpha):
         records, want = run(math.sqrt(max(0.0, 1.0 - x * x)), x, alpha)
         assert total == want
         assert clean == sum(r[-1] for r in records if r[-2] == "clean")
+
+
+#: fig2's grid with the operating points, alpha = 1 (where some single-rail
+#: factors are exactly -1 and 1, so the rows select different counts) and
+#: random amplitudes
+CURVE_ALPHAS = np.concatenate([
+    np.round(np.arange(0.05, 1.2 + 0.005, 0.01), 10),
+    [INV_SQRT2, 0.628482, 0.4072, 0.5053, 1.0],
+    np.random.default_rng(3).uniform(0.05, 2.0, 40)])
+
+
+def _scalar_curves(l, k, alpha, n_cut=20):
+    """The curve values at one alpha, summed as the per-alpha code summed
+    them: direct and modulated mass, the (0, 3) and (l, k) pair sums, and
+    the four single-rail additions."""
+    c = matrix_element_rows(max(l, k), max(n_cut, 3), alpha)
+    f2, f4 = overall_factor(alpha) ** 2, overall_factor(alpha) ** 4
+    cl2, ck2 = c[l, :n_cut + 1] ** 2, c[k, :n_cut + 1] ** 2
+    diag = float(np.sum(cl2 * ck2))
+
+    def pair(n, m):
+        return f4 * ((float(c[l, n]) * float(c[k, m])) ** 2
+                     + (float(c[l, m]) * float(c[k, n])) ** 2)
+
+    weight = f2 * cl2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(cl2 == 0.0, np.nan, c[k, :n_cut + 1] / c[l, :n_cut + 1])
+    defined = ~np.isnan(factor)
+    clean = defined & (np.abs(np.abs(factor) - 1.0) <= 1e-12)
+    demod = defined & ~clean & (factor != 0.0)
+    w, f = weight[demod], factor[demod]
+    return [f4 * diag, f4 * (float(np.sum(np.outer(cl2, ck2))) - diag), pair(0, 3), pair(l, k),
+            float(weight[clean].sum()), float(np.sum(w * q_swap(f))),
+            float(np.sum(w * q_displacement_chain(f, 1))),
+            float(np.sum(w * q_displacement_chain(f)))]
+
+
+@pytest.mark.parametrize("l,k", [(0, 1), (1, 2), (2, 0)])
+def test_curve_functions_take_alpha_arrays_bitwise(l, k):
+    # one call over the whole grid gives, for every alpha, the bits of the
+    # per-alpha sums, and so does one call at a float
+    from dvcv_teleport.protocol import am_probability, pair_sum_probability
+
+    curves = [lambda a: direct_success_probability(l, k, a),
+              lambda a: am_probability(l, k, a),
+              lambda a: pair_sum_probability(l, k, 0, 3, a),
+              lambda a: pair_sum_probability(l, k, l, k, a)]
+    curves += [lambda a, key=key: single_rail_demod_additions(l, k, a)[key]
+               for key in ("clean", "swap", "displacement_first", "displacement_chain")]
+    want = np.array([_scalar_curves(l, k, a) for a in CURVE_ALPHAS.tolist()]).T
+    for curve, column in zip(curves, want):
+        batch = curve(CURVE_ALPHAS)
+        assert batch.shape == CURVE_ALPHAS.shape
+        assert batch.tobytes() == column.tobytes()
+        assert np.array([curve(a) for a in CURVE_ALPHAS.tolist()]).tobytes() == column.tobytes()
+    grid = CURVE_ALPHAS.reshape(7, -1)
+    assert direct_success_probability(l, k, grid).tobytes() == want[0].reshape(7, -1).tobytes()
+
+
+def test_row_sums_sum_each_rows_selection_alone():
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.0, 1.0, (2, 6, 30)) * 10.0 ** rng.integers(-8, 8, (2, 6, 30))
+    mask = rng.uniform(size=(2, 6, 30)) < np.array([0.0, 0.2, 0.5, 0.9, 1.0, 1.0])[:, None]
+    want = [[np.sum(values[j, i][mask[j, i]]) for i in range(6)] for j in range(2)]
+    assert _row_sums(values, mask).tobytes() == np.array(want).tobytes()
+    assert _row_sums(values[0, 2], mask[0, 2]) == want[0][2]
+
+
+@pytest.mark.parametrize("rail", ["dual", "single"])
+def test_initially_am_totals_take_alpha_arrays_bitwise(rail):
+    alphas = CURVE_ALPHAS[CURVE_ALPHAS != 1.0]  # dual is singular at 1
+    a1s = np.linspace(0.0, 0.99, 7)
+    totals, clean = initially_am_totals(rail, a1s, alphas)
+    assert totals.shape == clean.shape == alphas.shape + a1s.shape
+    one_by_one = [initially_am_totals(rail, a1s, a) for a in alphas.tolist()]
+    assert totals.tobytes() == np.array([t for t, _ in one_by_one]).tobytes()
+    assert clean.tobytes() == np.array([c for _, c in one_by_one]).tobytes()
+
+
+def test_initially_am_singular_alpha_in_an_array_raises():
+    with pytest.raises(SingularFactorError, match="is nan at alpha=1.0"):
+        initially_am_totals("dual", [0.3], np.array([0.5, 1.0, 1.5]))
 
 
 def test_initially_am_zero_displacement_is_singular():

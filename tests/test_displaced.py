@@ -81,13 +81,13 @@ def test_coherent_row_values():
 
 @pytest.mark.parametrize("l_max,n_max", [(0, 5), (1, 12), (2, 20)])
 def test_rows_take_amplitude_arrays(l_max, n_max):
-    # amplitude axes come last, each slice bitwise the scalar table
+    # amplitude axes sit between l and n, each slice bitwise the scalar table
     alphas = np.array([[0.0, -0.0, -2.5, -1 / 3],
                        [1 / math.sqrt(2), 1.0, 4.2, 8.0]])
     rows = displaced.matrix_element_rows(l_max, n_max, alphas)
-    assert rows.shape == (l_max + 1, n_max + 1) + alphas.shape
+    assert rows.shape == (l_max + 1,) + alphas.shape + (n_max + 1,)
     stacked = np.stack([displaced.matrix_element_rows(l_max, n_max, float(a))
-                        for a in alphas.ravel()], axis=-1)
+                        for a in alphas.ravel()], axis=1)
     assert rows.reshape(stacked.shape).tobytes() == stacked.tobytes()
 
 
@@ -112,13 +112,13 @@ def test_reflection_sign_rule(l, n, alpha):
 def test_sign_rule_table_matches_the_per_coefficient_rule():
     alphas = np.array([0.3, 0.8, 1.3, 1.9])
     table = parity_sign_table(5, 14, alphas)
-    assert table.shape == (6, 15, 4)
+    assert table.shape == (6, 4, 15)
     for l in range(6):
         for n in range(15):
             for i, a in enumerate(alphas.tolist()):
                 plus, minus = matrix_element(l, n, a), matrix_element(l, n, -a)
                 expect = abs(minus - (-1.0) ** (n - l) * plus) <= 1e-12 * max(1.0, abs(plus))
-                assert table[l, n, i] == expect
+                assert table[l, i, n] == expect
 
 
 def test_sign_rule_examples():
