@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, demodulation as dm, protocol, verification
+from . import __version__, demodulation as dm, optics, protocol, verification
 from .displaced import matrix_element_table
 from .fock import MAX_CUTOFF, MeasurementRangeError, NonFiniteAmplitudeError, TailMassError
-from .optics import MAX_SPLIT_CELLS, HybridChannel, negativity
+from .optics import MAX_SPLIT_CELLS, HybridChannel
 
 ENV_OUT_DIR = "DVCV_TELEPORT_OUT_DIR"
 
@@ -43,15 +43,21 @@ def _out_dir(path: str | None) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, "."))
 
 
-def _write_csv(path: Path, header_lines: list[str], columns: tuple[str, ...],
-               rows: list[tuple]) -> None:
-    """Write the CSV; a non-finite cell raises FloatingPointError first."""
+def _require_finite(columns: tuple[str, ...], rows: list[tuple], where) -> None:
+    """Raise FloatingPointError at the first non-finite cell of the numeric
+    ``rows``, naming its column and ``where(i)`` of its row i."""
     cells = np.array(rows, dtype=float)
     bad = np.argwhere(~np.isfinite(cells))
     if len(bad):
         i, j = bad[0].tolist()
-        raise FloatingPointError(f"{columns[j]} is {cells[i, j]} at "
-                                 f"{columns[0]}={cells[i, 0]:.9g}; no file written")
+        raise FloatingPointError(f"{columns[j]} is {cells[i, j]} at {where(i)}")
+
+
+def _write_csv(path: Path, header_lines: list[str], columns: tuple[str, ...],
+               rows: list[tuple]) -> None:
+    """Write the CSV; a non-finite cell raises FloatingPointError first."""
+    _require_finite(columns, rows,
+                    lambda i: f"{columns[0]}={float(rows[i][0]):.9g}; no file written")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         for line in header_lines:
@@ -270,7 +276,9 @@ def cmd_verify(args) -> int:
 def cmd_negativity(args) -> int:
     if args.beta <= 0.0:
         raise UsageError("--beta must be positive")
-    closed, numeric = negativity(HybridChannel(args.beta))
+    closed, numeric = optics.negativity(HybridChannel(args.beta))
+    _require_finite(("closed form", "numeric PPT"), [(closed, numeric)],
+                    lambda i: f"beta={args.beta:.9g}; nothing printed")
     print(f"closed form : {closed:.9g}")
     print(f"numeric PPT : {numeric:.9g}")
     print(f"difference  : {abs(closed - numeric):.3g}")
@@ -289,13 +297,17 @@ def cmd_oracle(args) -> int:
     except ValueError as e:
         raise UsageError(f"malformed qubit: {e}") from None
     beta, rows = protocol.circuit_vs_limit(qubit, args.alpha, args.r, args.tail_tol)
+    columns = ("parity", "n", "m", "p_circuit", "p_limit", "rel_err", "infidelity", "purity")
+    cells = [(rec.outcome.parity, rec.outcome.n, rec.outcome.m,
+              rec.probability, p_limit, rel, infid, rec.purity)
+             for rec, p_limit, rel, infid in rows]
+    _require_finite(columns[1:], [cell[1:] for cell in cells],
+                    lambda i: f"parity={cells[i][0]} n={cells[i][1]} m={cells[i][2]}; "
+                              "nothing printed")
     print(f"# circuit at alpha={args.alpha:.9g} r={args.r:.9g} beta={beta:.9g}")
-    print("parity,n,m,p_circuit,p_limit,rel_err,infidelity,purity")
-    for rec, p_limit, rel, infid in rows:
-        print(",".join(_fmt(v) for v in (
-            rec.outcome.parity, rec.outcome.n, rec.outcome.m,
-            rec.probability, p_limit, rel, infid, rec.purity,
-        )))
+    print(",".join(columns))
+    for cell in cells:
+        print(",".join(_fmt(v) for v in cell))
     worst = max(infid for *_, infid in rows)
     print(f"# max corrected-state infidelity: {worst:.6g}")
     return 0

@@ -221,24 +221,40 @@ _GRID_LO, _GRID_HI, _GRID_N = -6.0, 6.0, 601
 def _transition() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The displacement transition on the log10|A| grid, shared by every
     value table: one :func:`_displacement_step` per target count
-    n <= _TARGET_MAX, stacked on a leading target axis.
+    n <= _TARGET_MAX, written in place along a leading target axis.
 
     Returns ``(log_grid, success, points, weights)``: the success weight
-    F^2 c(1, n)^2 per (target, factor, root), and per residual count p on a
-    last axis the log10 of the residual factor A |c(0, p) / c(1, p)| and
-    its weight F^2 c(1, p)^2.  All arrays are read-only.
+    F^2 c(1, n)^2 per (target, factor, root); the log10 of each residual
+    factor A |c(0, p) / c(1, p)| per (target, root, count p, factor); and
+    its weight F^2 c(1, p)^2 per (target, factor, root, count p).
+
+    The two layouts differ on purpose.  ``points`` runs along the grid,
+    so consecutive points read by np.interp mostly share a bracket, and
+    its guess from the previous point skips the binary search; each point
+    has one bracket, so the values do not depend on the order.
+    ``weights`` keeps the counts last, so the sum over residuals adds
+    contiguous rows of 13 terms, in the one pairwise order that makes the
+    tables bitwise those of a per-table loop.  All arrays are read-only.
     """
     log_grid = np.linspace(_GRID_LO, _GRID_HI, _GRID_N)
     a_grid = 10.0 ** log_grid
-    slices = []
-    for n in range(_TARGET_MAX + 1):
+    targets, counts = _TARGET_MAX + 1, _RESIDUAL_MAX + 1
+    success = np.empty((targets, _GRID_N, 2))
+    points = np.empty((targets, 2, counts, _GRID_N))
+    weights = np.empty((targets, _GRID_N, 2, counts))
+    a_next = np.empty((2, counts, _GRID_N))
+    for n in range(targets):
         gamma, _, c1n2, ratio, c1p2 = _displacement_step(a_grid, n)
         f2 = np.exp(-0.5 * gamma * gamma) ** 2
-        # the floor puts skipped residuals (ratio 0, weight 0) at a finite point
-        a_next = a_grid[:, None, None] * np.abs(ratio)
-        slices.append((f2 * c1n2, np.log10(np.maximum(a_next, 1e-300)),
-                       f2[..., None] * c1p2))
-    out = (log_grid, *(np.stack(arrays) for arrays in zip(*slices)))
+        np.multiply(f2, c1n2, out=success[n])
+        np.multiply(f2[..., None], c1p2, out=weights[n])
+        np.multiply(a_grid, np.abs(ratio).transpose(1, 2, 0), out=a_next)
+        # the floor puts skipped residuals (ratio 0, weight 0) at a finite
+        # point; log10 runs on contiguous arrays, since numpy may take a
+        # vectorized loop there and another one on strided arrays
+        np.maximum(a_next, 1e-300, out=a_next)
+        np.log10(a_next, out=points[n])
+    out = (log_grid, success, points, weights)
     for array in out:
         array.flags.writeable = False
     return out
@@ -258,8 +274,11 @@ def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray
     cached depth d - 1 table through the shared :func:`_transition`, which
     does not depend on the value: interpolate the shallower value at every
     residual factor, sum over residuals, and maximize over roots, targets
-    and the floor.  The returned arrays are shared by every cache hit and
-    are read-only.
+    and the floor.  The values are read along the grid, as the points lie,
+    and viewed back with the counts last; their product with the weights
+    is written C-contiguous, since a strided product would be summed in a
+    different pairwise order.  The returned arrays are shared by every
+    cache hit and are read-only.
     """
     log_grid, success, points, weights = _transition()
     if depth == 0:
@@ -267,7 +286,8 @@ def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray
         value = q_swap(a_grid) if include_swap else np.zeros_like(a_grid)
     else:
         _, shallower = _chain_table(depth - 1, include_swap)
-        total = success + np.sum(weights * np.interp(points, log_grid, shallower), axis=-1)
+        read = np.interp(points, log_grid, shallower).transpose(0, 3, 1, 2)
+        total = success + np.sum(np.multiply(weights, read, order="C"), axis=-1)
         value = np.maximum(_chain_table(0, include_swap)[1], total.max(axis=(0, -1)))
     value.flags.writeable = False
     return log_grid, value

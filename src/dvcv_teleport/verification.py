@@ -72,29 +72,24 @@ def suite_paper() -> list[CheckResult]:
                       optics.negativity_closed_form(optics.HybridChannel(2.0)),
                       1.0, 1e-4))
 
-    # factor table, (0,1) block at alpha = 1/sqrt(2): exact rationals
+    # factor table, (0,1) block at alpha = 1/sqrt(2): exact rationals; each
+    # block reads one factor grid, whose entries depend on their own counts only
+    factor = protocol.amp_factor_grid(0, 1, displaced.matrix_element_table(1, 5, inv_sqrt2))
     for (n, m), val in zip(TABLE1_COLUMNS, TABLE1_VALUES):
-        got = protocol.amp_factor_dual(0, 1, n, m, inv_sqrt2)
-        out.append(_check(f"factor table (0,1): A({n},{m})", got, val, 1e-12,
+        out.append(_check(f"factor table (0,1): A({n},{m})", factor[n, m], val, 1e-12,
                           note="closed form (2n-1)/(2m-1)"))
-        rec = protocol.amp_factor_dual(0, 1, m, n, inv_sqrt2)
-        out.append(_check(f"factor table (0,1): A({m},{n})", rec, 1.0 / val, 1e-12))
-    got23 = protocol.amp_factor_dual(0, 1, 2, 3, inv_sqrt2)
-    out.append(_check("factor table (0,1): A(2,3)", got23, 0.6, 1e-12,
+        out.append(_check(f"factor table (0,1): A({m},{n})", factor[m, n], 1.0 / val, 1e-12))
+    out.append(_check("factor table (0,1): A(2,3)", factor[2, 3], 0.6, 1e-12,
                       note="the printed eighth column repeats the label (0,5) "
                            "but its value 3/5 belongs to counts (2,3); "
                            "A(0,5) itself is -1/9 (column six)"))
 
     # factor table, (1,2) block at alpha = 0.5053
+    factor = protocol.amp_factor_grid(1, 2, displaced.matrix_element_table(2, 4, TABLE2_ALPHA))
     for (n, m), val, rec in zip(TABLE2_COLUMNS, TABLE2_VALUES, TABLE2_RECIPROCALS):
-        got = protocol.amp_factor_dual(1, 2, n, m, TABLE2_ALPHA)
-        out.append(_check(f"factor table (1,2): A({n},{m})", got, val, 2e-3))
-        out.append(_check(f"factor table (1,2): A({m},{n})",
-                          protocol.amp_factor_dual(1, 2, m, n, TABLE2_ALPHA),
-                          rec, 1e-2))
-    out.append(_check("A(1,2) of (1,2) block at 0.5053",
-                      protocol.amp_factor_dual(1, 2, 1, 2, TABLE2_ALPHA),
-                      -1.0, 1e-3))
+        out.append(_check(f"factor table (1,2): A({n},{m})", factor[n, m], val, 2e-3))
+        out.append(_check(f"factor table (1,2): A({m},{n})", factor[m, n], rec, 1e-2))
+    out.append(_check("A(1,2) of (1,2) block at 0.5053", factor[1, 2], -1.0, 1e-3))
 
     # headline probabilities of the dual-rail protocol
     a_star, p_star = protocol.maximize_direct_success(0, 1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dvcv_teleport
-from dvcv_teleport import demodulation as dm, displaced
+from dvcv_teleport import demodulation as dm, displaced, optics, protocol
 from dvcv_teleport.cli import main
 
 
@@ -180,6 +180,18 @@ def test_verify_properties_builds_one_table_per_alpha(monkeypatch, capsys):
     assert main(["verify", "--suite", "properties"]) == 0
     capsys.readouterr()
     assert len(built) <= 203
+
+
+def test_verify_paper_reads_one_factor_grid_per_alpha(monkeypatch, capsys):
+    # the Table 1/2 factor checks read one factor grid at each of their
+    # two alpha instead of one table per printed entry: 133 -> 109 tables
+    # from cold caches
+    dm._chain_table.cache_clear()
+    dm._transition.cache_clear()
+    built = _count_tables(monkeypatch)
+    assert main(["verify", "--suite", "paper"]) == 0
+    capsys.readouterr()
+    assert len(built) <= 109
 
 
 def test_sweep_tables_do_not_grow_with_the_alpha_grid(monkeypatch, tmp_path):
@@ -414,6 +426,34 @@ def test_oracle_finest_reflectances_are_finite(r, capsys):
     assert len(rows) == 18
     assert all(math.isfinite(float(cell)) for row in rows for cell in row)
     assert math.isfinite(float(lines[-1].rsplit(":", 1)[1]))
+
+
+@pytest.mark.parametrize("slot,value,column", [
+    (1, math.nan, "p_limit"), (2, -math.inf, "rel_err"), (3, math.inf, "infidelity")])
+def test_oracle_refuses_a_non_finite_cell(slot, value, column, monkeypatch, capsys):
+    # a NaN or inf cell is a numeric guard failure, named by its column,
+    # before any line is printed
+    circuit_vs_limit = protocol.circuit_vs_limit
+
+    def spoiled(*args):
+        beta, rows = circuit_vs_limit(*args)
+        last = list(rows[-1])
+        last[slot] = value
+        return beta, [*rows[:-1], tuple(last)]
+
+    monkeypatch.setattr(protocol, "circuit_vs_limit", spoiled)
+    assert main(["oracle", "--alpha", "0.5", "--r", "0.2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"numeric guard: {column} is {value} at parity=")
+
+
+def test_negativity_refuses_a_non_finite_cell(monkeypatch, capsys):
+    monkeypatch.setattr(optics, "negativity", lambda channel: (0.99, math.nan))
+    assert main(["negativity", "--beta", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric guard: numeric PPT is nan at beta=1")
 
 
 def test_singular_factor_is_a_numeric_guard(tmp_path, monkeypatch, capsys):

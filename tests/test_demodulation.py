@@ -8,6 +8,7 @@ from dvcv_teleport.demodulation import (
     _chain_table,
     _displacement_step,
     _row_sums,
+    _transition,
     AMQubit,
     demod_displacement,
     demod_swap,
@@ -360,6 +361,23 @@ def test_chain_tables_equal_the_per_table_loop(include_swap):
         assert np.array_equal(value, want)
 
 
+def test_grid_last_points_read_exactly_as_the_old_order():
+    # the points lie along the grid so np.interp's bracket guess hits; each
+    # point has one bracket, so any value table reads the same bits as
+    # through the same points laid out (target, grid, root, count)
+    log_grid, success, points, weights = _transition()
+    assert success.shape == (9, 601, 2)
+    assert points.shape == (9, 2, 13, 601) and points.flags.c_contiguous
+    assert weights.shape == (9, 601, 2, 13) and weights.flags.c_contiguous
+    old_order = np.ascontiguousarray(points.transpose(0, 3, 1, 2))
+    rng = np.random.default_rng(20181)
+    values = [rng.random(601), np.cumsum(rng.normal(size=601)),
+              rng.normal(scale=1e3, size=601), np.abs(rng.normal(size=601)) ** 7]
+    for value in values:
+        read = np.interp(points, log_grid, value).transpose(0, 3, 1, 2)
+        assert np.array_equal(read, np.interp(old_order, log_grid, value))
+
+
 def test_chain_table_arrays_are_read_only():
     # every cache hit shares these arrays; a write would corrupt later values
     log_grid, value = _chain_table(3, True)
@@ -367,6 +385,10 @@ def test_chain_table_arrays_are_read_only():
         value[0] = 1.0
     with pytest.raises(ValueError):
         log_grid[0] = 1.0
+    # so does every table sweep the transition's arrays
+    for array in _transition():
+        with pytest.raises(ValueError):
+            array.flat[0] = 1.0
 
 
 def test_overall_skip_is_direct():
