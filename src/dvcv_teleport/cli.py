@@ -55,11 +55,16 @@ def _require_finite(columns: tuple[str, ...], rows: list[tuple], where) -> None:
 
 def _write_csv(path: Path, header_lines: list[str], columns: tuple[str, ...],
                rows: list[tuple]) -> None:
-    """Write the CSV; a non-finite cell raises FloatingPointError first."""
+    """Write the CSV; a non-finite cell raises FloatingPointError first,
+    and a path that cannot be opened for writing UsageError."""
     _require_finite(columns, rows,
                     lambda i: f"{columns[0]}={float(rows[i][0]):.9g}; no file written")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", newline="")
+    except OSError as e:
+        raise UsageError(f"--out: cannot write {path} ({e.strerror}: {e.filename})") from None
+    with fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
@@ -120,24 +125,30 @@ CURVES = {
 PROTOCOLS = tuple(CURVES)
 
 
-def _curve_rows(curve, alphas, l: int, k: int, a1s, n_cut: int, tail_tol: float):
-    """Rows (alpha, values), or (alpha, |a1|, values) when ``a1s`` is
-    given, of ``curve`` on ``alphas``, all from one coefficient table.
-
-    Raises UsageError before building it when the curve's largest array,
-    about rows x alpha values x |a1| values x (n_cut + 1)^(counted modes)
-    cells, passes ``optics.MAX_SPLIT_CELLS``.  Raises TailMassError when the
-    cutoff drops more than ``tail_tol`` of row l or k at any alpha; an
-    overflowing row's non-finite loss counts as over tolerance, so numpy is
-    not asked to warn about the overflow.
-    """
-    _, column_function, modes = curve
-    points = len(alphas) * max(1, len(a1s))
-    cells = (max(l, k) + 1) * points * (n_cut + 1) ** modes
+def _check_cells(curve, n_alpha: int, n_a1: int, l: int, k: int, n_cut: int) -> None:
+    """Raise UsageError when ``curve``'s largest array at ``n_alpha`` alpha
+    and ``n_a1`` |a1| values, about rows x alpha values x |a1| values x
+    (n_cut + 1)^(counted modes) cells, passes ``optics.MAX_SPLIT_CELLS``.
+    Reads the counts alone, so a sweep checks before building its grids."""
+    points = n_alpha * max(1, n_a1)
+    cells = (max(l, k) + 1) * points * (n_cut + 1) ** curve[2]
     if cells > MAX_SPLIT_CELLS:
         raise UsageError(
             f"--nmax {n_cut} at {points:,} points needs {cells:,} cells, above the largest "
             f"supported ({MAX_SPLIT_CELLS:,}); lower --nmax, or a sweep's --steps or --a1-grid")
+
+
+def _curve_rows(curve, alphas, l: int, k: int, a1s, n_cut: int, tail_tol: float):
+    """Rows (alpha, values), or (alpha, |a1|, values) when ``a1s`` is
+    given, of ``curve`` on ``alphas``, all from one coefficient table.
+
+    Raises UsageError before building it past :func:`_check_cells`, and
+    TailMassError when the cutoff drops more than ``tail_tol`` of
+    row l or k at any alpha; an overflowing row's non-finite loss counts as
+    over tolerance, so numpy is not asked to warn about the overflow.
+    """
+    _check_cells(curve, len(alphas), len(a1s), l, k, n_cut)
+    column_function = curve[1]
     with np.errstate(over="ignore", invalid="ignore"):
         table = matrix_element_table(max(l, k), n_cut, np.asarray(alphas, dtype=float))
         losses = np.array([table.normalization_defect(row) for row in (l, k)])
@@ -160,18 +171,19 @@ def _curve_rows(curve, alphas, l: int, k: int, a1s, n_cut: int, tail_tol: float)
 
 # -- sweep ---------------------------------------------------------------
 
-def _a1_values(args) -> list[float]:
+def _a1_count(args) -> int:
+    """How many |a1| values the flags ask for, 0 for none."""
     if args.a1_abs is not None and args.a1_grid is not None:
         raise UsageError("give either --a1-abs or --a1-grid, not both")
     if args.a1_abs is not None:
         if not 0.0 <= args.a1_abs <= 1.0:
             raise UsageError("--a1-abs must lie in [0, 1]")
-        return [args.a1_abs]
+        return 1
     if args.a1_grid is not None:
         if args.a1_grid < 2:
             raise UsageError("--a1-grid needs at least 2 points")
-        return list(np.linspace(0.0, 1.0, args.a1_grid))
-    return []
+        return args.a1_grid
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -181,28 +193,31 @@ def cmd_sweep(args) -> int:
         raise UsageError("--alpha-min must be below --alpha-max")
     if args.alpha_min <= 0.0:
         raise UsageError("displacement amplitudes must be positive")
-    alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.steps))
-    a1s = _a1_values(args)
+    n_a1 = _a1_count(args)
     l, k, n_cut = args.l, args.k, args.nmax
     if l < 0 or k < 0 or l == k:
         raise UsageError("--l and --k must be distinct nonnegative photon numbers")
     if args.protocol.startswith("init_am"):
         if (l, k) != (0, 1):
             raise UsageError("the init_am protocols are defined for l=0, k=1")
-        if not a1s:
+        if not n_a1:
             raise UsageError("the init_am protocols need --a1-abs or --a1-grid")
-    elif a1s:
+    elif n_a1:
         raise UsageError("--a1-abs/--a1-grid apply to the init_am protocols only")
     out_path = Path(args.out) if args.out is not None else (
         _out_dir(None) / f"sweep_{args.protocol}_{l}{k}.csv")
     if out_path.is_dir():
         raise UsageError(f"--out {out_path} is a directory; sweep writes one file")
-    columns = CURVES[args.protocol][0]
-    rows = _curve_rows(CURVES[args.protocol], alphas, l, k, a1s, n_cut, args.tail_tol)
+    curve = CURVES[args.protocol]
+    _check_cells(curve, args.steps, n_a1, l, k, n_cut)
+    alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.steps))
+    a1s = ([args.a1_abs] if args.a1_abs is not None
+           else list(np.linspace(0.0, 1.0, n_a1)) if n_a1 else [])
+    rows = _curve_rows(curve, alphas, l, k, a1s, n_cut, args.tail_tol)
     _write_csv(out_path, _header(args, [
         "protocol", "l", "k", "alpha_min", "alpha_max", "steps",
         "a1_abs", "a1_grid",
-    ]), columns, rows)
+    ]), curve[0], rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
     return 0
 
@@ -216,13 +231,15 @@ def _alpha_grid(lo, hi, step, extras=()) -> list[float]:
 
 
 #: fig2-fig4: (alpha grid, (l, k), curve); fig2 and fig3 carry the
-#: operating points exactly.  fig5 is the init_am totals of both rails at
-#: three alpha, one row per original |a1|.
+#: paper's operating points (``verification``) exactly.  fig5 is the
+#: init_am totals of both rails at three alpha, one row per original |a1|.
 _FIGURE_CURVES = {
-    "fig2": (_alpha_grid(0.05, 1.2, 0.01, (1.0 / math.sqrt(2.0), 0.628482)), (0, 1),
+    "fig2": (_alpha_grid(0.05, 1.2, 0.01, (verification.ALPHA_01, verification.ALPHA_PEAK_01)),
+             (0, 1),
              (("alpha", "p_direct", "ps_01", "ps_02", "ps_12", "ps_03", "p_signfree"),
               _pair_sums(((0, 1), (0, 2), (1, 2), (0, 3))), 1)),
-    "fig3": (_alpha_grid(0.05, 1.2, 0.01, (0.4072, 0.5053)), (1, 2),
+    "fig3": (_alpha_grid(0.05, 1.2, 0.01, (verification.ALPHA_PEAK_12, verification.ALPHA_12)),
+             (1, 2),
              (("alpha", "p_direct", "ps_01", "ps_02", "ps_12", "ps_13", "p_signfree"),
               _pair_sums(((0, 1), (0, 2), (1, 2), (1, 3))), 1)),
     "fig4": (_alpha_grid(0.05, 1.5, 0.025), (0, 1), CURVES["single"]),
@@ -405,8 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> list[str]:
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise UsageError(f"--config: cannot read {path}: {e.strerror}") from None
     tokens = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

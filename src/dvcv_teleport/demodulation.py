@@ -8,7 +8,9 @@ photons removes the factor whenever the displacement amplitude solves
 a quadratic in gamma since the coefficient ratio is gamma / (n - gamma^2);
 failed counts leave fresh amplitude-modulated states, so the procedure can
 be chained.  Swapping with a prearranged partner through a balanced
-splitter works once, with success A^2 / (1 + A^2).
+splitter works once, with success A^2 / (1 + A^2).  The qubit to
+demodulate is ``AMQubit(a0, a1, factor)``: the state (a0, a1 * factor) up
+to its norm.
 
 Reported success probabilities follow the composition convention in which
 the conditional-state normalizer cancels against the outcome weight
@@ -34,7 +36,6 @@ from .displaced import (
 )
 from .fock import QubitState, _unit_pair
 from .protocol import (
-    DUAL_RAIL_BASIS,
     SingularFactorError,
     _direct_mass,
     _factor_row,
@@ -63,7 +64,6 @@ class AMQubit:
     a0: complex
     a1: complex
     factor: float
-    basis: tuple[str, str] = DUAL_RAIL_BASIS
 
     def __post_init__(self):
         a0, a1 = _unit_pair(self.a0, self.a1)
@@ -71,7 +71,6 @@ class AMQubit:
             raise ValueError("amplitude factor must be finite")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "basis", tuple(self.basis))
 
     def physical_amplitudes(self) -> np.ndarray:
         """Normalized (a0, a1 * factor)."""
@@ -104,9 +103,10 @@ class DemodResult:
 
 def q_swap(a_factor) -> float:
     """Swap success A^2 / (1 + A^2): near one for strong factors, tiny for
-    weak ones."""
-    a2 = np.asarray(a_factor, dtype=float) ** 2
-    out = a2 / (1.0 + a2)
+    weak ones.  Where A^2 overflows, its limit 1 / (1 + 1/A^2) = 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = np.asarray(a_factor, dtype=float) ** 2
+        out = np.where(np.isinf(a2), 1.0, a2 / (1.0 + a2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -181,10 +181,10 @@ def demod_displacement(am: AMQubit, n: int) -> DemodResult:
     with np.errstate(over="ignore"):
         factors = am.factor * ratio[i]
     residuals = tuple(
-        (p, f2 * c1p2[i, p], AMQubit(am.a0, am.a1, factors[p], am.basis))
+        (p, f2 * c1p2[i, p], AMQubit(am.a0, am.a1, factors[p]))
         for p in np.flatnonzero((c1p2[i] != 0.0) & np.isfinite(factors)).tolist())
     return DemodResult(
-        restored=QubitState(am.a0, sign * am.a1, am.basis),
+        restored=QubitState(am.a0, sign * am.a1),
         success_probability=f2 * c1n2[i],
         method="displacement",
         gamma=g,
@@ -203,7 +203,7 @@ def demod_swap(am: AMQubit) -> DemodResult:
     if am.factor == 0.0:
         raise ValueError("amplitude factor must be nonzero")
     return DemodResult(
-        restored=QubitState(am.a0, am.a1, am.basis),
+        restored=QubitState(am.a0, am.a1),
         success_probability=q_swap(am.factor),
         method="swap",
         gamma=None,

@@ -34,7 +34,7 @@ class ModeCollisionError(ValueError):
 
 
 class BasisMismatchError(ValueError):
-    """Logical states expressed in different bases cannot be compared."""
+    """States over different mode grids cannot be compared."""
 
 
 class MeasurementRangeError(ValueError):
@@ -244,17 +244,16 @@ def _unit_pair(a0, a1) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class QubitState:
-    """A normalized two-level state over a labelled logical basis."""
+    """A normalized two-level state: c0 on the logical |0> (the receiver's
+    |01>), c1 on the logical |1> (its |10>)."""
 
     c0: complex
     c1: complex
-    basis: tuple[str, str] = ("01", "10")
 
     def __post_init__(self):
         c0, c1 = _unit_pair(self.c0, self.c1)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "basis", tuple(self.basis))
 
     def vec(self) -> np.ndarray:
         return np.array([self.c0, self.c1], dtype=complex)
@@ -262,7 +261,5 @@ class QubitState:
 
 def fidelity(a: QubitState, b: QubitState) -> float:
     """``|<a|b>|^2``; one exactly when the states agree up to global phase."""
-    if a.basis != b.basis:
-        raise BasisMismatchError(f"bases differ: {a.basis} vs {b.basis}")
     ov = np.vdot(a.vec(), b.vec())
     return min(1.0, float(abs(ov) ** 2))

@@ -8,6 +8,12 @@ circuit at finite reflectance on truncated grids and serves as the
 convergence oracle for the analytic one: the four-term expansion of the
 input product state factorizes over the mode pairs carrying each beam
 splitter, so no full six-mode tensor is ever materialized.
+
+The teleported qubit is its amplitudes and its counts,
+``UnknownQubit(a0, a1, l=0, k=1)`` with l - k odd; each pipeline fixes
+the rail by its name.  ``dual_rail_records`` and the circuit teleport
+a0|lk> + a1|kl>, ``single_rail_pipeline`` a0|l> + a1|k>.  The receiver's
+states are ``QubitState(c0, c1)`` on its (|01>, |10>) modes.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .displaced import (
 from .fock import QubitState, _unit_pair
 from .optics import BeamSplitterParams, check_split_size, split_amplitudes
 
-DUAL_RAIL_BASIS = ("01", "10")
 _PARITIES = ("even", "odd")
 
 #: carrier levels below the first one with |c_n|^2 above this hold no
@@ -51,35 +56,25 @@ class SingularFactorError(ValueError):
 
 @dataclass(frozen=True)
 class UnknownQubit:
-    """The state to teleport: a0|lk> + a1|kl> (dual rail) or a0|l> + a1|k>
-    (single rail), with l != k.
-
-    The conditional sign structure of the protocol needs l - k odd;
-    pass ``require_odd=False`` to build other superpositions anyway.
-    """
+    """The state to teleport: a0|lk> + a1|kl> on the dual-rail pipelines,
+    a0|l> + a1|k> on the single-rail one.  The conditional sign structure
+    of the protocol needs l - k odd; the rail is the pipeline's."""
 
     a0: complex
     a1: complex
     l: int = 0
     k: int = 1
-    encoding: str = "dual_rail"
 
-    def __init__(self, a0, a1, l=0, k=1, encoding="dual_rail", require_odd=True):
-        if encoding not in ("dual_rail", "single_rail"):
-            raise ValueError(f"unknown encoding {encoding!r}")
-        if l < 0 or k < 0 or l == k:
+    def __post_init__(self):
+        if self.l < 0 or self.k < 0 or self.l == self.k:
             raise ValueError("need distinct nonnegative photon numbers l != k")
-        if require_odd and (l - k) % 2 == 0:
-            raise ValueError(
-                "l - k must be odd for the conditional-sign teleportation; "
-                "pass require_odd=False to construct the state regardless"
-            )
-        a0, a1 = _unit_pair(a0, a1)
+        if (self.l - self.k) % 2 == 0:
+            raise ValueError("l - k must be odd for the conditional-sign teleportation")
+        a0, a1 = _unit_pair(self.a0, self.a1)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "l", int(l))
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "encoding", encoding)
+        object.__setattr__(self, "l", int(self.l))
+        object.__setattr__(self, "k", int(self.k))
 
 
 @dataclass(frozen=True)
@@ -164,13 +159,19 @@ def amp_factor_dual(l: int, k: int, n: int, m: int, alpha: float) -> float:
     return _grid_factor(amp_factor_grid(l, k, table), l, k, n, m, alpha)
 
 
-def amp_factor_single(l: int, k: int, n: int, alpha: float) -> float:
-    """Single-rail analogue c(k,n)/c(l,n)."""
-    a_fac = _factor_row(l, k, matrix_element_table(max(l, k), n, alpha))[n]
+def _row_factor(table: MatrixElementTable, l: int, k: int, n: int, alpha: float) -> float:
+    """Entry n of the :func:`_factor_row` of ``table`` at ``alpha``; raises
+    SingularFactorError where it is undefined."""
+    a_fac = _factor_row(l, k, table)[n]
     if math.isnan(a_fac):
         raise SingularFactorError(f"c({l},{n};{alpha}) vanishes; "
                                   f"outcome {n} is non-demodulatable")
     return float(a_fac)
+
+
+def amp_factor_single(l: int, k: int, n: int, alpha: float) -> float:
+    """Single-rail analogue c(k,n)/c(l,n)."""
+    return _row_factor(matrix_element_table(max(l, k), n, alpha), l, k, n, alpha)
 
 
 def norm_factor(a1_abs: float, amp_factor: float) -> float:
@@ -195,11 +196,9 @@ def bob_states_dual(qubit: UnknownQubit, alpha: float, n: int, m: int):
 def _bob_state(qubit: UnknownQubit, a_fac: float, n: int, parity: str) -> QubitState:
     """One parity branch of the conditional state for factor ``a_fac``
     on count ``n``."""
-    if (qubit.l - qubit.k) % 2 == 0:
-        raise ValueError("conditional-sign teleportation requires l - k odd")
     plus, minus = qubit.a0 + qubit.a1 * a_fac, qubit.a0 - qubit.a1 * a_fac
     sign = (-1.0) ** (n - qubit.l) * (1.0 if parity == "even" else -1.0)
-    return QubitState(plus, sign * minus, DUAL_RAIL_BASIS)
+    return QubitState(plus, sign * minus)
 
 
 def z_power_for(parity: str, n: int, l: int) -> int:
@@ -213,31 +212,30 @@ def correct(bob: QubitState, parity: str, n: int, l: int) -> QubitState:
     amplitude-modulated form (a0, a1 * A)."""
     p = z_power_for(parity, n, l)
     vec = H_GATE @ (Z_POWERS[p] @ bob.vec())
-    return QubitState(vec[0], vec[1], bob.basis)
+    return QubitState(vec[0], vec[1])
 
 
 # -- outcome probabilities ----------------------------------------------------
 
-def outcome_probability_grid(qubit: UnknownQubit, l: int, k: int,
-                             table: MatrixElementTable) -> np.ndarray:
+def outcome_probability_grid(qubit: UnknownQubit, table: MatrixElementTable) -> np.ndarray:
     """Probability of registering counts (n, m), either parity, for every
-    count pair of ``table`` at once.
+    count pair of ``table`` (rows up to max(l, k)) at once.
 
     Evaluated in the unreduced product form
     F^4 (|a0 c(l,n) c(k,m)|^2 + |a1 c(k,n) c(l,m)|^2), which stays finite
     on outcomes whose amplitude factor is singular.
     """
+    l, k = qubit.l, qubit.k
     f2 = table.f ** 2
     return f2 * f2 * (abs(qubit.a0) ** 2 * np.outer(table.c[l], table.c[k]) ** 2
                       + abs(qubit.a1) ** 2 * np.outer(table.c[k], table.c[l]) ** 2)
 
 
-def outcome_probability_dual(qubit: UnknownQubit, l: int, k: int, n: int, m: int,
-                             alpha: float) -> float:
+def outcome_probability_dual(qubit: UnknownQubit, n: int, m: int, alpha: float) -> float:
     """Probability of registering counts (n, m), either parity: one entry
     of :func:`outcome_probability_grid`."""
-    table = matrix_element_table(max(l, k), max(n, m), alpha)
-    return float(outcome_probability_grid(qubit, l, k, table)[n, m])
+    table = matrix_element_table(max(qubit.l, qubit.k), max(n, m), alpha)
+    return float(outcome_probability_grid(qubit, table)[n, m])
 
 
 def _direct_mass(l: int, k: int, table: MatrixElementTable):
@@ -428,8 +426,6 @@ def _records(qubit: UnknownQubit, parity, n, m, factor, prob) -> list[TeleportRe
     of the correction word, so one z array gives both.  Raises ValueError
     on an outcome the qubit cannot produce: a0 = 0 and A = 0 make both
     branch amplitudes a0 +- a1 A vanish."""
-    if (qubit.l - qubit.k) % 2 == 0:
-        raise ValueError("conditional-sign teleportation requires l - k odd")
     parity, n, m, factor, prob = map(np.ravel, np.broadcast_arrays(parity, n, m, factor, prob))
     if qubit.a0 == 0 and (factor == 0).any():
         i = np.argmax(factor == 0)
@@ -438,21 +434,20 @@ def _records(qubit: UnknownQubit, parity, n, m, factor, prob) -> list[TeleportRe
                          "the amplitude factor is 0, so both branches vanish")
     z = (n - qubit.l + (parity != "even")) % 2
     minus = np.where(z == 1, -1.0, 1.0) * (qubit.a0 - qubit.a1 * factor)
-    bobs = [QubitState(c0, c1, DUAL_RAIL_BASIS)
+    bobs = [QubitState(c0, c1)
             for c0, c1 in zip((qubit.a0 + qubit.a1 * factor).tolist(), minus.tolist())]
     # every record's correction word H Z^z in one product, bitwise as correct()
     vecs = np.array([(bob.c0, bob.c1) for bob in bobs], dtype=complex).reshape(-1, 2, 1)
     fixed = np.matmul(H_GATE, np.matmul(Z_POWERS[z], vecs))[..., 0].tolist()
     columns = zip(*(x.tolist() for x in (parity, n, m, prob, factor, z)))
     return [TeleportRecord(Outcome(p, n_, m_), bob, p_, a, zp,
-                           QubitState(*vec, DUAL_RAIL_BASIS))
+                           QubitState(*vec))
             for (p, n_, m_, p_, a, zp), bob, vec in zip(columns, bobs, fixed)]
 
 
-def dual_rail_records(qubit: UnknownQubit, alpha: float,
-                      n_cut: int = 8, m_cut: int = 8) -> list[TeleportRecord]:
+def dual_rail_records(qubit: UnknownQubit, alpha: float, n_cut: int = 8) -> list[TeleportRecord]:
     """Enumerate the conditional records of the ideal dual-rail protocol in
-    lexicographic (parity, n, m) order.
+    lexicographic (parity, n, m) order, both counts up to ``n_cut``.
 
     The two parities of one (n, m) share its probability equally (the
     strong-amplitude limit of the channel); summed over everything the
@@ -461,13 +456,9 @@ def dual_rail_records(qubit: UnknownQubit, alpha: float,
     qubit cannot produce (a0 = 0 where the factor is 0, probability 0);
     outcome_probability_dual still gives their probability.
     """
-    if qubit.encoding != "dual_rail":
-        raise ValueError("dual_rail_records expects a dual-rail qubit")
-    l, k = qubit.l, qubit.k
-    table = matrix_element_table(max(l, k), max(n_cut, m_cut), alpha)
-    cut = np.s_[:n_cut + 1, :m_cut + 1]
-    factors = amp_factor_grid(l, k, table)[cut]
-    probs = 0.5 * outcome_probability_grid(qubit, l, k, table)[cut]
+    table = matrix_element_table(max(qubit.l, qubit.k), n_cut, alpha)
+    factors = amp_factor_grid(qubit.l, qubit.k, table)
+    probs = 0.5 * outcome_probability_grid(qubit, table)
     # a0 = 0 and A = 0 leave no conditional state: an outcome of probability 0
     n, m = np.nonzero(~np.isnan(factors) & ((factors != 0) | (qubit.a0 != 0)))
     return _records(qubit, np.array(_PARITIES)[:, None], n, m, factors[n, m], probs[n, m])
@@ -481,11 +472,9 @@ def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int,
     corrected state is identical for either branch.  Raises ValueError when
     the qubit cannot produce the count.
     """
-    if qubit.encoding != "single_rail":
-        raise ValueError("single_rail_pipeline expects a single-rail qubit")
     l, k = qubit.l, qubit.k
-    a_fac = amp_factor_single(l, k, n, alpha)
     table = matrix_element_table(max(l, k), n, alpha)
+    a_fac = _row_factor(table, l, k, n, alpha)
     prob = overall_factor(alpha) ** 2 * (abs(qubit.a0) ** 2 * table.element(l, n) ** 2
                                          + abs(qubit.a1) ** 2 * table.element(k, n) ** 2)
     return _records(qubit, parity, n, None, a_fac, prob)[0]
@@ -493,7 +482,7 @@ def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int,
 
 # -- brute-force finite-reflectance circuit -----------------------------------
 
-def _circuit_gram(qubit: UnknownQubit, beta: float, r: float, n_cut: int, m_cut: int,
+def _circuit_gram(qubit: UnknownQubit, beta: float, r: float, n_cut: int,
                   tail_tolerance: float) -> np.ndarray:
     """The circuit of :func:`brute_force_pipeline` up to the receiver: its
     unnormalized 2x2 density matrix gram[p, n, m] on parity p and counts
@@ -503,14 +492,12 @@ def _circuit_gram(qubit: UnknownQubit, beta: float, r: float, n_cut: int, m_cut:
     counts as leak."""
     if not 0.0 < r <= 0.3:
         raise ValueError("brute-force regime requires 0 < r <= 0.3")
-    if qubit.encoding != "dual_rail":
-        raise ValueError("the circuit oracle covers the dual-rail variant")
     t = math.sqrt(1.0 - r * r)
     l, k = qubit.l, qubit.k
     params = BeamSplitterParams(t, r)
     d3 = max(l, k) + default_cutoff(beta * r / t) + 2
     d1 = default_cutoff(beta) + d3
-    if n_cut >= d3 or m_cut >= d3:
+    if n_cut >= d3:
         raise ValueError("requested counts exceed the auxiliary cutoffs")
     # channel branches: carrier -beta accompanies logical |01>, +beta |10>;
     # the ancilla is driven at -beta.  Superposition term i puts s3[i]
@@ -530,7 +517,7 @@ def _circuit_gram(qubit: UnknownQubit, beta: float, r: float, n_cut: int, m_cut:
     # what the window skipped counts against the tolerance with the leak
     u = split_amplitudes(u.reshape(d3, -1, 4, 1), params, tail_tolerance - trimmed, c0)
     u = u[:n_cut + 1, :, :, 0].reshape(n_cut + 1, -1, 2, 2)
-    v = split_amplitudes(v, params, tail_tolerance - trimmed, c0)[:m_cut + 1, :, :, 0]
+    v = split_amplitudes(v, params, tail_tolerance - trimmed, c0)[:n_cut + 1, :, :, 0]
     even = np.arange(c0, d1) % 2 == 0
     parity_mask = np.array([even, ~even], dtype=float)
     coefs = np.array([qubit.a0, qubit.a1])
@@ -542,18 +529,18 @@ def _circuit_gram(qubit: UnknownQubit, beta: float, r: float, n_cut: int, m_cut:
 
 
 def brute_force_pipeline(qubit: UnknownQubit, beta: float, r: float,
-                         n_cut: int = 2, m_cut: int = 2,
+                         n_cut: int = 2,
                          tail_tolerance: float = 1e-10) -> list[BruteForceRecord]:
     """Simulate the full circuit at finite reflectance.
 
     The channel's coherent part and the first qubit mode meet on one
     splitter, the ancilla drive and the second qubit mode on another; the
     coherent mode is parity-measured and the two auxiliary modes are
-    counted.  Records carry the exact conditional 2x2 density matrix of
+    counted, each up to ``n_cut``.  Records carry the exact conditional 2x2 density matrix of
     the receiver's dual-rail modes; as r -> 0 at fixed alpha = beta*r/t
     they converge to the analytic records.
     """
-    gram = _circuit_gram(qubit, beta, r, n_cut, m_cut, tail_tolerance)
+    gram = _circuit_gram(qubit, beta, r, n_cut, tail_tolerance)
     # every outcome at once, in (parity, n, m) order; a NaN stays visible
     prob = 0.5 * np.trace(gram, axis1=-2, axis2=-1).real
     parity, n, m = np.nonzero(~(prob <= 0.0))
@@ -565,14 +552,13 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, r: float,
     # the trace of the stacked product, bitwise as each record's own
     purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
     bobs = np.linalg.eigh(rho)[1][..., -1].tolist()
-    fixed = [QubitState(*vec, DUAL_RAIL_BASIS)
-             for vec in np.linalg.eigh(rho_c)[1][..., -1].tolist()]
+    fixed = [QubitState(*vec) for vec in np.linalg.eigh(rho_c)[1][..., -1].tolist()]
     # the factor each corrected state carries; NaN where a0, a1 or c0 vanishes
     est = [float((c.c1 / c.c0 * qubit.a0 / qubit.a1).real)
            if abs(qubit.a0) > 0 and abs(qubit.a1) > 0 and abs(c.c0) > 1e-12 else math.nan
            for c in fixed]
     return [BruteForceRecord(Outcome(_PARITIES[p], n_, m_),
-                             QubitState(*bob, DUAL_RAIL_BASIS), p_, a, zp, c, rh, rh_c, pur)
+                             QubitState(*bob), p_, a, zp, c, rh, rh_c, pur)
             for p, n_, m_, bob, p_, a, zp, c, rh, rh_c, pur
             in zip(parity.tolist(), n.tolist(), m.tolist(), bobs, prob.tolist(), est,
                    z.tolist(), fixed, rho, rho_c, purity.tolist())]
@@ -601,7 +587,7 @@ def record_infidelity(record: BruteForceRecord, qubit: UnknownQubit,
 
 
 def _infidelity(record: BruteForceRecord, qubit: UnknownQubit, a_fac: float) -> float:
-    tgt = QubitState(qubit.a0, qubit.a1 * a_fac, DUAL_RAIL_BASIS).vec()
+    tgt = QubitState(qubit.a0, qubit.a1 * a_fac).vec()
     return 1.0 - float(np.real(np.vdot(tgt, record.corrected_rho @ tgt)))
 
 
@@ -616,15 +602,14 @@ def circuit_vs_limit(qubit: UnknownQubit, alpha: float, r: float,
     probability of those counts (both parities).
     """
     beta = alpha * math.sqrt(1.0 - r * r) / r
-    records = brute_force_pipeline(qubit, beta, r, n_cut=2, m_cut=2,
-                                   tail_tolerance=tail_tolerance)
+    records = brute_force_pipeline(qubit, beta, r, tail_tolerance=tail_tolerance)
     by_counts: dict[tuple[int, int], float] = {}
     for rec in records:
         key = rec.outcome.n, rec.outcome.m
         by_counts[key] = by_counts.get(key, 0.0) + rec.probability
     l, k = qubit.l, qubit.k
     table = matrix_element_table(max(l, k), 2, alpha)
-    limits = outcome_probability_grid(qubit, l, k, table).tolist()
+    limits = outcome_probability_grid(qubit, table).tolist()
     factors = amp_factor_grid(l, k, table)
     rows = []
     for rec in records:

@@ -51,7 +51,15 @@ TABLE1_VALUES = [-1 / 3, -0.2, 1 / 3, -1 / 7, 0.2, -1 / 9, 1 / 7]
 TABLE2_COLUMNS = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3)]
 TABLE2_VALUES = [0.427, -0.427, -0.155, -0.0954, -0.362]
 TABLE2_RECIPROCALS = [2.343, -2.343, -6.468, -10.481, -2.76]
-TABLE2_ALPHA = 0.5053
+
+#: the paper's operating points, which ``figure`` also carries exactly:
+#: 1/sqrt(2), where the (0,1) pair factor A(0,1) is -1 (Table 1); the
+#: printed maximizers of the (0,1) and (1,2) direct success; and the
+#: printed root of A(1,2) = -1 for the (1,2) pair (Table 2)
+ALPHA_01 = 1.0 / math.sqrt(2.0)
+ALPHA_PEAK_01 = 0.628482
+ALPHA_PEAK_12 = 0.4072
+ALPHA_12 = 0.5053
 
 OVERALL_01_PUBLISHED = 0.522765
 OVERALL_12_PUBLISHED = 0.4968
@@ -59,7 +67,6 @@ OVERALL_12_PUBLISHED = 0.4968
 
 def suite_paper() -> list[CheckResult]:
     out = []
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
     # entanglement of the resource state
     for beta in (0.5, 1.0, 1.5, 2.0):
@@ -74,7 +81,7 @@ def suite_paper() -> list[CheckResult]:
 
     # factor table, (0,1) block at alpha = 1/sqrt(2): exact rationals; each
     # block reads one factor grid, whose entries depend on their own counts only
-    factor = protocol.amp_factor_grid(0, 1, displaced.matrix_element_table(1, 5, inv_sqrt2))
+    factor = protocol.amp_factor_grid(0, 1, displaced.matrix_element_table(1, 5, ALPHA_01))
     for (n, m), val in zip(TABLE1_COLUMNS, TABLE1_VALUES):
         out.append(_check(f"factor table (0,1): A({n},{m})", factor[n, m], val, 1e-12,
                           note="closed form (2n-1)/(2m-1)"))
@@ -84,44 +91,44 @@ def suite_paper() -> list[CheckResult]:
                            "but its value 3/5 belongs to counts (2,3); "
                            "A(0,5) itself is -1/9 (column six)"))
 
-    # factor table, (1,2) block at alpha = 0.5053
-    factor = protocol.amp_factor_grid(1, 2, displaced.matrix_element_table(2, 4, TABLE2_ALPHA))
+    # factor table, (1,2) block at alpha = ALPHA_12
+    factor = protocol.amp_factor_grid(1, 2, displaced.matrix_element_table(2, 4, ALPHA_12))
     for (n, m), val, rec in zip(TABLE2_COLUMNS, TABLE2_VALUES, TABLE2_RECIPROCALS):
         out.append(_check(f"factor table (1,2): A({n},{m})", factor[n, m], val, 2e-3))
         out.append(_check(f"factor table (1,2): A({m},{n})", factor[m, n], rec, 1e-2))
-    out.append(_check("A(1,2) of (1,2) block at 0.5053", factor[1, 2], -1.0, 1e-3))
+    out.append(_check(f"A(1,2) of (1,2) block at {ALPHA_12}", factor[1, 2], -1.0, 1e-3))
 
     # headline probabilities of the dual-rail protocol
     a_star, p_star = protocol.maximize_direct_success(0, 1)
     out.append(_check("(0,1) direct-success maximum", p_star, 0.2637, 5e-4))
-    out.append(_check("(0,1) maximizing displacement", a_star, 0.628482, 5e-3,
+    out.append(_check("(0,1) maximizing displacement", a_star, ALPHA_PEAK_01, 5e-3,
                       note="golden-section location"))
     out.append(_check("(0,1) direct success at 1/sqrt2",
-                      protocol.direct_success_probability(0, 1, inv_sqrt2),
+                      protocol.direct_success_probability(0, 1, ALPHA_01),
                       0.2578, 5e-4))
     out.append(_check("(0,1) pair mass (0,1)+(1,0) at 1/sqrt2",
-                      protocol.pair_sum_probability(0, 1, 0, 1, inv_sqrt2),
+                      protocol.pair_sum_probability(0, 1, 0, 1, ALPHA_01),
                       0.18394, 5e-4))
     out.append(_check("(0,1) sign-free delivery at 1/sqrt2",
-                      protocol.direct_success_probability(0, 1, inv_sqrt2)
-                      + protocol.pair_sum_probability(0, 1, 0, 1, inv_sqrt2),
+                      protocol.direct_success_probability(0, 1, ALPHA_01)
+                      + protocol.pair_sum_probability(0, 1, 0, 1, ALPHA_01),
                       0.441789, 5e-4))
-    out.append(_check("(0,1) sign-free delivery at 0.628482",
-                      protocol.direct_success_probability(0, 1, 0.628482)
-                      + protocol.pair_sum_probability(0, 1, 0, 1, 0.628482),
+    out.append(_check(f"(0,1) sign-free delivery at {ALPHA_PEAK_01}",
+                      protocol.direct_success_probability(0, 1, ALPHA_PEAK_01)
+                      + protocol.pair_sum_probability(0, 1, 0, 1, ALPHA_PEAK_01),
                       0.500673, 5e-4))
     a12, p12 = protocol.maximize_direct_success(1, 2)
     out.append(_check("(1,2) direct-success maximum", p12, 0.24371, 5e-4))
-    out.append(_check("(1,2) maximizing displacement", a12, 0.4072, 5e-3))
-    out.append(_check("(1,2) pair mass (1,2)+(2,1) at 0.4072",
-                      protocol.pair_sum_probability(1, 2, 1, 2, 0.4072),
+    out.append(_check("(1,2) maximizing displacement", a12, ALPHA_PEAK_12, 5e-3))
+    out.append(_check(f"(1,2) pair mass (1,2)+(2,1) at {ALPHA_PEAK_12}",
+                      protocol.pair_sum_probability(1, 2, 1, 2, ALPHA_PEAK_12),
                       0.2883, 1e-3))
     out.append(_check("(1,2) maximum plus pair mass",
-                      p12 + protocol.pair_sum_probability(1, 2, 1, 2, 0.4072),
+                      p12 + protocol.pair_sum_probability(1, 2, 1, 2, ALPHA_PEAK_12),
                       0.5317, 1e-3))
-    out.append(_check("(1,2) sign-free delivery at 0.5053",
-                      protocol.direct_success_probability(1, 2, TABLE2_ALPHA)
-                      + protocol.pair_sum_probability(1, 2, 1, 2, TABLE2_ALPHA),
+    out.append(_check(f"(1,2) sign-free delivery at {ALPHA_12}",
+                      protocol.direct_success_probability(1, 2, ALPHA_12)
+                      + protocol.pair_sum_probability(1, 2, 1, 2, ALPHA_12),
                       0.4014, 1e-3))
 
     out.extend(overall_demodulated_checks())
@@ -140,11 +147,10 @@ def overall_demodulated_checks() -> list[CheckResult]:
     swap-only comparison.
     """
     out = []
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     alpha12 = protocol.solve_amp_factor_alpha(1, 2, 1, 2, -1.0, 0.45, 0.56)
 
     for (l, k, alpha, published, label) in (
-        (0, 1, inv_sqrt2, OVERALL_01_PUBLISHED, "(0,1) at 1/sqrt2"),
+        (0, 1, ALPHA_01, OVERALL_01_PUBLISHED, "(0,1) at 1/sqrt2"),
         (1, 2, alpha12, OVERALL_12_PUBLISHED, f"(1,2) at {alpha12:.6f}"),
     ):
         total, rows = dm.overall_success_report(l, k, alpha, policy="best")
@@ -166,7 +172,6 @@ def overall_demodulated_checks() -> list[CheckResult]:
 def suite_properties() -> list[CheckResult]:
     rng = np.random.default_rng(7)
     out = []
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
     # decomposition-table normalization / orthogonality / sign rule
     table = displaced.matrix_element_table(5, 80, np.array([0.5, 1.0, 1.5, 2.0]))
@@ -183,7 +188,7 @@ def suite_properties() -> list[CheckResult]:
 
     # recurrence route vs matrix-exponential route
     worst = 0.0
-    for alpha in (0.3, inv_sqrt2, 1.0, 1.5):
+    for alpha in (0.3, ALPHA_01, 1.0, 1.5):
         dim = 40
         d_exact = optics.displacement_matrix(alpha, dim)
         table = displaced.matrix_element_table(5, dim - 1, alpha)
@@ -229,7 +234,7 @@ def suite_properties() -> list[CheckResult]:
     qubit = protocol.UnknownQubit(math.sqrt(0.7), math.sqrt(0.3) * 1j)
     for alpha in (0.7, 1.2):
         total = float(protocol.outcome_probability_grid(
-            qubit, 0, 1, displaced.matrix_element_table(1, 20, alpha)).sum())
+            qubit, displaced.matrix_element_table(1, 20, alpha)).sum())
         out.append(_check(f"outcome completeness alpha={alpha}", total, 1.0, 1e-6))
         split = (protocol.direct_success_probability(0, 1, alpha)
                  + protocol.am_probability(0, 1, alpha))
@@ -260,17 +265,17 @@ def suite_properties() -> list[CheckResult]:
         qa = protocol.UnknownQubit(math.sqrt(1 - x), math.sqrt(x))
         qb = protocol.UnknownQubit(math.sqrt(x), -1j * math.sqrt(1 - x))
         for (n, m) in ((0, 1), (0, 2), (1, 2)):
-            pa = (protocol.outcome_probability_dual(qa, 0, 1, n, m, 0.6)
-                  + protocol.outcome_probability_dual(qa, 0, 1, m, n, 0.6))
-            pb = (protocol.outcome_probability_dual(qb, 0, 1, n, m, 0.6)
-                  + protocol.outcome_probability_dual(qb, 0, 1, m, n, 0.6))
+            pa = (protocol.outcome_probability_dual(qa, n, m, 0.6)
+                  + protocol.outcome_probability_dual(qa, m, n, 0.6))
+            pb = (protocol.outcome_probability_dual(qb, n, m, 0.6)
+                  + protocol.outcome_probability_dual(qb, m, n, 0.6))
             worst = max(worst, abs(pa - pb))
             worst = max(worst, abs(pa - protocol.pair_sum_probability(0, 1, n, m, 0.6)))
     out.append(_check_below("pair sums independent of the superposition", worst, 1e-10))
 
     # correction soundness on the analytic records
     worst = 0.0
-    for rec in protocol.dual_rail_records(qubit, 0.7, n_cut=4, m_cut=4):
+    for rec in protocol.dual_rail_records(qubit, 0.7, n_cut=4):
         target = fock.QubitState(qubit.a0, qubit.a1 * rec.amp_factor)
         worst = max(worst, 1.0 - fock.fidelity(rec.corrected_state, target))
     out.append(_check_below("correction word lands on (a0, a1*A)", worst, 1e-12))
@@ -309,8 +314,8 @@ def suite_properties() -> list[CheckResult]:
         r[4] * r[5] for r in rows
     )
     out.append(_check("itemized rows reproduce the total", recomputed, total, 1e-10))
-    d3 = dm.overall_success(0, 1, inv_sqrt2, chain_depth=3)
-    d4 = dm.overall_success(0, 1, inv_sqrt2, chain_depth=4)
+    d3 = dm.overall_success(0, 1, ALPHA_01, chain_depth=3)
+    d4 = dm.overall_success(0, 1, ALPHA_01, chain_depth=4)
     out.append(_check_below("chain contribution beyond depth 3", abs(d4 - d3), 1e-3))
 
     out.extend(initially_modulated_checks())

@@ -155,7 +155,7 @@ def test_criterion_6_overall_demodulated():
 def test_criterion_7_normalization_and_algebra():
     qubit = protocol.UnknownQubit(math.sqrt(0.7), math.sqrt(0.3) * 1j)
     completeness = abs(sum(
-        protocol.outcome_probability_dual(qubit, 0, 1, n, m, 0.9)
+        protocol.outcome_probability_dual(qubit, n, m, 0.9)
         for n in range(21) for m in range(21)) - 1.0)
     identity = abs(protocol.direct_success_probability(0, 1, 0.8)
                    + protocol.am_probability(0, 1, 0.8) - 1.0)
@@ -183,10 +183,10 @@ def test_criterion_7_normalization_and_algebra():
         qb = protocol.UnknownQubit(
             math.sqrt(x), math.sqrt(1 - x) * np.exp(1j * rng.uniform(0, 6.28)))
         for (n, m) in ((0, 1), (0, 2), (1, 2), (1, 3)):
-            sa = (protocol.outcome_probability_dual(qa, 0, 1, n, m, 0.65)
-                  + protocol.outcome_probability_dual(qa, 0, 1, m, n, 0.65))
-            sb = (protocol.outcome_probability_dual(qb, 0, 1, n, m, 0.65)
-                  + protocol.outcome_probability_dual(qb, 0, 1, m, n, 0.65))
+            sa = (protocol.outcome_probability_dual(qa, n, m, 0.65)
+                  + protocol.outcome_probability_dual(qa, m, n, 0.65))
+            sb = (protocol.outcome_probability_dual(qb, n, m, 0.65)
+                  + protocol.outcome_probability_dual(qb, m, n, 0.65))
             pair_dep = max(pair_dep, abs(sa - sb))
     ok = (completeness <= 1e-6 and identity <= 1e-6
           and recip <= 1e-10 and pair_dep <= 1e-10)
@@ -206,7 +206,7 @@ def test_criterion_8_circuit_oracle_convergence():
         t0 = time.perf_counter()
         t = math.sqrt(1 - r * r)
         records = protocol.brute_force_pipeline(qubit, alpha * t / r, r,
-                                                n_cut=2, m_cut=2)
+                                                n_cut=2)
         elapsed = time.perf_counter() - t0
         if r == 0.05:
             t_weakest = elapsed
@@ -214,7 +214,7 @@ def test_criterion_8_circuit_oracle_convergence():
         for (n, m) in outcomes:
             p = sum(rec.probability for rec in records
                     if (rec.outcome.n, rec.outcome.m) == (n, m))
-            expect = protocol.outcome_probability_dual(qubit, 0, 1, n, m, alpha)
+            expect = protocol.outcome_probability_dual(qubit, n, m, alpha)
             perr = max(perr, abs(p - expect))
             infid = max(infid, max(
                 protocol.record_infidelity(rec, qubit, alpha)

@@ -291,6 +291,12 @@ def test_nmax_past_the_largest_cutoff_is_usage_error(tmp_path):
     ("sweep", "--protocol", "dual", "--alpha-min", "0.1", "--alpha-max", "1.2",
      "--steps", "41", "--nmax", "1000"),
     ("figure", "fig5", "--nmax", "200"),
+    # counted before the grids are built: 10^11 alpha values alone would
+    # take 745 GiB, and 10^8 |a1| values 800 MB as an array, more as floats
+    ("sweep", "--protocol", "dual", "--alpha-min", "0.2", "--alpha-max", "0.4",
+     "--steps", "100000000000"),
+    ("sweep", "--protocol", "init_am_dual", "--alpha-min", "0.2", "--alpha-max", "0.4",
+     "--steps", "2", "--a1-grid", "100000000"),
 ])
 def test_curve_past_the_cell_bound_is_usage_error(argv, tmp_path):
     # refused before any table is built; under a 2 GiB address-space limit,
@@ -318,10 +324,11 @@ def test_curve_within_the_cell_bound_runs(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--protocol", "single", "--alpha-min", "1e-300", "--alpha-max", "1.5e-300"),
+    ("--protocol", "init_am_single", "--alpha-min", "1e-300", "--alpha-max", "1.5e-300",
+     "--a1-abs", "0.8"),
     ("--protocol", "init_am_single", "--alpha-min", "1e-17", "--alpha-max", "2e-17",
      "--a1-abs", "0.8"),
-    ("--protocol", "init_am_dual", "--alpha-min", "1e-100", "--alpha-max", "1.5e-100",
+    ("--protocol", "init_am_single", "--alpha-min", "1e-100", "--alpha-max", "1.5e-100",
      "--a1-abs", "0.8"),
 ])
 def test_non_finite_cell_is_a_numeric_guard(argv, tmp_path, capsys):
@@ -334,6 +341,29 @@ def test_non_finite_cell_is_a_numeric_guard(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, far, near", [
+    # the (1,0) and (2,0) outcomes have a factor of ~1e200 and weight 0
+    (("--protocol", "init_am_dual", "--a1-abs", "0.5"), "1e-100", "1e-8"),
+    (("--protocol", "init_am_dual", "--a1-abs", "0.8"), "1e-100", "1e-8"),
+    # the count-1 factor (1 - alpha^2) / alpha squares to inf; its weight
+    # alpha^2, and so dp_swap = 2 alpha^2, underflow to 0
+    (("--protocol", "single"), "1e-300", "1e-100"),
+])
+def test_sweep_far_below_one_is_finite(argv, far, near, tmp_path):
+    # q_swap gives 1 where A^2 overflows, not inf / inf = NaN, so each
+    # weight-0 contribution is 0 and the cells match a nearer alpha's
+    rows = []
+    for lo in (far, near):
+        out = tmp_path / f"{lo}.csv"
+        assert main(["sweep", *argv, "--alpha-min", lo, "--alpha-max", lo.replace("1e", "1.5e"),
+                     "--steps", "2", "--out", str(out)]) == 0
+        rows.append([{k: v for k, v in r.items() if k != "alpha"} for r in read_csv(out)[1]])
+    if "single" in argv:
+        assert [r.pop("dp_swap") for r in rows[0]] == ["0", "0"]
+        assert [r.pop("dp_swap") for r in rows[1]] == ["2e-200", "4.5e-200"]
+    assert rows[0] == rows[1]
+
+
 def test_sweep_out_directory_is_usage_error(monkeypatch, tmp_path, capsys):
     def refused(*args):
         raise AssertionError("a table was built before the usage check")
@@ -343,6 +373,29 @@ def test_sweep_out_directory_is_usage_error(monkeypatch, tmp_path, capsys):
                  "--alpha-max", "1.2", "--steps", "3", "--out", str(tmp_path)]) == 2
     assert "is a directory" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--protocol", "dual", "--alpha-min", "0.1", "--alpha-max", "1.2",
+     "--steps", "3", "--out", "{file}/x.csv"),
+    ("figure", "fig4", "--out", "{file}"),
+    ("verify", "--suite", "paper", "--config", "{missing}"),
+])
+def test_unwritable_out_or_unreadable_config_is_usage_error(argv, tmp_path, tmp_path_factory,
+                                                            monkeypatch, capsys):
+    # --out below a regular file cannot be made a directory; the config
+    # file does not exist
+    blocker = tmp_path_factory.mktemp("blocker") / "file"
+    blocker.write_text("")
+    argv = [a.format(file=blocker, missing=tmp_path / "missing.cfg") for a in argv]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker if argv[0] != "verify" else tmp_path / "missing.cfg") in err
+    assert list(tmp_path.iterdir()) == []
+    assert list(blocker.parent.iterdir()) == [blocker]
 
 
 def test_truncation_loss_past_tail_tol_is_a_numeric_guard(tmp_path):

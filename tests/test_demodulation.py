@@ -453,6 +453,21 @@ def test_swap_probability_bounds():
     assert q_swap(1e-6) < 1e-11
 
 
+def test_swap_probability_is_one_where_the_squared_factor_overflows():
+    # A^2 = inf makes A^2 / (1 + A^2) inf / inf; its limit 1 / (1 + 1/A^2) is one
+    for a in (math.inf, -math.inf, 1e200, -1e200):
+        assert q_swap(a) == 1.0
+    assert demod_swap(AMQubit(0.6, 0.8, 1e200)).success_probability == 1.0
+    assert math.isnan(q_swap(math.nan))
+    np.testing.assert_array_equal(q_swap(np.array([1e200, math.nan, -math.inf])),
+                                  [1.0, math.nan, 1.0])
+    # every factor whose square is finite keeps the bits of A^2 / (1 + A^2)
+    rng = np.random.default_rng(18)
+    a = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-150, 150, 2000)
+    assert q_swap(a).tobytes() == (a * a / (1.0 + a * a)).tobytes()
+    assert [q_swap(x) for x in a[:50].tolist()] == (a[:50] ** 2 / (1.0 + a[:50] ** 2)).tolist()
+
+
 def test_demodulated_addition_never_exceeds_am_mass():
     from dvcv_teleport.protocol import am_probability
     for alpha in (0.4, INV_SQRT2, 1.0):

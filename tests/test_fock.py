@@ -210,8 +210,14 @@ def test_qubit_fidelity():
     assert fidelity(QubitState(1, 1), QubitState(1, 0)) == pytest.approx(0.5)
     # global phase invisible
     assert fidelity(QubitState(1j, 1j), QubitState(1, 1)) == pytest.approx(1.0)
-    with pytest.raises(BasisMismatchError):
-        fidelity(QubitState(1, 0), QubitState(1, 0, basis=("0", "1")))
+
+
+def test_overlap_needs_identical_mode_grids():
+    a = number_state("m", 1, 2)
+    assert a.overlap(number_state("m", 1, 2)) == 1.0
+    for other in (number_state("m", 1, 3), number_state("n", 1, 2)):
+        with pytest.raises(BasisMismatchError):
+            a.overlap(other)
 
 
 def test_amplitudes_frozen():

@@ -38,8 +38,7 @@ def test_unknown_qubit_validation():
     q = UnknownQubit(3.0, 4.0)
     assert abs(q.a0) ** 2 + abs(q.a1) ** 2 == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        UnknownQubit(1, 0, l=0, k=2)  # even difference refused by default
-    UnknownQubit(1, 0, l=0, k=2, require_odd=False)
+        UnknownQubit(1, 0, l=0, k=2)  # even difference refused
     with pytest.raises(ValueError):
         UnknownQubit(1, 0, l=1, k=1)
     with pytest.raises(ValueError):
@@ -197,7 +196,7 @@ def test_direct_success_headline_values():
 
 def test_outcome_completeness():
     q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
-    total = sum(outcome_probability_dual(q, 0, 1, n, m, 0.7)
+    total = sum(outcome_probability_dual(q, n, m, 0.7)
                 for n in range(21) for m in range(21))
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -217,10 +216,10 @@ def test_pair_sum_qubit_independence():
         qa = UnknownQubit(math.sqrt(1 - x), math.sqrt(x))
         qb = UnknownQubit(math.sqrt(x), 1j * math.sqrt(1 - x))
         for (n, m) in ((0, 1), (0, 2), (1, 2)):
-            sa = (outcome_probability_dual(qa, 0, 1, n, m, 0.6)
-                  + outcome_probability_dual(qa, 0, 1, m, n, 0.6))
-            sb = (outcome_probability_dual(qb, 0, 1, n, m, 0.6)
-                  + outcome_probability_dual(qb, 0, 1, m, n, 0.6))
+            sa = (outcome_probability_dual(qa, n, m, 0.6)
+                  + outcome_probability_dual(qa, m, n, 0.6))
+            sb = (outcome_probability_dual(qb, n, m, 0.6)
+                  + outcome_probability_dual(qb, m, n, 0.6))
             assert abs(sa - sb) < 1e-10
             assert sa == pytest.approx(pair_sum_probability(0, 1, n, m, 0.6),
                                        abs=1e-12)
@@ -229,8 +228,8 @@ def test_pair_sum_qubit_independence():
 def test_per_outcome_probability_depends_on_qubit():
     qa = UnknownQubit(1, 0)
     qb = UnknownQubit(0, 1)
-    pa = outcome_probability_dual(qa, 0, 1, 0, 2, 0.6)
-    pb = outcome_probability_dual(qb, 0, 1, 0, 2, 0.6)
+    pa = outcome_probability_dual(qa, 0, 2, 0.6)
+    pb = outcome_probability_dual(qb, 0, 2, 0.6)
     assert abs(pa - pb) > 1e-3
 
 
@@ -238,7 +237,7 @@ def test_singular_outcome_probability_is_finite():
     # at alpha = 1 the (1, 0) factor for the (1, 0) pair is singular, yet the
     # product form keeps the outcome weight finite
     q = UnknownQubit(math.sqrt(0.5), math.sqrt(0.5), l=1, k=0)
-    p = outcome_probability_dual(q, 1, 0, 1, 0, 1.0)
+    p = outcome_probability_dual(q, 1, 0, 1.0)
     assert 0.0 < p < 1.0
 
 
@@ -260,26 +259,26 @@ def test_operating_point_roots():
 
 def test_dual_records_complete_and_ordered():
     q = UnknownQubit(math.sqrt(0.6), math.sqrt(0.4))
-    records = dual_rail_records(q, 0.7, n_cut=20, m_cut=20)
+    records = dual_rail_records(q, 0.7, n_cut=20)
     assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-6)
     keys = [(r.outcome.parity, r.outcome.n, r.outcome.m) for r in records]
     assert keys == sorted(keys, key=lambda x: (x[0] != "even", x[1], x[2]))
     # each record agrees with the per-outcome references (factors exactly,
     # probabilities to a few ulps); singular outcomes are omitted
     for alpha in (1.0, 0.7):
-        records = dual_rail_records(q, alpha, n_cut=6, m_cut=9)
+        records = dual_rail_records(q, alpha, n_cut=6)
         expected = []
         for n in range(7):
-            for m in range(10):
+            for m in range(7):
                 try:
                     expected.append((n, m, amp_factor_dual(0, 1, n, m, alpha)))
                 except SingularFactorError:
                     pass
-        assert len(expected) < 70 if alpha == 1.0 else len(expected) == 70
+        assert len(expected) < 49 if alpha == 1.0 else len(expected) == 49
         assert [(r.outcome.n, r.outcome.m, r.amp_factor) for r in records] == expected * 2
         for r in records:
             assert r.probability == pytest.approx(0.5 * outcome_probability_dual(
-                q, 0, 1, r.outcome.n, r.outcome.m, alpha), rel=1e-14)
+                q, r.outcome.n, r.outcome.m, alpha), rel=1e-14)
 
 
 @pytest.mark.parametrize("l,k", [(0, 1), (1, 2)])
@@ -288,7 +287,7 @@ def test_dual_records_correct_like_the_scalar_word(l, k, alpha):
     # the batched correction is bitwise the per-record correct()
     for a0, a1 in ((math.sqrt(0.6), math.sqrt(0.4)), (0.6, 0.8j), (0.3 + 0.4j, -0.5 + 0.2j)):
         q = UnknownQubit(a0, a1, l, k)
-        records = dual_rail_records(q, alpha, n_cut=6, m_cut=9)
+        records = dual_rail_records(q, alpha, n_cut=6)
         assert records
         for r in records:
             parity, n = r.outcome.parity, r.outcome.n
@@ -307,8 +306,25 @@ def test_dual_records_build_one_coefficient_table(monkeypatch):
         return rows(*args)
 
     monkeypatch.setattr(displaced, "matrix_element_rows", counted)
-    dual_rail_records(UnknownQubit(0.6, 0.8j, 1, 2), 0.7, n_cut=6, m_cut=9)
+    dual_rail_records(UnknownQubit(0.6, 0.8j, 1, 2), 0.7, n_cut=6)
     assert len(calls) == 1
+
+
+def test_single_rail_record_builds_one_coefficient_table(monkeypatch):
+    calls = []
+    rows = displaced.matrix_element_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(displaced, "matrix_element_rows", counted)
+    rec = single_rail_pipeline(UnknownQubit(0.6, 0.8j, 1, 2), 0.7, 3)
+    assert len(calls) == 1
+    assert rec.amp_factor == amp_factor_single(1, 2, 3, 0.7)
+    # the singular factor keeps amp_factor_single's message: c(1, 1) = 0 at alpha = 1
+    with pytest.raises(SingularFactorError, match=r"c\(1,1;1.0\) vanishes; outcome 1 is "):
+        single_rail_pipeline(UnknownQubit(0.6, 0.8, 1, 2), 1.0, 1)
 
 
 @pytest.mark.parametrize("alpha", [1.0, math.sqrt(2)])
@@ -320,7 +336,7 @@ def test_outcomes_the_qubit_cannot_produce_are_left_out(alpha):
     q = UnknownQubit(0, 1)
     vanish = [(n0, m) for m in range(9) if m != n0]
     for n, m in vanish:
-        assert outcome_probability_dual(q, 0, 1, n, m, alpha) == 0.0
+        assert outcome_probability_dual(q, n, m, alpha) == 0.0
     grid = protocol.amp_factor_grid(0, 1, displaced.matrix_element_table(1, 8, alpha))
     kept = [(n, m) for n, m in np.argwhere(~np.isnan(grid)).tolist() if (n, m) not in vanish]
     assert (n0, n0) in kept  # equal counts: factor one, a well-defined branch
@@ -329,20 +345,11 @@ def test_outcomes_the_qubit_cannot_produce_are_left_out(alpha):
     with pytest.raises(ValueError, match=rf"outcome \({n0},0\) cannot occur"):
         bob_states_dual(q, alpha, n0, 0)
     with pytest.raises(ValueError, match=f"outcome {n0} cannot occur"):
-        single_rail_pipeline(UnknownQubit(0, 1, encoding="single_rail"), alpha, n0)
-
-
-def test_even_difference_is_refused_by_the_pipelines():
-    dual = UnknownQubit(0.6, 0.8, 0, 2, require_odd=False)
-    with pytest.raises(ValueError, match="l - k odd"):
-        dual_rail_records(dual, 0.7)
-    single = UnknownQubit(0.6, 0.8, 0, 2, encoding="single_rail", require_odd=False)
-    with pytest.raises(ValueError, match="l - k odd"):
-        single_rail_pipeline(single, 0.7, 1)
+        single_rail_pipeline(UnknownQubit(0, 1), alpha, n0)
 
 
 def test_single_rail_pipeline():
-    q = UnknownQubit(math.sqrt(0.75), 0.5, encoding="single_rail")
+    q = UnknownQubit(math.sqrt(0.75), 0.5)
     total = sum(single_rail_pipeline(q, 0.9, n).probability for n in range(25))
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -350,12 +357,9 @@ def test_single_rail_pipeline():
     rec = single_rail_pipeline(q, (math.sqrt(5) - 1) / 2, 1)
     assert rec.amp_factor == pytest.approx(1.0, abs=1e-4)
 
-    trivial = UnknownQubit(1, 0, encoding="single_rail")
+    trivial = UnknownQubit(1, 0)
     rec = single_rail_pipeline(trivial, 0.8, 2)
     assert fidelity(rec.corrected_state, QubitState(1, 0)) > 1 - 1e-12
-
-    with pytest.raises(ValueError):
-        single_rail_pipeline(UnknownQubit(1, 1), 0.5, 0)
 
 
 def test_brute_force_converges_to_analytic():
@@ -364,14 +368,14 @@ def test_brute_force_converges_to_analytic():
     worst_prev = None
     for r in (0.2, 0.1):
         t = math.sqrt(1 - r * r)
-        records = brute_force_pipeline(q, alpha * t / r, r, n_cut=1, m_cut=1)
+        records = brute_force_pipeline(q, alpha * t / r, r, n_cut=1)
         worst = max(record_infidelity(rec, q, alpha) for rec in records)
         by_counts = {}
         for rec in records:
             key = (rec.outcome.n, rec.outcome.m)
             by_counts[key] = by_counts.get(key, 0.0) + rec.probability
         for (n, m), p in by_counts.items():
-            expect = outcome_probability_dual(q, 0, 1, n, m, alpha)
+            expect = outcome_probability_dual(q, n, m, alpha)
             assert p == pytest.approx(expect, rel=12 * r * r)
         if worst_prev is not None:
             assert worst < worst_prev
@@ -386,7 +390,7 @@ def test_brute_force_regression_point():
     q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
     r = 0.1
     beta = 0.5 * math.sqrt(1 - r * r) / r
-    records = brute_force_pipeline(q, beta, r, n_cut=0, m_cut=0)
+    records = brute_force_pipeline(q, beta, r, n_cut=0)
     worst = max(record_infidelity(rec, q, 0.5) for rec in records)
     assert worst < 0.02
     assert min(rec.purity for rec in records) > 0.96
@@ -394,7 +398,7 @@ def test_brute_force_regression_point():
 
 def test_brute_force_records_shape():
     q = UnknownQubit(1, 1)
-    records = brute_force_pipeline(q, 2.4, 0.25, n_cut=1, m_cut=1)
+    records = brute_force_pipeline(q, 2.4, 0.25, n_cut=1)
     assert len(records) == 8  # two parities x four count pairs
     for rec in records:
         assert 0.0 < rec.probability < 1.0
@@ -474,7 +478,7 @@ def test_stacked_circuit_records_equal_the_per_outcome_loop(r, lk):
     q = UnknownQubit(0.3 + 0.4j, -0.5 + 0.2j, *lk)
     beta = 0.5 * math.sqrt(1 - r * r) / r
     records = brute_force_pipeline(q, beta, r)
-    expected = _records_one_at_a_time(q, protocol._circuit_gram(q, beta, r, 2, 2, 1e-10))
+    expected = _records_one_at_a_time(q, protocol._circuit_gram(q, beta, r, 2, 1e-10))
     assert len(records) == len(expected) == 18
     for rec, (outcome, prob, rho, rho_c, purity, bob, fixed) in zip(records, expected):
         assert (rec.outcome, rec.probability, rec.purity) == (outcome, prob, purity)
@@ -506,8 +510,8 @@ def test_brute_force_validation():
 @pytest.mark.parametrize("alpha", [0.6, 0.9])
 def test_outcome_probability_is_one_entry_of_the_grid(alpha):
     q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3) * 1j)
-    grid = outcome_probability_grid(q, 0, 1, displaced.matrix_element_table(1, 20, alpha))
+    grid = outcome_probability_grid(q, displaced.matrix_element_table(1, 20, alpha))
     assert grid.shape == (21, 21)
     for n in range(21):
         for m in range(21):
-            assert outcome_probability_dual(q, 0, 1, n, m, alpha) == grid[n, m]
+            assert outcome_probability_dual(q, n, m, alpha) == grid[n, m]

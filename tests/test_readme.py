@@ -1,17 +1,38 @@
-"""The README's library example runs against the installed package, so a
-renamed or deleted public name fails here instead of leaving stale docs."""
+"""The README's examples run against the installed package, so a renamed or
+deleted public name, flag or file fails here instead of leaving stale docs."""
 
 import re
+import shlex
 from pathlib import Path
+
+from dvcv_teleport.cli import ENV_OUT_DIR, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_library_block_runs():
+def _block(section: str, language: str) -> str:
     text = README.read_text()
-    library = text[text.index("\n## Library\n"):]
-    block = re.search(r"```python\n(.*?)```", library, re.S)
-    assert block is not None, "README's Library section has no python block"
+    block = re.search(rf"```{language}\n(.*?)```", text[text.index(f"\n## {section}\n"):], re.S)
+    assert block is not None, f"README's {section} section has no {language} block"
+    return block.group(1)
+
+
+def test_readme_library_block_runs():
     namespace = {}
-    exec(compile(block.group(1), f"{README}:Library", "exec"), namespace)
+    exec(compile(_block("Library", "python"), f"{README}:Library", "exec"), namespace)
     assert "dt" in namespace
+
+
+def test_readme_command_line_block_runs(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+    commands = [shlex.split(line) for line in
+                _block("Command line", "sh").replace("\\\n", " ").splitlines()
+                if line.startswith("dvcv-teleport ")]
+    assert len(commands) == 9
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+        if "--out" in argv:
+            out = Path(argv[argv.index("--out") + 1])
+            # a figure's --out names a directory, a sweep's the file
+            assert (out / f"{argv[2]}.csv" if argv[1] == "figure" else out).is_file(), argv
