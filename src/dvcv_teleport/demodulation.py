@@ -15,6 +15,12 @@ to its norm.
 Reported success probabilities follow the composition convention in which
 the conditional-state normalizer cancels against the outcome weight
 F^4 |c c|^2, so overall accounting is a plain weighted sum.
+
+Every tally classifies an outcome's factor by one rule
+(:func:`_factor_classes`): NaN is singular and adds nothing; a factor
+within 1e-9 of +-1 is a pure sign, delivered clean by the known Z
+correction; any other nonzero factor is restorable by the swap or the
+displacement route; a zero factor delivers nothing.
 """
 
 from __future__ import annotations
@@ -42,8 +48,7 @@ from .protocol import (
     amp_factor_grid,
 )
 
-_CLEAN_TOL = 1e-12
-#: overall accounting treats a factor within this of +-1 as a pure sign
+#: every tally treats a factor within this of +-1 as a pure sign
 _SIGN_TOL = 1e-9
 #: displacement-route search: target counts, residual counts tracked after a
 #: failed attempt, and the largest admissible displacement amplitude
@@ -107,7 +112,7 @@ def q_swap(a_factor) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = np.asarray(a_factor, dtype=float) ** 2
         out = np.where(np.isinf(a2), 1.0, a2 / (1.0 + a2))
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def _displacement_step(a, n: int):
@@ -215,6 +220,7 @@ def demod_swap(am: AMQubit) -> DemodResult:
 # -- chained-displacement value tables ----------------------------------------
 
 _GRID_LO, _GRID_HI, _GRID_N = -6.0, 6.0, 601
+_A_LO = 10.0 ** _GRID_LO
 
 
 @lru_cache(maxsize=1)
@@ -225,8 +231,10 @@ def _transition() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(log_grid, success, points, weights)``: the success weight
     F^2 c(1, n)^2 per (target, factor, root); the log10 of each residual
-    factor A |c(0, p) / c(1, p)| per (target, root, count p, factor); and
-    its weight F^2 c(1, p)^2 per (target, factor, root, count p).
+    factor A' = A |c(0, p) / c(1, p)| per (target, root, count p, factor);
+    and its weight F^2 c(1, p)^2 per (target, factor, root, count p).  A
+    residual below the grid reads the table's first value, so its weight
+    also carries the (A' / A_lo)^2 that :func:`_chain_value` applies there.
 
     The two layouts differ on purpose.  ``points`` runs along the grid,
     so consecutive points read by np.interp mostly share a bracket, and
@@ -249,6 +257,11 @@ def _transition() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         np.multiply(f2, c1n2, out=success[n])
         np.multiply(f2[..., None], c1p2, out=weights[n])
         np.multiply(a_grid, np.abs(ratio).transpose(1, 2, 0), out=a_next)
+        # only the residuals that exist (the skipped ones have weight 0),
+        # by flat index into this target's weights, laid out as a_t
+        a_t = a_next.transpose(2, 0, 1)
+        i = np.flatnonzero((a_t < _A_LO) & (a_t > 0.0))
+        weights[n].reshape(-1)[i] *= (a_t.ravel()[i] / _A_LO) ** 2
         # the floor puts skipped residuals (ratio 0, weight 0) at a finite
         # point; log10 runs on contiguous arrays, since numpy may take a
         # vectorized loop there and another one on strided arrays
@@ -294,17 +307,19 @@ def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray
 
 
 def _chain_value(a_factor, include_swap: bool, depth: int) -> np.ndarray:
-    """Value-table entry at |a_factor| (scalar or array); zero factors get zero."""
+    """Value-table entry at |a_factor| (scalar or array).  Below the grid
+    every value falls like A^2, as each step's success weights do, so it
+    is value[0] (A / A_lo)^2 there; zero factors get zero."""
     log_grid, value = _chain_table(depth, include_swap)
     a = np.abs(np.asarray(a_factor, dtype=float))
     with np.errstate(divide="ignore"):
-        return np.where(a == 0.0, 0.0, np.interp(np.log10(a), log_grid, value))
+        read = np.interp(np.log10(a), log_grid, value)
+    return read * (np.minimum(a, _A_LO) / _A_LO) ** 2
 
 
 def q_displacement_chain(a_factor, depth: int = 3):
     """Success of up to ``depth`` chained displacement attempts (no swap)."""
-    out = _chain_value(a_factor, False, depth)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(_chain_value(a_factor, False, depth))
 
 
 def q_best(a_factor, depth: int = 3):
@@ -313,11 +328,20 @@ def q_best(a_factor, depth: int = 3):
     interpolated = _chain_value(a_factor, True, depth)
     # the immediate swap is always available exactly; the table only bounds
     # it to interpolation accuracy
-    out = np.maximum(interpolated, q_swap(a_factor))
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(np.maximum(interpolated, q_swap(a_factor)))
 
 
 # -- overall accounting --------------------------------------------------------
+
+def _factor_classes(factor):
+    """The masks ``(singular, clean, restorable)`` of ``factor``, by the one
+    rule every tally reads (see the module docstring).  The pure-sign
+    tolerance is no tighter since a root solved for A = -1 lands only near
+    it: the (1, 2) operating point leaves A + 1 = -1.4e-12."""
+    singular = np.isnan(factor)
+    clean = np.abs(np.abs(factor) - 1.0) <= _SIGN_TOL
+    return singular, clean, ~singular & ~clean & (factor != 0.0)
+
 
 def overall_success_report(l: int, k: int, alpha: float, policy="best",
                            chain_depth: int = 3, n_cut: int = 20):
@@ -332,17 +356,20 @@ def overall_success_report(l: int, k: int, alpha: float, policy="best",
     (n, m, factor, method, q, weight, contribution); singular outcomes
     appear with method "singular" and zero contribution.
     """
+    if not callable(policy) and policy not in _POLICIES:
+        raise ValueError(f"unknown demodulation method {policy!r}")
     table = matrix_element_table(max(l, k), n_cut, alpha)
     n, m = np.nonzero(~np.eye(n_cut + 1, dtype=bool))
     factor = amp_factor_grid(l, k, table)[n, m]
     weight = ((overall_factor(alpha) ** 4 * table.c[l] ** 2)[:, None]
               * table.c[k] ** 2)[n, m]
-    ok = ~np.isnan(factor)
+    singular, clean, _ = _factor_classes(factor)
+    ok = ~singular
     method = np.full(factor.shape, "singular", dtype=object)
     method[ok] = ([policy(*o) for o in zip(n[ok].tolist(), m[ok].tolist(),
                                            factor[ok].tolist())]
                   if callable(policy) else policy)
-    clean = ok & (method != "skip") & (np.abs(np.abs(factor) - 1.0) <= _SIGN_TOL)
+    clean &= method != "skip"
     unknown = [x for x in method[ok & ~clean].tolist() if x not in _POLICIES]
     if unknown:
         raise ValueError(f"unknown demodulation method {unknown[0]!r}")
@@ -353,9 +380,8 @@ def overall_success_report(l: int, k: int, alpha: float, policy="best",
     if disp.any():
         q[disp] = q_displacement_chain(factor[disp], chain_depth)
     if best.any():
-        q_s, q_c = q_swap(factor[best]), q_best(factor[best], chain_depth)
-        q[best] = np.where(q_s >= q_c, q_s, q_c)
-        method[best] = np.where(q_s >= q_c, "swap", "displacement")
+        q[best] = q_best(factor[best], chain_depth)
+        method[best] = np.where(q_swap(factor[best]) >= q[best], "swap", "displacement")
     contribution = weight * q
     rows = list(zip(n.tolist(), m.tolist(), factor.tolist(), method.tolist(),
                     q.tolist(), weight.tolist(), contribution.tolist()))
@@ -392,9 +418,7 @@ def single_rail_demod_additions(l: int, k: int, alpha, n_cut: int = 20) -> dict:
 def _single_rail_additions(l: int, k: int, table: MatrixElementTable) -> dict:
     weight = _f_column(table, 2) * table.c[l] ** 2
     factor = _factor_row(l, k, table)
-    defined = ~np.isnan(factor)
-    clean = defined & (np.abs(np.abs(factor) - 1.0) <= _CLEAN_TOL)
-    demod = defined & ~clean & (factor != 0.0)
+    _, clean, demod = _factor_classes(factor)
     w, f = weight[demod], factor[demod]
     routes = np.zeros((3,) + factor.shape)
     routes[:, demod] = w * q_swap(f), w * q_displacement_chain(f, 1), w * q_displacement_chain(f)
@@ -410,9 +434,10 @@ class _Outcomes(NamedTuple):
     ``a_ref`` per alpha, the rest with an outcome axis last.
 
     None of them depends on the input qubit: its weight ``base`` enters
-    only through :func:`_contributions`, and its amplitudes only through
-    the count probabilities f (|a0|^2 p0 + |a1|^2 p1).  ``counts`` are the
-    leading record columns.
+    only through the contributions weight * base * g, and its amplitudes
+    only through the count probabilities f (|a0|^2 p0 + |a1|^2 p1).  ``g``
+    is zero at singular outcomes, whose weight vanishes with them.
+    ``counts`` are the leading record columns.
     """
 
     a_ref: float | np.ndarray
@@ -448,11 +473,11 @@ def _dual_outcomes(table: MatrixElementTable) -> _Outcomes:
     counts = np.arange(c0.shape[-1])
     n, m = np.nonzero(counts[:, None] + counts < len(counts))
     phi = grid[..., n, m] / np.asarray(a_ref)[..., None]
-    singular = np.isnan(phi)
-    clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
+    singular, clean, _ = _factor_classes(phi)
     return _Outcomes(
         a_ref, (n, m), f4, (c0[..., n] * c1[..., m]) ** 2, (c1[..., n] * c0[..., m]) ** 2,
-        phi, f4 * c0[..., n] ** 2 * c1[..., m] ** 2, np.where(clean, 1.0, q_swap(phi)),
+        phi, f4 * c0[..., n] ** 2 * c1[..., m] ** 2,
+        np.where(singular, 0.0, np.where(clean, 1.0, q_swap(phi))),
         np.where(singular, "singular", np.where(clean, "clean", "swap")))
 
 
@@ -465,13 +490,13 @@ def _single_outcomes(table: MatrixElementTable) -> _Outcomes:
     a_ref = _nonzero_reference(row[..., 0], table.alpha)  # equals -alpha
     f2 = _f_column(table, 2)
     phi = row / np.asarray(a_ref)[..., None]
-    clean = np.abs(np.abs(phi) - 1.0) <= _CLEAN_TOL
-    demod = ~clean & (phi != 0.0)
+    singular, clean, demod = _factor_classes(phi)
     g = np.where(clean, 1.0, 0.0)
     g[demod] = q_displacement_chain(phi[demod])
     return _Outcomes(
         a_ref, (np.arange(c0.shape[-1]),), f2, c0 ** 2, c1 ** 2, phi, f2 * c0 ** 2, g,
-        np.where(clean, "clean", np.where(demod, "displacement", "skip")))
+        np.where(singular, "singular",
+                 np.where(clean, "clean", np.where(demod, "displacement", "skip"))))
 
 
 _OUTCOMES = {"dual": _dual_outcomes, "single": _single_outcomes}
@@ -484,18 +509,11 @@ def _premodulated(a0: complex, a1: complex, a_ref: float):
     return a0, a1, abs(a0) ** 2 + abs(a1) ** 2 * a_ref ** 2
 
 
-def _contributions(o: _Outcomes, base) -> np.ndarray:
-    """weight * base * g per outcome, zero at singular ones; ``base`` is one
-    input's weight, or an array of them that broadcasts against the
-    outcome arrays."""
-    return np.where(o.method == "singular", 0.0, o.weight * base * o.g)
-
-
 def _initially_am(rail: str, a0: complex, a1: complex, alpha: float, n_cut: int):
     o = _OUTCOMES[rail](matrix_element_table(1, n_cut, alpha))
     a0, a1, base = _premodulated(a0, a1, o.a_ref)
     prob = o.f * (abs(a0) ** 2 * o.p0 + abs(a1) ** 2 * o.p1)
-    contribution = _contributions(o, base)
+    contribution = o.weight * base * o.g
     rows = list(zip(*(c.tolist() for c in o.counts), prob.tolist(), o.phi.tolist(),
                     o.method.tolist(), contribution.tolist()))
     return rows, float(contribution.sum())
@@ -584,7 +602,7 @@ def _am_totals(rail: str, a1_abs, table: MatrixElementTable):
     base = w0 + w1 * np.asarray(_per_entry(pow, o.a_ref, 2))[..., None]
     # the outcome axis made contiguous, as it is at one alpha: numpy pairs
     # the terms of a strided sum differently
-    contribution = np.ascontiguousarray(_contributions(o, base))
+    contribution = np.ascontiguousarray(o.weight * base * o.g)
     # summed column by column from zero, as a Python sum of the clean columns
     clean = np.cumsum(np.where(o.method == "clean", contribution, 0.0), axis=-1)[..., -1]
     return (np.moveaxis(contribution.sum(axis=-1), 0, -1), np.moveaxis(clean, 0, -1))

@@ -1,17 +1,21 @@
+import contextlib
 import csv
 import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dvcv_teleport
-from dvcv_teleport import demodulation as dm, displaced, optics, protocol
+from dvcv_teleport import cli, demodulation as dm, displaced, optics, protocol
 from dvcv_teleport.cli import main
 
 
@@ -323,18 +327,16 @@ def test_curve_within_the_cell_bound_runs(tmp_path):
     assert len(read_csv(out)[1]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("--protocol", "init_am_single", "--alpha-min", "1e-300", "--alpha-max", "1.5e-300",
-     "--a1-abs", "0.8"),
-    ("--protocol", "init_am_single", "--alpha-min", "1e-17", "--alpha-max", "2e-17",
-     "--a1-abs", "0.8"),
-    ("--protocol", "init_am_single", "--alpha-min", "1e-100", "--alpha-max", "1.5e-100",
-     "--a1-abs", "0.8"),
-])
-def test_non_finite_cell_is_a_numeric_guard(argv, tmp_path, capsys):
-    # each of these writes NaN cells without the writer's finiteness gate
+def test_non_finite_cell_is_a_numeric_guard(monkeypatch, tmp_path, capsys):
+    # no real input writes a NaN cell, so a column function that does
+    # stands in for one to reach the writer's finiteness gate
+    columns, _, modes = cli.CURVES["init_am_single"]
+    monkeypatch.setitem(cli.CURVES, "init_am_single", (
+        columns, lambda table, l, k, a1s: (np.full(table.alpha.shape + (len(a1s),), np.nan),) * 2,
+        modes))
     out = tmp_path / "s.csv"
-    assert main(["sweep", *argv, "--steps", "2", "--out", str(out)]) == 3
+    assert main(["sweep", "--protocol", "init_am_single", "--alpha-min", "0.2",
+                 "--alpha-max", "0.4", "--a1-abs", "0.8", "--steps", "2", "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert " is nan at alpha=" in captured.err
@@ -346,12 +348,18 @@ def test_non_finite_cell_is_a_numeric_guard(argv, tmp_path, capsys):
     (("--protocol", "init_am_dual", "--a1-abs", "0.5"), "1e-100", "1e-8"),
     (("--protocol", "init_am_dual", "--a1-abs", "0.8"), "1e-100", "1e-8"),
     # the count-1 factor (1 - alpha^2) / alpha squares to inf; its weight
-    # alpha^2, and so dp_swap = 2 alpha^2, underflow to 0
+    # alpha^2, and so every demodulated column (each ~2 alpha^2), underflow to 0
     (("--protocol", "single"), "1e-300", "1e-100"),
+    # c(0, n) underflows, so the factors of counts n > 0 are NaN (singular)
+    # on a weight of 0
+    (("--protocol", "init_am_single", "--a1-abs", "0.8"), "1e-300", "1e-8"),
+    (("--protocol", "init_am_single", "--a1-abs", "0.8"), "1e-17", "1e-8"),
+    (("--protocol", "init_am_single", "--a1-abs", "0.8"), "1e-100", "1e-8"),
 ])
 def test_sweep_far_below_one_is_finite(argv, far, near, tmp_path):
-    # q_swap gives 1 where A^2 overflows, not inf / inf = NaN, so each
-    # weight-0 contribution is 0 and the cells match a nearer alpha's
+    # q_swap gives 1 where A^2 overflows, not inf / inf = NaN, and a
+    # singular outcome adds nothing, so each weight-0 contribution is 0 and
+    # the cells match a nearer alpha's
     rows = []
     for lo in (far, near):
         out = tmp_path / f"{lo}.csv"
@@ -359,9 +367,37 @@ def test_sweep_far_below_one_is_finite(argv, far, near, tmp_path):
                      "--steps", "2", "--out", str(out)]) == 0
         rows.append([{k: v for k, v in r.items() if k != "alpha"} for r in read_csv(out)[1]])
     if "single" in argv:
-        assert [r.pop("dp_swap") for r in rows[0]] == ["0", "0"]
-        assert [r.pop("dp_swap") for r in rows[1]] == ["2e-200", "4.5e-200"]
+        for column, cells in (("dp_swap", ["2e-200", "4.5e-200"]),
+                              ("dp_disp_first", ["2e-200", "4.5e-200"]),
+                              ("dp_disp_chain", ["2.00088296e-200", "4.50198666e-200"])):
+            assert [r.pop(column) for r in rows[0]] == ["0", "0"]
+            assert [r.pop(column) for r in rows[1]] == cells
     assert rows[0] == rows[1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(protocol=st.sampled_from(cli.PROTOCOLS), exponent=st.floats(-300.0, 3.0),
+       nmax=st.sampled_from(["20", "60"]))
+def test_sweep_fuzz_writes_finite_cells_or_exits_3(protocol, exponent, nmax):
+    # log-uniform alpha over every scale a float holds; the known exit 3
+    # inputs are past the tail guard (alpha well above one) and init_am_dual
+    # below ~1.5e-162, where its reference factor -alpha^2 underflows to -0
+    lo = 10.0 ** exponent
+    argv = ["sweep", "--protocol", protocol, "--alpha-min", repr(lo), "--alpha-max",
+            repr(1.5 * lo), "--steps", "2", "--nmax", nmax]
+    if protocol.startswith("init_am"):
+        argv += ["--a1-abs", "0.8"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        out = Path(d) / "s.csv"
+        code = main(argv + ["--out", str(out)])
+        cells = [float(v) for r in read_csv(out)[1] for v in r.values()] if code == 0 else []
+    assert code in (0, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert all(map(math.isfinite, cells))
+    if protocol != "init_am_dual" and 1.5 * lo < 1.0:
+        assert code == 0, err.getvalue()
 
 
 def test_sweep_out_directory_is_usage_error(monkeypatch, tmp_path, capsys):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dvcv_teleport import displaced, fock, optics
+from dvcv_teleport import demodulation, displaced, fock, optics
 from dvcv_teleport.demodulation import (
     _chain_table,
+    _chain_value,
     _displacement_step,
+    _factor_classes,
     _row_sums,
     _transition,
     AMQubit,
@@ -278,6 +280,21 @@ def test_chain_values_take_arrays():
     assert q_best(0.0) == q_displacement_chain(0.0) == 0.0
 
 
+@pytest.mark.parametrize("include_swap", [False, True])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+def test_chain_values_fall_like_the_square_below_the_grid(depth, include_swap):
+    # every step's success weights go like A^2, so below the grid's first
+    # point value / A^2 holds its level instead of growing like 1 / A^2
+    log_grid, value = _chain_table(depth, include_swap)
+    flat = _chain_value(1e-5, include_swap, depth) / 1e-10
+    for a in (1e-8, 1e-7, 1e-6):
+        assert _chain_value(a, include_swap, depth) / a ** 2 == pytest.approx(flat, abs=1e-3)
+    # at and above the grid the table is read as it lies
+    a = 10.0 ** np.linspace(-6.0, 7.0, 200)
+    assert np.array_equal(_chain_value(a, include_swap, depth),
+                          np.interp(np.log10(a), log_grid, value))
+
+
 def test_chain_first_step_matches_best_root():
     # depth one equals the best single displacement attempt over targets
     a = -1.0
@@ -294,7 +311,7 @@ def bellman_step(a, log_grid, value, target_max=8, residual_max=12,
                  gamma_max=8.0):
     """One scalar displacement step at factor ``a``: the best over targets n
     and roots gamma of the success weight plus the interpolated value of
-    every residual count."""
+    every residual count, which falls like A^2 below the grid."""
     best = 0.0
     for n in range(target_max + 1):
         root = math.sqrt(a * a + 4.0 * n)
@@ -309,6 +326,7 @@ def bellman_step(a, log_grid, value, target_max=8, residual_max=12,
                     continue
                 a_next = a * abs(rows[0, p] / rows[1, p])
                 cont = np.interp(math.log10(max(a_next, 1e-300)), log_grid, value)
+                cont *= (min(a_next, 10.0 ** log_grid[0]) / 10.0 ** log_grid[0]) ** 2
                 total += f2 * rows[1, p] ** 2 * cont
             best = max(best, total)
     return best
@@ -328,7 +346,8 @@ def test_chain_table_is_one_bellman_step_of_the_shallower_table(depth, include_s
 
 def per_table_loop(depth, include_swap):
     """Value iteration as one self-contained loop per table: the nine
-    transition slices built afresh, then ``depth`` sweeps from the floor."""
+    transition slices built afresh, then ``depth`` sweeps from the floor.
+    A residual below the grid reads the first value, scaled by (A / A_lo)^2."""
     log_grid = np.linspace(-6.0, 6.0, 601)
     a_grid = 10.0 ** log_grid
     value = q_swap(a_grid) if include_swap else np.zeros_like(a_grid)
@@ -338,7 +357,10 @@ def per_table_loop(depth, include_swap):
         f2 = np.exp(-0.5 * gamma * gamma) ** 2
         a_next = a_grid[:, None, None] * np.abs(ratio)
         points = np.log10(np.maximum(a_next, 1e-300))
-        slices.append((f2 * c1n2, points, f2[..., None] * c1p2))
+        weights = f2[..., None] * c1p2
+        below = (a_next < 1e-6) & (a_next > 0.0)
+        weights[below] *= (a_next[below] / 1e-6) ** 2
+        slices.append((f2 * c1n2, points, weights))
     floor = value
     for _ in range(depth):
         best = floor
@@ -432,11 +454,44 @@ def test_overall_policies_ordered():
     assert skip < swap <= best <= 1.0
 
 
+def test_unknown_policy_name_is_refused_before_any_table(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a table was built before the policy check")
+
+    monkeypatch.setattr(demodulation, "matrix_element_table", refused)
+    # at 1/sqrt(2) both outcomes of n_cut = 1 are clean, so a check of the
+    # outcomes' methods alone never sees the name
+    for alpha in (INV_SQRT2, 0.7):
+        with pytest.raises(ValueError, match="unknown demodulation method 'bogus'"):
+            overall_success_report(0, 1, alpha, policy="bogus", n_cut=1)
+
+
 def test_overall_callable_policy():
     picky = overall_success(
         0, 1, 0.7,
         policy=lambda n, m, A: "swap" if abs(A) > 1 else "skip")
     assert 0.0 < picky < overall_success(0, 1, 0.7, policy="swap")
+
+
+def test_factor_classes_are_one_rule():
+    tol = [s * (1 + d) for s in (1, -1) for d in (0.0, 5e-10, -5e-10)]
+    far = [s * (1 + d) for s in (1, -1) for d in (2e-9, -2e-9)]
+    factor = np.array([math.nan, 0.0] + tol + far + [0.3, -3.0, 1e200])
+    singular, clean, restorable = _factor_classes(factor)
+    assert singular.tolist() == [True] + [False] * 14
+    assert clean.tolist() == [False, False] + [True] * 6 + [False] * 7
+    assert restorable.tolist() == [False] * 8 + [True] * 7
+
+
+def test_single_rail_additions_are_continuous_at_a_pure_sign():
+    # at the golden ratio the count-1 factor of (0, 1) is -1; a step of
+    # 1e-10 leaves it 3.6e-10 off, still a pure sign for every tally
+    at = single_rail_demod_additions(0, 1, GOLDEN)
+    near = single_rail_demod_additions(0, 1, GOLDEN + 1e-10)
+    assert at.keys() == near.keys()
+    for key in at:
+        assert near[key] == pytest.approx(at[key], abs=1e-9)
+    assert at["clean"] > 0.26
 
 
 def test_chain_depth_saturation():
