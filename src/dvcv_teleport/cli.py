@@ -160,9 +160,7 @@ def _curve_rows(curve, alphas, l: int, k: int, a1s, n_cut: int, tail_tol: float)
         raise TailMassError(
             f"--nmax {n_cut} drops {loss:.3e} of row l={row} at alpha={table.alpha[i]:.9g}, "
             f"above --tail-tol {tail_tol:g}")
-    # the writer refuses any non-finite cell, so numpy is not asked to warn
-    with np.errstate(all="ignore"):
-        columns = [np.asarray(v).tolist() for v in column_function(table, l, k, a1s)]
+    columns = [np.asarray(v).tolist() for v in column_function(table, l, k, a1s)]
     if not a1s:
         return list(zip(alphas, *columns))
     return [(a, x, *cells) for a, *per_a1 in zip(alphas, *columns)

@@ -370,7 +370,7 @@ def overall_success_report(l: int, k: int, alpha: float, policy="best",
                                            factor[ok].tolist())]
                   if callable(policy) else policy)
     clean &= method != "skip"
-    unknown = [x for x in method[ok & ~clean].tolist() if x not in _POLICIES]
+    unknown = [x for x in method[ok].tolist() if x not in _POLICIES]
     if unknown:
         raise ValueError(f"unknown demodulation method {unknown[0]!r}")
     method[clean] = "clean"
@@ -472,7 +472,9 @@ def _dual_outcomes(table: MatrixElementTable) -> _Outcomes:
     f4 = _f_column(table, 4)
     counts = np.arange(c0.shape[-1])
     n, m = np.nonzero(counts[:, None] + counts < len(counts))
-    phi = grid[..., n, m] / np.asarray(a_ref)[..., None]
+    # phi of ~1e200 overflows to inf where alpha^2 is tiny; q_swap takes it
+    with np.errstate(over="ignore"):
+        phi = grid[..., n, m] / np.asarray(a_ref)[..., None]
     singular, clean, _ = _factor_classes(phi)
     return _Outcomes(
         a_ref, (n, m), f4, (c0[..., n] * c1[..., m]) ** 2, (c1[..., n] * c0[..., m]) ** 2,
@@ -489,7 +491,9 @@ def _single_outcomes(table: MatrixElementTable) -> _Outcomes:
     row = _factor_row(0, 1, table)
     a_ref = _nonzero_reference(row[..., 0], table.alpha)  # equals -alpha
     f2 = _f_column(table, 2)
-    phi = row / np.asarray(a_ref)[..., None]
+    # phi overflows to inf where alpha is tiny; its outcome weighs 0 there
+    with np.errstate(over="ignore"):
+        phi = row / np.asarray(a_ref)[..., None]
     singular, clean, demod = _factor_classes(phi)
     g = np.where(clean, 1.0, 0.0)
     g[demod] = q_displacement_chain(phi[demod])
@@ -502,18 +506,18 @@ def _single_outcomes(table: MatrixElementTable) -> _Outcomes:
 _OUTCOMES = {"dual": _dual_outcomes, "single": _single_outcomes}
 
 
-def _premodulated(a0: complex, a1: complex, a_ref: float):
-    """Normalized (a0, a1) of a pre-modulated input and its weight
-    |a0|^2 + |a1 * a_ref|^2."""
-    a0, a1 = _unit_pair(a0, a1)
-    return a0, a1, abs(a0) ** 2 + abs(a1) ** 2 * a_ref ** 2
+def _input_weight(w0, w1, a_ref):
+    """|a0|^2 + |a1|^2 a_ref^2, the weight of a normalized pre-modulated
+    input with |a0|^2 = w0 and |a1|^2 = w1: floats, or arrays broadcast
+    against the axes of ``a_ref``."""
+    return w0 + w1 * _per_entry(pow, a_ref, 2)
 
 
 def _initially_am(rail: str, a0: complex, a1: complex, alpha: float, n_cut: int):
     o = _OUTCOMES[rail](matrix_element_table(1, n_cut, alpha))
-    a0, a1, base = _premodulated(a0, a1, o.a_ref)
-    prob = o.f * (abs(a0) ** 2 * o.p0 + abs(a1) ** 2 * o.p1)
-    contribution = o.weight * base * o.g
+    w0, w1 = (abs(a) ** 2 for a in _unit_pair(a0, a1))
+    prob = o.f * (w0 * o.p0 + w1 * o.p1)
+    contribution = o.weight * _input_weight(w0, w1, o.a_ref) * o.g
     rows = list(zip(*(c.tolist() for c in o.counts), prob.tolist(), o.phi.tolist(),
                     o.method.tolist(), contribution.tolist()))
     return rows, float(contribution.sum())
@@ -594,12 +598,12 @@ def initially_am_totals(rail: str, a1_abs, alpha, n_cut: int = 20):
 
 def _am_totals(rail: str, a1_abs, table: MatrixElementTable):
     o = _OUTCOMES[rail](table)
-    # each input's weight |a0|^2 + |a1|^2 a_ref^2 as _premodulated forms it,
-    # on a leading |a1| axis
+    # each input's |a0|^2 and |a1|^2 on a leading |a1| axis, as one input
+    # squares them
     pairs = [_unit_pair(math.sqrt(max(0.0, 1.0 - x * x)), x) for x in a1_abs]
     w0, w1 = (np.array([abs(pair[i]) ** 2 for pair in pairs], dtype=float)
-              .reshape((-1,) + (1,) * (np.ndim(o.a_ref) + 1)) for i in (0, 1))
-    base = w0 + w1 * np.asarray(_per_entry(pow, o.a_ref, 2))[..., None]
+              .reshape((-1,) + (1,) * np.ndim(o.a_ref)) for i in (0, 1))
+    base = _input_weight(w0, w1, o.a_ref)[..., None]
     # the outcome axis made contiguous, as it is at one alpha: numpy pairs
     # the terms of a strided sum differently
     contribution = np.ascontiguousarray(o.weight * base * o.g)

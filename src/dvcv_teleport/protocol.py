@@ -138,80 +138,67 @@ def amp_factor_grid(l: int, k: int, table: MatrixElementTable) -> np.ndarray:
 
 def _factor_row(l: int, k: int, table: MatrixElementTable) -> np.ndarray:
     """:func:`amp_factor_single` for every count n of ``table`` at once;
-    NaN where c(l, n) vanishes."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    NaN where c(l, n) vanishes, inf where the ratio overflows (for (0, 1)
+    it is (n - alpha^2) / alpha, past the largest float at subnormal alpha)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(table.c[l] == 0.0, np.nan, table.c[k] / table.c[l])
 
 
-def _grid_factor(grid: np.ndarray, l: int, k: int, n: int, m: int, alpha: float) -> float:
-    """Entry (n, m) of the :func:`amp_factor_grid` at ``alpha``; raises
+def _factor_at(factors: np.ndarray, index, l: int, k: int, alpha: float) -> float:
+    """Entry ``index`` at ``alpha`` of an :func:`amp_factor_grid`, counts
+    (n, m), or of a :func:`_factor_row`, count n; raises
     SingularFactorError where it is undefined."""
-    if math.isnan(grid[n, m]):
+    if not math.isnan(factors[index]):
+        return float(factors[index])
+    if isinstance(index, tuple):
+        n, m = index
         raise SingularFactorError(f"c({l},{n};{alpha}) * c({k},{m};{alpha}) vanishes; "
                                   f"outcome ({n},{m}) is non-demodulatable")
-    return float(grid[n, m])
+    raise SingularFactorError(f"c({l},{index};{alpha}) vanishes; "
+                              f"outcome {index} is non-demodulatable")
 
 
 def amp_factor_dual(l: int, k: int, n: int, m: int, alpha: float) -> float:
     """Known multiplier acquired by a1 when the counts (n, m) are registered:
     c(k,n)c(l,m) / (c(l,n)c(k,m)), exactly one on equal counts."""
     table = matrix_element_table(max(l, k), max(n, m), alpha)
-    return _grid_factor(amp_factor_grid(l, k, table), l, k, n, m, alpha)
-
-
-def _row_factor(table: MatrixElementTable, l: int, k: int, n: int, alpha: float) -> float:
-    """Entry n of the :func:`_factor_row` of ``table`` at ``alpha``; raises
-    SingularFactorError where it is undefined."""
-    a_fac = _factor_row(l, k, table)[n]
-    if math.isnan(a_fac):
-        raise SingularFactorError(f"c({l},{n};{alpha}) vanishes; "
-                                  f"outcome {n} is non-demodulatable")
-    return float(a_fac)
+    return _factor_at(amp_factor_grid(l, k, table), (n, m), l, k, alpha)
 
 
 def amp_factor_single(l: int, k: int, n: int, alpha: float) -> float:
     """Single-rail analogue c(k,n)/c(l,n)."""
-    return _row_factor(matrix_element_table(max(l, k), n, alpha), l, k, n, alpha)
-
-
-def norm_factor(a1_abs: float, amp_factor: float) -> float:
-    """(1 + (A^2 - 1)|a1|^2)^(-1/2), the conditional-state normalizer."""
-    return (1.0 + (amp_factor ** 2 - 1.0) * a1_abs ** 2) ** -0.5
+    table = matrix_element_table(max(l, k), n, alpha)
+    return _factor_at(_factor_row(l, k, table), n, l, k, alpha)
 
 
 # -- conditional states and corrections --------------------------------------
 
 def bob_states_dual(qubit: UnknownQubit, alpha: float, n: int, m: int):
-    """Both parity branches of the conditional state for counts (n, m).
-
-    Returns ``(even_branch, odd_branch, norm)``; the branches differ by a
-    logical Z, and the correction word of :func:`correct` maps either onto
-    ``(a0, a1 * A)`` up to normalization.
+    """Both parity branches ``(even, odd)`` of the conditional state for
+    counts (n, m).  They differ by a logical Z, and the correction word of
+    :func:`correct` maps either onto ``(a0, a1 * A)`` up to normalization.
     """
     a_fac = amp_factor_dual(qubit.l, qubit.k, n, m, alpha)
-    even, odd = (rec.bob_state for rec in _records(qubit, _PARITIES, n, m, a_fac, 0.0))
-    return even, odd, norm_factor(abs(qubit.a1), a_fac)
+    return tuple(rec.bob_state for rec in _records(qubit, _PARITIES, n, m, a_fac, 0.0))
 
 
-def _bob_state(qubit: UnknownQubit, a_fac: float, n: int, parity: str) -> QubitState:
-    """One parity branch of the conditional state for factor ``a_fac``
-    on count ``n``."""
-    plus, minus = qubit.a0 + qubit.a1 * a_fac, qubit.a0 - qubit.a1 * a_fac
-    sign = (-1.0) ** (n - qubit.l) * (1.0 if parity == "even" else -1.0)
-    return QubitState(plus, sign * minus)
-
-
-def z_power_for(parity: str, n: int, l: int) -> int:
-    """Exponent of the Z gate in the correction word; only its parity
-    matters since Z squares to the identity."""
+def z_power_for(parity, n, l: int):
+    """Exponent of the Z gate in the correction word, elementwise over
+    arrays of parities and counts; only its parity matters since Z
+    squares to the identity."""
     return (n - l + (parity != "even")) % 2
+
+
+def _correction(z):
+    """The correction word H Z^z, one 2x2 matrix per entry of ``z``.  Z^z
+    is diagonal +-1, so (H Z^z) v is bitwise H (Z^z v)."""
+    return np.matmul(H_GATE, Z_POWERS[z])
 
 
 def correct(bob: QubitState, parity: str, n: int, l: int) -> QubitState:
     """Apply H Z^p once; on a conditional branch this yields the known
     amplitude-modulated form (a0, a1 * A)."""
-    p = z_power_for(parity, n, l)
-    vec = H_GATE @ (Z_POWERS[p] @ bob.vec())
+    vec = _correction(z_power_for(parity, n, l)) @ bob.vec()
     return QubitState(vec[0], vec[1])
 
 
@@ -432,13 +419,13 @@ def _records(qubit: UnknownQubit, parity, n, m, factor, prob) -> list[TeleportRe
         counts = n[i] if m[i] is None else f"({n[i]},{m[i]})"
         raise ValueError(f"outcome {counts} cannot occur for this qubit: a0 = 0 and "
                          "the amplitude factor is 0, so both branches vanish")
-    z = (n - qubit.l + (parity != "even")) % 2
+    z = z_power_for(parity, n, qubit.l)
     minus = np.where(z == 1, -1.0, 1.0) * (qubit.a0 - qubit.a1 * factor)
     bobs = [QubitState(c0, c1)
             for c0, c1 in zip((qubit.a0 + qubit.a1 * factor).tolist(), minus.tolist())]
     # every record's correction word H Z^z in one product, bitwise as correct()
     vecs = np.array([(bob.c0, bob.c1) for bob in bobs], dtype=complex).reshape(-1, 2, 1)
-    fixed = np.matmul(H_GATE, np.matmul(Z_POWERS[z], vecs))[..., 0].tolist()
+    fixed = np.matmul(_correction(z), vecs)[..., 0].tolist()
     columns = zip(*(x.tolist() for x in (parity, n, m, prob, factor, z)))
     return [TeleportRecord(Outcome(p, n_, m_), bob, p_, a, zp,
                            QubitState(*vec))
@@ -474,7 +461,7 @@ def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int,
     """
     l, k = qubit.l, qubit.k
     table = matrix_element_table(max(l, k), n, alpha)
-    a_fac = _row_factor(table, l, k, n, alpha)
+    a_fac = _factor_at(_factor_row(l, k, table), n, l, k, alpha)
     prob = overall_factor(alpha) ** 2 * (abs(qubit.a0) ** 2 * table.element(l, n) ** 2
                                          + abs(qubit.a1) ** 2 * table.element(k, n) ** 2)
     return _records(qubit, parity, n, None, a_fac, prob)[0]
@@ -546,8 +533,8 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, r: float,
     parity, n, m = np.nonzero(~(prob <= 0.0))
     prob = prob[parity, n, m]
     rho = gram[parity, n, m] / (2.0 * prob)[:, None, None]
-    z = (n - qubit.l + parity) % 2
-    gate = H_GATE @ Z_POWERS[z]
+    z = z_power_for(np.take(_PARITIES, parity), n, qubit.l)
+    gate = _correction(z)
     rho_c = gate @ rho @ gate.conj().transpose(0, 2, 1)
     # the trace of the stacked product, bitwise as each record's own
     purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
@@ -578,19 +565,6 @@ def _carrier_window(amp: float, dim: int, tail_tolerance: float):
     return first, row[first:], float(np.vdot(row[:first], row[:first]).real)
 
 
-def record_infidelity(record: BruteForceRecord, qubit: UnknownQubit,
-                      alpha: float) -> float:
-    """1 - <target| rho_corrected |target> against the analytic corrected
-    state for the record's counts."""
-    a_fac = amp_factor_dual(qubit.l, qubit.k, record.outcome.n, record.outcome.m, alpha)
-    return _infidelity(record, qubit, a_fac)
-
-
-def _infidelity(record: BruteForceRecord, qubit: UnknownQubit, a_fac: float) -> float:
-    tgt = QubitState(qubit.a0, qubit.a1 * a_fac).vec()
-    return 1.0 - float(np.real(np.vdot(tgt, record.corrected_rho @ tgt)))
-
-
 def circuit_vs_limit(qubit: UnknownQubit, alpha: float, r: float,
                      tail_tolerance: float = 1e-10) -> tuple[float, list[tuple]]:
     """Run the circuit with counts up to 2 at reflectance ``r`` and channel
@@ -599,7 +573,9 @@ def circuit_vs_limit(qubit: UnknownQubit, alpha: float, r: float,
     Returns ``(beta, rows)`` with one row ``(record, p_limit, rel_err,
     infidelity)`` per record: ``p_limit`` is the limit's probability of the
     record's counts, ``rel_err`` the relative error of the circuit's
-    probability of those counts (both parities).
+    probability of those counts (both parities), and ``infidelity``
+    1 - <target| rho_corrected |target> against the limit's corrected
+    state (a0, a1 * A) for those counts.
     """
     beta = alpha * math.sqrt(1.0 - r * r) / r
     records = brute_force_pipeline(qubit, beta, r, tail_tolerance=tail_tolerance)
@@ -616,6 +592,7 @@ def circuit_vs_limit(qubit: UnknownQubit, alpha: float, r: float,
         n, m = rec.outcome.n, rec.outcome.m
         p_limit = limits[n][m]
         rel = abs(by_counts[n, m] - p_limit) / p_limit if p_limit > 0 else math.inf
+        tgt = QubitState(qubit.a0, qubit.a1 * _factor_at(factors, (n, m), l, k, alpha)).vec()
         rows.append((rec, p_limit, rel,
-                     _infidelity(rec, qubit, _grid_factor(factors, l, k, n, m, alpha))))
+                     1.0 - float(np.real(np.vdot(tgt, rec.corrected_rho @ tgt)))))
     return beta, rows

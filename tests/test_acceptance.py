@@ -204,21 +204,17 @@ def test_criterion_8_circuit_oracle_convergence():
     t_weakest = None
     for r in (0.2, 0.1, 0.05):
         t0 = time.perf_counter()
-        t = math.sqrt(1 - r * r)
-        records = protocol.brute_force_pipeline(qubit, alpha * t / r, r,
-                                                n_cut=2)
+        rows = protocol.circuit_vs_limit(qubit, alpha, r)[1]
         elapsed = time.perf_counter() - t0
         if r == 0.05:
             t_weakest = elapsed
         perr = infid = 0.0
         for (n, m) in outcomes:
-            p = sum(rec.probability for rec in records
-                    if (rec.outcome.n, rec.outcome.m) == (n, m))
+            here = [row for row in rows if (row[0].outcome.n, row[0].outcome.m) == (n, m)]
+            p = sum(row[0].probability for row in here)
             expect = protocol.outcome_probability_dual(qubit, n, m, alpha)
             perr = max(perr, abs(p - expect))
-            infid = max(infid, max(
-                protocol.record_infidelity(rec, qubit, alpha)
-                for rec in records if (rec.outcome.n, rec.outcome.m) == (n, m)))
+            infid = max(infid, max(row[3] for row in here))
         prob_errs.append(perr)
         infids.append(infid)
     monotone = (prob_errs[0] > prob_errs[1] > prob_errs[2]

@@ -177,13 +177,15 @@ def _count_tables(monkeypatch) -> list:
 
 def test_verify_properties_builds_one_table_per_alpha(monkeypatch, capsys):
     # one table per displacement for outcome completeness and the sign
-    # rule: 203 coefficient tables from cold caches, not one per outcome
+    # rule, one factor grid per drawn alpha for reciprocity and one
+    # probability table for the pair sums: 130 coefficient tables from cold
+    # caches, not one per outcome
     dm._chain_table.cache_clear()
     dm._transition.cache_clear()
     built = _count_tables(monkeypatch)
     assert main(["verify", "--suite", "properties"]) == 0
     capsys.readouterr()
-    assert len(built) <= 203
+    assert len(built) <= 130
 
 
 def test_verify_paper_reads_one_factor_grid_per_alpha(monkeypatch, capsys):
@@ -398,6 +400,37 @@ def test_sweep_fuzz_writes_finite_cells_or_exits_3(protocol, exponent, nmax):
     assert all(map(math.isfinite, cells))
     if protocol != "init_am_dual" and 1.5 * lo < 1.0:
         assert code == 0, err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(name=st.sampled_from(cli.FIGURES), nmax=st.sampled_from(["0", "2", "5", "20", "60"]),
+       tail_tol=st.sampled_from(["0", "1e-300", "1e-10", "0.5"]),
+       out=st.sampled_from(["new/nested", "dir", "file", "file/below"]))
+def test_figure_fuzz_writes_one_finite_csv_or_nothing(name, nmax, tail_tol, out):
+    # --out is a new nested directory, an existing directory, an existing
+    # regular file or a path below one; the known exit 3 inputs drop more
+    # than --tail-tol, down to a rounding loss of 2.2e-16 at --tail-tol 0
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        root = Path(d)
+        (root / "dir").mkdir()
+        (root / "file").write_text("")
+        before = set(root.rglob("*"))
+        code = main(["figure", name, "--nmax", nmax, "--tail-tol", tail_tol,
+                     "--out", str(root / out)])
+        made = set(root.rglob("*")) - before
+        files = [path for path in made if path.is_file()]
+        cells = [float(v) for path in files for r in read_csv(path)[1] for v in r.values()]
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    # a regular file cannot hold the bundle; any directory can
+    assert code != (0 if out.startswith("file") else 2), err.getvalue()
+    if code == 0:
+        assert [path.name for path in files] == [f"{name}.csv"]
+        assert cells and all(map(math.isfinite, cells))
+    else:
+        assert made == set()
 
 
 def test_sweep_out_directory_is_usage_error(monkeypatch, tmp_path, capsys):

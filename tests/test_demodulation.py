@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -466,6 +467,14 @@ def test_unknown_policy_name_is_refused_before_any_table(monkeypatch):
             overall_success_report(0, 1, alpha, policy="bogus", n_cut=1)
 
 
+def test_callable_policy_answer_is_checked_on_every_non_singular_outcome():
+    # at 1/sqrt(2) both outcomes of n_cut = 1 are clean, so a check of the
+    # non-clean outcomes alone never reads the callable's answer
+    for alpha in (INV_SQRT2, 0.7):
+        with pytest.raises(ValueError, match="unknown demodulation method 'bogus'"):
+            overall_success_report(0, 1, alpha, policy=lambda *a: "bogus", n_cut=1)
+
+
 def test_overall_callable_policy():
     picky = overall_success(
         0, 1, 0.7,
@@ -729,6 +738,20 @@ def test_initially_am_totals_take_alpha_arrays_bitwise(rail):
 def test_initially_am_singular_alpha_in_an_array_raises():
     with pytest.raises(SingularFactorError, match="is nan at alpha=1.0"):
         initially_am_totals("dual", [0.3], np.array([0.5, 1.0, 1.5]))
+
+
+def test_initially_am_at_tiny_alpha_does_not_warn():
+    # phi overflows to inf on outcomes that carry no weight there, and at a
+    # subnormal alpha so does the count-1 factor (1 - alpha^2) / alpha; the
+    # library handles both without asking numpy to warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert initially_am_single(0.6, 0.8, 1e-300)[1] == 0.36
+        assert initially_am_single(0.6, 0.8, 5e-324)[1] == 0.36
+        assert initially_am_dual(0.6, 0.8, 1e-100)[1] == 0.36
+        # |a0| = sqrt(1 - 0.8^2) squares to 0.36 within rounding
+        assert initially_am_totals("single", [0.8], 1e-300)[0] == pytest.approx([0.36], rel=1e-14)
+        assert initially_am_totals("dual", [0.8], 1e-100)[0] == pytest.approx([0.36], rel=1e-14)
 
 
 def test_initially_am_zero_displacement_is_singular():
