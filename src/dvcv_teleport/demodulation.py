@@ -40,11 +40,12 @@ from .displaced import (
     matrix_element_table,
     overall_factor,
 )
-from .fock import QubitState, _unit_pair
+from .fock import MeasurementRangeError, QubitState, _unit_pair
 from .protocol import (
     SingularFactorError,
     _direct_mass,
     _factor_row,
+    _nonnegative,
     amp_factor_grid,
 )
 
@@ -291,8 +292,10 @@ def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray
     and viewed back with the counts last; their product with the weights
     is written C-contiguous, since a strided product would be summed in a
     different pairwise order.  The returned arrays are shared by every
-    cache hit and are read-only.
+    cache hit and are read-only.  A negative depth raises ValueError.
     """
+    if depth < 0:
+        raise ValueError(f"chain depth must be nonnegative, got {depth}")
     log_grid, success, points, weights = _transition()
     if depth == 0:
         a_grid = 10.0 ** log_grid
@@ -358,6 +361,7 @@ def overall_success_report(l: int, k: int, alpha: float, policy="best",
     """
     if not callable(policy) and policy not in _POLICIES:
         raise ValueError(f"unknown demodulation method {policy!r}")
+    _nonnegative(l, k)
     table = matrix_element_table(max(l, k), n_cut, alpha)
     n, m = np.nonzero(~np.eye(n_cut + 1, dtype=bool))
     factor = amp_factor_grid(l, k, table)[n, m]
@@ -412,6 +416,7 @@ def single_rail_demod_additions(l: int, k: int, alpha, n_cut: int = 20) -> dict:
     the swap route, a single displacement attempt, and the chained
     displacement (depth 3), plus whatever mass is already factor-free.
     Each is a float for a float ``alpha``, else one value per amplitude."""
+    _nonnegative(l, k)
     return _single_rail_additions(l, k, matrix_element_table(max(l, k), n_cut, alpha))
 
 
@@ -462,11 +467,21 @@ def _nonzero_reference(a_ref, alpha):
     return _float_or_array(a_ref)
 
 
+def _dual_rows(table: MatrixElementTable) -> np.ndarray:
+    """The rows c(0, .) and c(1, .) of ``table``.  Raises
+    MeasurementRangeError on a table cut at count 0: the pre-modulated
+    dual-rail protocol reads the (0, 1) factor."""
+    if table.c.shape[-1] < 2:
+        raise MeasurementRangeError(
+            "the pre-modulated dual-rail protocol reads count 1, above the cutoff 0")
+    return table.c
+
+
 def _dual_outcomes(table: MatrixElementTable) -> _Outcomes:
     """Dual-rail counts (n, m) with n + m <= the table's cutoff: the
     relative factor phi left after pre-modulating against the (0, 1) factor
     is swapped away."""
-    c0, c1 = table.c
+    c0, c1 = _dual_rows(table)
     grid = amp_factor_grid(0, 1, table)
     a_ref = _nonzero_reference(grid[..., 0, 1], table.alpha)
     f4 = _f_column(table, 4)
@@ -559,7 +574,7 @@ def initially_am_dual_total_reference(a1_original_abs: float, alpha: float,
     x = alpha * alpha
     if x == 0.0 or x == 1.0:
         raise SingularFactorError(f"the reference factor is singular at alpha={alpha}")
-    c0, c1 = matrix_element_table(1, n_cut, alpha).c
+    c0, c1 = _dual_rows(matrix_element_table(1, n_cut, alpha))
     f4 = overall_factor(alpha) ** 4
     a01 = -x / (1.0 - x)
     a10 = 1.0 / a01
@@ -593,6 +608,8 @@ def initially_am_totals(rail: str, a1_abs, alpha, n_cut: int = 20):
     :func:`initially_am_single` and the sum of its "clean" contributions,
     from one evaluation of the outcomes.
     """
+    if rail not in _OUTCOMES:
+        raise ValueError(f"rail must be 'dual' or 'single', got {rail!r}")
     return _am_totals(rail, a1_abs, matrix_element_table(1, n_cut, alpha))
 
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    TAIL_TOL,
     FockState,
     ModeLabel,
-    TailMassError,
     default_cutoff,
     single_mode,
 )
@@ -150,9 +150,6 @@ class MatrixElementTable:
     c: np.ndarray
     f: float | np.ndarray
 
-    def element(self, l: int, n: int) -> float:
-        return float(self.c[l, n])
-
     def normalization_defect(self, l: int):
         """|F^2 * sum_n c^2 - 1| for one row; small iff the cutoff holds the tail."""
         return self.orthogonality_defect(l, l)
@@ -188,15 +185,11 @@ def parity_sign_table(l_max: int, n_max: int, alpha) -> np.ndarray:
     return np.abs(minus - expected) <= SIGN_RULE_TOL * np.maximum(1.0, np.abs(plus))
 
 
-def parity_sign_check(l: int, n: int, alpha: float) -> bool:
-    """Whether c(l, n, -alpha) == (-1)^(n-l) * c(l, n, alpha) to 1e-12."""
-    return bool(parity_sign_table(l, n, alpha)[l, n])
-
-
 def displaced_number_state(l: int, alpha: float, mode: ModeLabel = 0,
                            n_max: int | None = None,
-                           tail_tolerance: float = 1e-10) -> FockState:
-    """Single-mode state with amplitudes F(alpha) * c(l, n, alpha).
+                           tail_tolerance: float = TAIL_TOL) -> FockState:
+    """Single-mode state with amplitudes F(alpha) * c(l, n, alpha), refused
+    when its cutoff level holds more than ``tail_tolerance``.
 
     The l = 0 row is built with F in log space, so amplitudes far past the
     tables' regime (the circuit's carrier, beta ~ 50) stay finite.
@@ -206,42 +199,10 @@ def displaced_number_state(l: int, alpha: float, mode: ModeLabel = 0,
     if n_max is None:
         n_max = default_cutoff(alpha) + l
     amps = _ladder(_scaled_coherent_row(n_max, alpha), l, alpha)[l]
-    state = single_mode(mode, amps.astype(complex), tail_tolerance)
-    return state.check_tail()
+    return single_mode(mode, amps.astype(complex)).check_tail(tail_tolerance)
 
 
 def coherent_state(alpha: float, mode: ModeLabel = 0, n_max: int | None = None,
-                   tail_tolerance: float = 1e-10) -> FockState:
+                   tail_tolerance: float = TAIL_TOL) -> FockState:
     return displaced_number_state(0, alpha, mode=mode, n_max=n_max,
                                   tail_tolerance=tail_tolerance)
-
-
-def scs_norm_factor(parity: str, beta: float) -> float:
-    """Normalizer of the even/odd coherent-state superposition."""
-    sign = 1.0 if parity == "even" else -1.0
-    return (2.0 * (1.0 + sign * math.exp(-2.0 * beta * beta))) ** -0.5
-
-
-def scs_state(parity: str, beta: float, mode: ModeLabel = 0,
-              n_max: int | None = None, tail_tolerance: float = 1e-10) -> FockState:
-    """Even or odd superposition of the coherent states with amplitudes -beta, +beta.
-
-    The even branch has support only on even photon numbers, the odd branch
-    only on odd ones.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if n_max is None:
-        n_max = default_cutoff(beta)
-    sign = 1.0 if parity == "even" else -1.0
-    plus = _scaled_coherent_row(n_max, beta)
-    minus = plus * (-1.0) ** np.arange(n_max + 1)  # bitwise the row at -beta
-    amps = scs_norm_factor(parity, beta) * (minus + sign * plus)
-    state = single_mode(mode, amps.astype(complex), tail_tolerance)
-    defect = abs(state.norm() - 1.0)
-    if defect > max(tail_tolerance, 1e-12):
-        raise TailMassError(f"cat-state cutoff {n_max} too small (norm defect {defect:.2e})")
-    return state.normalize().check_tail()
-

@@ -1,9 +1,16 @@
-"""Truncated multi-mode Fock-space states.
+"""Truncated multi-mode Fock-space states, and the receiver's qubit.
 
-States are dense complex amplitude tensors over a per-mode photon-number
-grid.  A state's cutoffs are its array's shape (mode i stops at photon
-number ``amps.shape[i] - 1``); nothing else records them.  Every
-operation is a pure function returning a fresh state; the amplitude
+Two layers meet here.  ``QubitState``, ``fidelity``, the cutoff rule and
+the errors serve the model, which is the array path of ``displaced``,
+``protocol`` and ``demodulation``.  ``FockState`` and the operations on
+it, here and in ``optics``, are the oracle layer: they check the model
+(``verify --suite properties``, ``negativity``, the swap-composition
+test), and the model reaches them only through ``coherent_state(...).amps``.
+
+A state is its mode labels and a dense complex amplitude tensor over a
+per-mode photon-number grid.  Its cutoffs are its array's shape (mode i
+stops at photon number ``amps.shape[i] - 1``); nothing else records them.
+Every operation is a pure function returning a fresh state; the amplitude
 arrays are frozen (read-only) after construction, so values can be shared
 freely between threads.
 """
@@ -19,6 +26,9 @@ from typing import Hashable, Sequence
 import numpy as np
 
 NORM_EPS = 1e-12
+#: probability a mode may hold at its cutoff before :meth:`FockState.check_tail`
+#: refuses it, unless the check is given another bound
+TAIL_TOL = 1e-10
 _NORMAL_MIN = sys.float_info.min
 #: largest default photon-number cutoff (amplitude ~997); ``negativity`` of
 #: a state at this cutoff peaks near 0.3 GB, and every amplitude the checks
@@ -31,10 +41,6 @@ ModeLabel = Hashable
 
 class ModeCollisionError(ValueError):
     """Two states being combined share a mode label."""
-
-
-class BasisMismatchError(ValueError):
-    """States over different mode grids cannot be compared."""
 
 
 class MeasurementRangeError(ValueError):
@@ -71,13 +77,10 @@ class FockState:
 
     ``amps[n1, ..., nM]`` is the coefficient of ``|n1 ... nM>`` in the order
     given by ``modes``; a mode's cutoff is its axis length minus one.
-    ``tail_tolerance`` is the probability a mode may hold at its cutoff
-    before :meth:`check_tail` refuses it.
     """
 
     modes: tuple[ModeLabel, ...]
     amps: np.ndarray
-    tail_tolerance: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -88,8 +91,6 @@ class FockState:
             raise ValueError("one mode label required per amplitude axis")
         if any(d < 2 for d in amps.shape):
             raise ValueError("every per-mode cutoff must be >= 1")
-        if not (0.0 <= self.tail_tolerance < 1.0):
-            raise ValueError("tail_tolerance must lie in [0, 1)")
         n2 = float(np.vdot(amps, amps).real)
         if not math.isfinite(n2):
             raise NonFiniteAmplitudeError("state has a non-finite amplitude")
@@ -117,44 +118,40 @@ class FockState:
         n = self.norm()
         if abs(n - 1.0) <= NORM_EPS:
             return self
-        return FockState(self.modes, self.amps / n, self.tail_tolerance)
+        return FockState(self.modes, self.amps / n)
 
     def tail_mass(self, mode: ModeLabel) -> float:
         """Probability mass sitting at the mode's top (cutoff) level."""
         top = np.take(self.amps, -1, axis=self.axis(mode))
         return float(np.sum(np.abs(top) ** 2))
 
-    def check_tail(self, modes: Sequence[ModeLabel] | None = None) -> "FockState":
-        """Raise unless the top-level mass of each given mode is within
-        tolerance.
+    def check_tail(self, tolerance: float = TAIL_TOL,
+                   modes: Sequence[ModeLabel] | None = None) -> "FockState":
+        """Raise unless the top-level mass of each given mode (every mode
+        by default) is at most ``tolerance``, which must lie in [0, 1).
 
         Audits truncation error, so pass only modes whose content
         approximates an unbounded one; a mode whose exact support ends at
         the cutoff (a dual-rail photon, say) carries real mass there.
         """
+        if not (0.0 <= tolerance < 1.0):
+            raise ValueError("tail tolerance must lie in [0, 1)")
         for m in self.modes if modes is None else modes:
             mass = self.tail_mass(m)
-            if mass > self.tail_tolerance:
+            if mass > tolerance:
                 raise TailMassError(
                     f"mode {m!r} holds {mass:.3e} probability at its cutoff "
-                    f"(tolerance {self.tail_tolerance:.1e})"
+                    f"(tolerance {tolerance:.1e})"
                 )
         return self
 
-    def overlap(self, other: "FockState") -> complex:
-        if self.modes != other.modes or self.amps.shape != other.amps.shape:
-            raise BasisMismatchError("overlap requires identical mode grids")
-        return complex(np.vdot(self.amps, other.amps))
 
-
-def single_mode(mode: ModeLabel, coeffs: Sequence[complex],
-                tail_tolerance: float = 1e-10) -> FockState:
+def single_mode(mode: ModeLabel, coeffs: Sequence[complex]) -> FockState:
     """Wrap raw Fock coefficients of one mode into a state."""
-    return FockState((mode,), np.asarray(coeffs, dtype=complex), tail_tolerance)
+    return FockState((mode,), np.asarray(coeffs, dtype=complex))
 
 
-def number_state(mode: ModeLabel, n: int, n_max: int | None = None,
-                 tail_tolerance: float = 1e-10) -> FockState:
+def number_state(mode: ModeLabel, n: int, n_max: int | None = None) -> FockState:
     """``|n>`` in a single mode (cutoff defaults to ``n``)."""
     if n_max is None:
         n_max = max(n, 1)
@@ -162,7 +159,7 @@ def number_state(mode: ModeLabel, n: int, n_max: int | None = None,
         raise MeasurementRangeError(f"photon number {n} above cutoff {n_max}")
     coeffs = np.zeros(n_max + 1, dtype=complex)
     coeffs[n] = 1.0
-    return single_mode(mode, coeffs, tail_tolerance)
+    return single_mode(mode, coeffs)
 
 
 def tensor(a: FockState, b: FockState) -> FockState:
@@ -170,8 +167,7 @@ def tensor(a: FockState, b: FockState) -> FockState:
     shared = set(a.modes) & set(b.modes)
     if shared:
         raise ModeCollisionError(f"modes {sorted(map(repr, shared))} appear on both sides")
-    return FockState(a.modes + b.modes, np.multiply.outer(a.amps, b.amps),
-                     min(a.tail_tolerance, b.tail_tolerance))
+    return FockState(a.modes + b.modes, np.multiply.outer(a.amps, b.amps))
 
 
 def project_number(state: FockState, mode: ModeLabel, n: int):
@@ -192,27 +188,7 @@ def project_number(state: FockState, mode: ModeLabel, n: int):
     if sliced.ndim == 0:
         return None, prob  # last mode measured away; only the weight remains
     rest_modes = state.modes[:ax] + state.modes[ax + 1:]
-    return FockState(rest_modes, sliced / np.sqrt(prob), state.tail_tolerance), prob
-
-
-def project_parity(state: FockState, mode: ModeLabel, parity: str):
-    """Condition one mode on even/odd photon number, keeping the mode.
-
-    Returns ``(conditioned_state, probability)``; the even and odd
-    probabilities of any state sum to one.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    ax = state.axis(mode)
-    dim = state.amps.shape[ax]
-    keep = np.arange(dim) % 2 == (0 if parity == "even" else 1)
-    shape = [1] * state.amps.ndim
-    shape[ax] = dim
-    masked = state.amps * keep.reshape(shape)
-    prob = float(np.sum(np.abs(masked) ** 2))
-    if prob == 0.0:
-        return None, 0.0
-    return FockState(state.modes, masked / np.sqrt(prob), state.tail_tolerance), prob
+    return FockState(rest_modes, sliced / np.sqrt(prob)), prob
 
 
 def _unit_pair(a0, a1) -> tuple[complex, complex]:

@@ -1,5 +1,13 @@
 """Exact linear-optical elements on truncated Fock grids.
 
+Two layers meet here.  :func:`split_amplitudes` and :func:`check_split_size`
+belong to the model: the finite-reflectance circuit of ``protocol`` runs
+on them with plain arrays.  Everything that takes or returns a labelled
+``FockState`` (:func:`apply_bs`, :func:`displacement_unitary`,
+:func:`pad_mode`, :func:`htbs_residual`, the channel and its negativity)
+belongs to the oracle layer described in ``fock``: it checks the model
+and is not part of it.
+
 The two-mode beam splitter conserves total photon number, so its Fock
 representation is block diagonal.  Each call builds the blocks it needs
 as one array, by a recurrence over the smaller mode's photon number
@@ -23,6 +31,7 @@ import numpy as np
 
 from .displaced import coherent_state, default_cutoff
 from .fock import (
+    TAIL_TOL,
     FockState,
     ModeLabel,
     TailMassError,
@@ -52,11 +61,6 @@ class BeamSplitterParams:
             raise ValueError("transmittance amplitude t must be positive")
         if abs(self.t ** 2 + self.r ** 2 - 1.0) > _UNITARITY_TOL:
             raise ValueError(f"t^2 + r^2 = {self.t**2 + self.r**2!r} != 1")
-
-    @staticmethod
-    def balanced() -> "BeamSplitterParams":
-        s = 1.0 / math.sqrt(2.0)
-        return BeamSplitterParams(s, s)
 
     @staticmethod
     def from_reflectance(r: float) -> "BeamSplitterParams":
@@ -170,15 +174,14 @@ def apply_bs(state: FockState, mode_a: ModeLabel, mode_b: ModeLabel,
     """Exact beam-splitter action on two labelled modes.
 
     Components pushed past either cutoff are dropped; if the dropped
-    probability exceeds the state's tail tolerance a TailMassError is
-    raised.
+    probability exceeds :data:`~dvcv_teleport.fock.TAIL_TOL` a
+    TailMassError is raised.
     """
     axes = (state.axis(mode_a), state.axis(mode_b))
     moved = np.moveaxis(state.amps, axes, (0, 1))
-    out = split_amplitudes(moved.reshape(moved.shape[:2] + (1, -1)), params,
-                           state.tail_tolerance)
+    out = split_amplitudes(moved.reshape(moved.shape[:2] + (1, -1)), params, TAIL_TOL)
     out = np.moveaxis(out.reshape(moved.shape), (0, 1), axes)
-    return FockState(state.modes, out, state.tail_tolerance)
+    return FockState(state.modes, out)
 
 
 # -- displacement -----------------------------------------------------------
@@ -223,7 +226,7 @@ def displacement_unitary(state: FockState, mode: ModeLabel, gamma: float) -> Foc
     d = displacement_matrix(gamma, dim)
     moved = np.moveaxis(state.amps, ax, 0)
     out = np.tensordot(d, moved, axes=(1, 0))
-    return FockState(state.modes, np.moveaxis(out, 0, ax), state.tail_tolerance)
+    return FockState(state.modes, np.moveaxis(out, 0, ax))
 
 
 def pad_mode(state: FockState, mode: ModeLabel, new_n_max: int) -> FockState:
@@ -236,7 +239,7 @@ def pad_mode(state: FockState, mode: ModeLabel, new_n_max: int) -> FockState:
         return state
     pad = [(0, 0)] * state.amps.ndim
     pad[ax] = (0, new_n_max - old)
-    return FockState(state.modes, np.pad(state.amps, pad), state.tail_tolerance)
+    return FockState(state.modes, np.pad(state.amps, pad))
 
 
 # -- highly transmissive splitter as a displacer ----------------------------
@@ -265,8 +268,7 @@ def htbs_residual(input_state: FockState, beta: float, r: float, sign: int):
         anc = ("htbs", "ancilla", 2)
 
     grown = pad_mode(input_state, mode, input_state.n_max(mode) + default_cutoff(alpha))
-    ancilla = coherent_state(-sign * beta, mode=anc,
-                             tail_tolerance=input_state.tail_tolerance)
+    ancilla = coherent_state(-sign * beta, mode=anc)
     joint = tensor(grown, ancilla)
     joint = apply_bs(joint, mode, anc, BeamSplitterParams(t, r))
 

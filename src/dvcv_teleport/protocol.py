@@ -122,6 +122,13 @@ class BruteForceRecord(TeleportRecord):
 
 # -- amplitude factors -------------------------------------------------------
 
+def _nonnegative(*counts: int) -> None:
+    """Refuse a negative row or count before it sizes or indexes a table,
+    where numpy would read it from the table's far end."""
+    if min(counts) < 0:
+        raise ValueError("rows and photon counts must be nonnegative")
+
+
 def amp_factor_grid(l: int, k: int, table: MatrixElementTable) -> np.ndarray:
     """:func:`amp_factor_dual` for every count pair (n, m) of ``table`` at
     once, on its last two axes.  Singular outcomes hold NaN; equal counts
@@ -161,12 +168,14 @@ def _factor_at(factors: np.ndarray, index, l: int, k: int, alpha: float) -> floa
 def amp_factor_dual(l: int, k: int, n: int, m: int, alpha: float) -> float:
     """Known multiplier acquired by a1 when the counts (n, m) are registered:
     c(k,n)c(l,m) / (c(l,n)c(k,m)), exactly one on equal counts."""
+    _nonnegative(l, k, n, m)
     table = matrix_element_table(max(l, k), max(n, m), alpha)
     return _factor_at(amp_factor_grid(l, k, table), (n, m), l, k, alpha)
 
 
 def amp_factor_single(l: int, k: int, n: int, alpha: float) -> float:
     """Single-rail analogue c(k,n)/c(l,n)."""
+    _nonnegative(l, k, n)
     table = matrix_element_table(max(l, k), n, alpha)
     return _factor_at(_factor_row(l, k, table), n, l, k, alpha)
 
@@ -221,6 +230,7 @@ def outcome_probability_grid(qubit: UnknownQubit, table: MatrixElementTable) -> 
 def outcome_probability_dual(qubit: UnknownQubit, n: int, m: int, alpha: float) -> float:
     """Probability of registering counts (n, m), either parity: one entry
     of :func:`outcome_probability_grid`."""
+    _nonnegative(n, m)
     table = matrix_element_table(max(qubit.l, qubit.k), max(n, m), alpha)
     return float(outcome_probability_grid(qubit, table)[n, m])
 
@@ -250,12 +260,14 @@ def direct_success_probability(l: int, k: int, alpha, n_cut: int = 20):
     """Mass of the equal-count outcomes, where the output carries no
     amplitude factor; independent of the teleported superposition.  A
     float ``alpha`` gives a float, an array one value per amplitude."""
+    _nonnegative(l, k)
     return _direct_mass(l, k, matrix_element_table(max(l, k), n_cut, alpha))
 
 
 def pair_sum_probability(l: int, k: int, n: int, m: int, alpha):
     """Probability of {(n, m), (m, n)} jointly; drops every dependence on
     the teleported superposition.  Per amplitude for an array ``alpha``."""
+    _nonnegative(l, k, n, m)
     return _pair_sum(l, k, n, m, matrix_element_table(max(l, k), max(n, m), alpha))
 
 
@@ -263,6 +275,7 @@ def am_probability(l: int, k: int, alpha, n_cut: int = 20):
     """Mass of unequal-count outcomes (amplitude-modulated deliveries);
     complements direct_success_probability to one.  Per amplitude for an
     array ``alpha``."""
+    _nonnegative(l, k)
     return _am_mass(l, k, matrix_element_table(max(l, k), n_cut, alpha))
 
 
@@ -451,9 +464,9 @@ def dual_rail_records(qubit: UnknownQubit, alpha: float, n_cut: int = 8) -> list
     return _records(qubit, np.array(_PARITIES)[:, None], n, m, factors[n, m], probs[n, m])
 
 
-def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int,
-                         parity: str = "even") -> TeleportRecord:
-    """Conditional record of the single-rail variant for count ``n``.
+def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int) -> TeleportRecord:
+    """Conditional record of the single-rail variant for count ``n``: the
+    even branch.
 
     ``probability`` covers both parities (they split it equally); the
     corrected state is identical for either branch.  Raises ValueError when
@@ -462,9 +475,9 @@ def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int,
     l, k = qubit.l, qubit.k
     table = matrix_element_table(max(l, k), n, alpha)
     a_fac = _factor_at(_factor_row(l, k, table), n, l, k, alpha)
-    prob = overall_factor(alpha) ** 2 * (abs(qubit.a0) ** 2 * table.element(l, n) ** 2
-                                         + abs(qubit.a1) ** 2 * table.element(k, n) ** 2)
-    return _records(qubit, parity, n, None, a_fac, prob)[0]
+    prob = overall_factor(alpha) ** 2 * (abs(qubit.a0) ** 2 * table.c[l, n] ** 2
+                                         + abs(qubit.a1) ** 2 * table.c[k, n] ** 2)
+    return _records(qubit, "even", n, None, a_fac, prob)[0]
 
 
 # -- brute-force finite-reflectance circuit -----------------------------------

@@ -273,6 +273,30 @@ def test_figure_fig5_dominance(tmp_path):
         assert float(r["single_alpha020"]) > float(r["dual_alpha020"])
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["sweep", "--protocol", "init_am_dual", "--alpha-min", "0.2", "--alpha-max", "0.4",
+      "--steps", "2", "--a1-abs", "0.3", "--nmax", "0", "--tail-tol", "0.999"], "a.csv"),
+    (["figure", "fig5", "--nmax", "0", "--tail-tol", "0.9999"], ""),
+])
+def test_dual_premodulated_at_nmax_0_is_a_numeric_guard(argv, out, tmp_path, capsys):
+    # the dual pre-modulated protocol reads count 1, which --nmax 0 cuts
+    assert main(argv + ["--out", str(tmp_path / out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric guard: ")
+    assert "count 1" in captured.err and len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_single_premodulated_at_nmax_0_runs(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--protocol", "init_am_single", "--alpha-min", "0.2",
+                 "--alpha-max", "0.4", "--steps", "2", "--a1-abs", "0.3", "--nmax", "0",
+                 "--tail-tol", "0.999", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [r["total_success"] for r in rows] == ["0.877777232", "0.787721719"]
+
+
 def test_figure_unknown_name():
     assert main(["figure", "fig9"]) == 2
 

@@ -252,7 +252,7 @@ def test_swap_composition_oracle():
     partner = fock.FockState(("m3", "m4"), amps)
     joint = fock.tensor(st, partner)
     joint = optics.pad_mode(optics.pad_mode(joint, "m2", 2), "m3", 2)
-    out = optics.apply_bs(joint, "m2", "m3", optics.BeamSplitterParams.balanced())
+    out = optics.apply_bs(joint, "m2", "m3", optics.BeamSplitterParams(INV_SQRT2, INV_SQRT2))
     success = 0.0
     for n2, n3, z in ((0, 1, 1.0), (1, 0, -1.0)):
         s1, p1 = fock.project_number(out, "m2", n2)
@@ -796,3 +796,46 @@ def test_initially_am_normalizes_past_the_squared_norm_range(run, scale):
     if scale == 2.0 ** 700:  # an exact power of two scales without rounding
         assert (rows, total) == (want_rows, want)
 
+
+
+def test_dual_premodulated_without_count_one_is_a_range_error():
+    # the dual pre-modulated protocol reads the (0, 1) factor, so a table
+    # cut at count 0 has nothing to read; the single rail reads count 0 only
+    with pytest.raises(fock.MeasurementRangeError, match="count 1"):
+        initially_am_dual(0.6, 0.8, 0.3, n_cut=0)
+    with pytest.raises(fock.MeasurementRangeError, match="count 1"):
+        initially_am_totals("dual", [0.3], 0.3, n_cut=0)
+    with pytest.raises(fock.MeasurementRangeError, match="count 1"):
+        initially_am_dual_total_reference(0.3, 0.3, n_cut=0)
+    rows, total = initially_am_single(0.6, 0.8, 0.3, n_cut=0)
+    assert len(rows) == 1 and total == rows[0][-1] > 0.0
+    # |a0| = sqrt(1 - 0.8^2) squares to 0.36 within rounding
+    assert initially_am_totals("single", [0.8], 0.3, n_cut=0)[0] == pytest.approx([total],
+                                                                              rel=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: q_best(0.5, depth=-1),
+    lambda: q_displacement_chain(0.5, depth=-1),
+    lambda: overall_success(0, 1, 0.7, chain_depth=-1),
+])
+def test_negative_chain_depth_is_refused(call):
+    with pytest.raises(ValueError, match="depth"):
+        call()
+
+
+def test_unknown_rail_is_refused():
+    with pytest.raises(ValueError, match="'dual' or 'single'"):
+        initially_am_totals("x", [0.3], 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: overall_success(-1, 1, 0.7),
+    lambda: overall_success(0, -1, 0.7),
+    lambda: single_rail_demod_additions(-1, 1, 0.7),
+    lambda: single_rail_demod_additions(0, -1, 0.7),
+])
+def test_negative_rows_are_refused(call):
+    # numpy would read row -1 from the table's far end
+    with pytest.raises(ValueError, match="nonnegative"):
+        call()

@@ -10,10 +10,7 @@ from dvcv_teleport.displaced import (
     matrix_element,
     matrix_element_table,
     overall_factor,
-    parity_sign_check,
     parity_sign_table,
-    scs_norm_factor,
-    scs_state,
 )
 from dvcv_teleport.fock import TailMassError
 
@@ -106,7 +103,7 @@ def test_negative_arguments_rejected():
        st.floats(0.05, 1.9, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_reflection_sign_rule(l, n, alpha):
-    assert parity_sign_check(l, n, alpha)
+    assert parity_sign_table(l, n, alpha)[l, n]
 
 
 def test_sign_rule_table_matches_the_per_coefficient_rule():
@@ -153,48 +150,12 @@ def test_displaced_states_orthonormal():
     for i, a in enumerate(states):
         for j, b in enumerate(states):
             expect = 1.0 if i == j else 0.0
-            assert abs(a.overlap(b)) == pytest.approx(expect, abs=1e-9)
+            assert abs(np.vdot(a.amps, b.amps)) == pytest.approx(expect, abs=1e-9)
 
 
 def test_displaced_state_tail_violation():
     with pytest.raises(TailMassError):
         displaced.displaced_number_state(0, 2.0, n_max=4)
-
-
-def test_cat_state_parity_support():
-    odd = scs_state("odd", 1.0)
-    assert odd.amps[0] == 0.0
-    assert np.allclose(odd.amps[::2], 0.0)
-    even = scs_state("even", 1.0)
-    assert np.allclose(even.amps[1::2], 0.0)
-    assert even.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cat_state_small_amplitude_is_nearly_vacuum():
-    even = scs_state("even", 1e-3)
-    assert abs(even.amps[0]) == pytest.approx(1.0, abs=1e-5)
-
-
-def test_cat_state_amplitudes_match_direct_summation():
-    beta = 1.0
-    n_max = 30
-    n = np.arange(n_max + 1)
-    fact = np.array([math.factorial(int(i)) for i in n], dtype=float)
-    plus = math.exp(-beta ** 2 / 2) * beta ** n / np.sqrt(fact)
-    minus = math.exp(-beta ** 2 / 2) * (-beta) ** n / np.sqrt(fact)
-    even_direct = (minus + plus) * scs_norm_factor("even", beta)
-    even = scs_state("even", beta, n_max=n_max)
-    np.testing.assert_allclose(even.amps.real, even_direct, atol=1e-12)
-    # second-level weight from the direct sum
-    assert abs(even.amps[2]) ** 2 == pytest.approx(
-        math.exp(-1) / (1 + math.exp(-2)), abs=1e-12)
-
-
-def test_cat_norm_factors():
-    for beta in (0.5, 1.0, 1.7):
-        for parity, sign in (("even", 1), ("odd", -1)):
-            expect = (2 * (1 + sign * math.exp(-2 * beta ** 2))) ** -0.5
-            assert scs_norm_factor(parity, beta) == pytest.approx(expect)
 
 
 def test_overall_factor():
@@ -247,7 +208,7 @@ def test_scaled_coherent_row_is_the_xlogy_gammaln_row_bit_for_bit():
 
 @pytest.mark.parametrize("beta", [1e-5, 0.3, 1.0, 2.5, 25.0, 250.0])
 def test_negated_row_is_the_row_at_minus_alpha_bit_for_bit(beta):
-    # scs_state and the circuit oracle flip the odd levels of the +beta row
+    # the circuit oracle flips the odd levels of the +beta row
     # instead of building the -beta row
     n_max = displaced.default_cutoff(beta)
     plus = displaced._scaled_coherent_row(n_max, beta)

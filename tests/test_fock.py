@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dvcv_teleport import fock
 from dvcv_teleport.fock import (
-    BasisMismatchError,
     FockState,
     MeasurementRangeError,
     ModeCollisionError,
@@ -15,7 +14,6 @@ from dvcv_teleport.fock import (
     fidelity,
     number_state,
     project_number,
-    project_parity,
     single_mode,
     tensor,
 )
@@ -38,8 +36,10 @@ def coherent_coeffs(alpha, n_max):
 def test_fock_state_validation():
     with pytest.raises(ValueError, match="cutoff"):
         FockState(("a", "b"), np.ones((1, 3)))
-    with pytest.raises(ValueError, match="tail_tolerance"):
-        FockState(("a",), np.ones(3), tail_tolerance=1.0)
+    state = FockState(("a",), np.ones(3))
+    for bad in (1.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="tail tolerance"):
+            state.check_tail(bad)
 
 
 def test_cutoffs_are_the_array_shape():
@@ -132,33 +132,6 @@ def test_project_number_completeness():
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_project_parity_basics():
-    one = number_state("m", 1, 2)
-    out, p = project_parity(one, "m", "even")
-    assert out is None and p == 0.0
-
-    plus = single_mode("m", np.array([1, 1]) / np.sqrt(2))
-    out, p = project_parity(plus, "m", "even")
-    assert p == pytest.approx(0.5)
-    np.testing.assert_allclose(out.amps, [1, 0])
-    assert out.modes == ("m",)  # the mode is retained
-
-
-def test_project_parity_coherent_even_mass():
-    # even-photon mass of |beta>: (1 + exp(-2 b^2)) / 2
-    state = single_mode("m", coherent_coeffs(1.0, 25))
-    _, p = project_parity(state, "m", "even")
-    assert p == pytest.approx((1 + math.exp(-2)) / 2, abs=1e-12)
-
-
-def test_parity_completeness():
-    rng = np.random.default_rng(11)
-    state = random_state(rng, ("a",), (6,))
-    _, pe = project_parity(state, "a", "even")
-    _, po = project_parity(state, "a", "odd")
-    assert pe + po == pytest.approx(1.0, abs=1e-12)
-
-
 def test_tensor_projection_commutation():
     rng = np.random.default_rng(3)
     a = random_state(rng, ("a", "x"), (3, 2))
@@ -210,14 +183,6 @@ def test_qubit_fidelity():
     assert fidelity(QubitState(1, 1), QubitState(1, 0)) == pytest.approx(0.5)
     # global phase invisible
     assert fidelity(QubitState(1j, 1j), QubitState(1, 1)) == pytest.approx(1.0)
-
-
-def test_overlap_needs_identical_mode_grids():
-    a = number_state("m", 1, 2)
-    assert a.overlap(number_state("m", 1, 2)) == 1.0
-    for other in (number_state("m", 1, 3), number_state("n", 1, 2)):
-        with pytest.raises(BasisMismatchError):
-            a.overlap(other)
 
 
 def test_amplitudes_frozen():

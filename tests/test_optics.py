@@ -33,7 +33,7 @@ from dvcv_teleport.optics import (
     split_amplitudes,
 )
 
-BALANCED = BeamSplitterParams.balanced()
+BALANCED = BeamSplitterParams(1 / math.sqrt(2), 1 / math.sqrt(2))
 
 
 def random_two_mode(rng, d=5):

@@ -521,3 +521,23 @@ def test_outcome_probability_is_one_entry_of_the_grid(alpha):
     for n in range(21):
         for m in range(21):
             assert outcome_probability_dual(q, n, m, alpha) == grid[n, m]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: amp_factor_dual(0, 1, -1, 2, 0.7),
+    lambda: amp_factor_dual(0, 1, 2, -1, 0.7),
+    lambda: amp_factor_dual(-1, 1, 0, 2, 0.7),
+    lambda: amp_factor_single(-1, 1, 2, 0.7),
+    lambda: amp_factor_single(0, -1, 2, 0.7),
+    lambda: outcome_probability_dual(UnknownQubit(0.6, 0.8), -1, 2, 0.7),
+    lambda: outcome_probability_dual(UnknownQubit(0.6, 0.8), 2, -1, 0.7),
+    lambda: pair_sum_probability(0, 1, -1, 2, 0.7),
+    lambda: pair_sum_probability(0, -1, 1, 2, 0.7),
+    lambda: direct_success_probability(-1, 1, 0.7),
+    lambda: am_probability(1, -1, 0.7),
+])
+def test_negative_rows_and_counts_are_refused(call):
+    # numpy would read index -1 from the table's far end: amp_factor_dual
+    # (0, 1, -1, 2, 0.7) returned the (2, 2) entry, 1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        call()
