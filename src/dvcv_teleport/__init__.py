@@ -1,18 +1,12 @@
 """Hybrid discrete/continuous-variable teleportation on truncated Fock grids."""
 
 from .fock import (
-    FockState,
     MeasurementRangeError,
-    ModeCollisionError,
     NonFiniteAmplitudeError,
     QubitState,
     TailMassError,
     default_cutoff,
     fidelity,
-    number_state,
-    project_number,
-    single_mode,
-    tensor,
 )
 from .displaced import (
     MatrixElementTable,
@@ -25,15 +19,12 @@ from .displaced import (
 from .optics import (
     BeamSplitterParams,
     HybridChannel,
-    apply_bs,
     channel_state,
     displacement_matrix,
-    displacement_unitary,
     htbs_residual,
     negativity,
     negativity_closed_form,
     negativity_numeric,
-    pad_mode,
 )
 from .protocol import (
     BruteForceRecord,

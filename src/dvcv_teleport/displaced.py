@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    TAIL_TOL,
-    FockState,
-    ModeLabel,
-    default_cutoff,
-    single_mode,
-)
+from .fock import TAIL_TOL, NonFiniteAmplitudeError, TailMassError, default_cutoff
 
 SIGN_RULE_TOL = 1e-12
 
@@ -185,24 +179,38 @@ def parity_sign_table(l_max: int, n_max: int, alpha) -> np.ndarray:
     return np.abs(minus - expected) <= SIGN_RULE_TOL * np.maximum(1.0, np.abs(plus))
 
 
-def displaced_number_state(l: int, alpha: float, mode: ModeLabel = 0,
-                           n_max: int | None = None,
-                           tail_tolerance: float = TAIL_TOL) -> FockState:
-    """Single-mode state with amplitudes F(alpha) * c(l, n, alpha), refused
-    when its cutoff level holds more than ``tail_tolerance``.
+def displaced_number_state(l: int, alpha: float, n_max: int | None = None,
+                           tail_tolerance: float = TAIL_TOL) -> np.ndarray:
+    """The complex row F(alpha) * c(l, n, alpha) for n <= n_max (by
+    default the cutoff of ``alpha`` plus l).
 
-    The l = 0 row is built with F in log space, so amplitudes far past the
-    tables' regime (the circuit's carrier, beta ~ 50) stay finite.
+    Refuses a non-finite amplitude (NonFiniteAmplitudeError), a row that
+    underflows to zero and a ``tail_tolerance`` outside [0, 1) (both
+    ValueError), and a row whose cutoff level holds more than
+    ``tail_tolerance`` (TailMassError).  The l = 0 row is built with F in
+    log space, so amplitudes far past the tables' regime (the circuit's
+    carrier, beta ~ 50) stay finite.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
     if n_max is None:
         n_max = default_cutoff(alpha) + l
-    amps = _ladder(_scaled_coherent_row(n_max, alpha), l, alpha)[l]
-    return single_mode(mode, amps.astype(complex)).check_tail(tail_tolerance)
+    row = _ladder(_scaled_coherent_row(n_max, alpha), l, alpha)[l].astype(complex)
+    n2 = float(np.vdot(row, row).real)
+    if not math.isfinite(n2):
+        raise NonFiniteAmplitudeError("state has a non-finite amplitude")
+    if n2 <= 0.0:
+        raise ValueError("state has zero norm")
+    if not (0.0 <= tail_tolerance < 1.0):
+        raise ValueError("tail tolerance must lie in [0, 1)")
+    mass = float(np.sum(np.abs(row[-1]) ** 2))
+    if mass > tail_tolerance:
+        raise TailMassError(
+            f"row l={l} at alpha={alpha:.9g} holds {mass:.3e} probability at its "
+            f"cutoff (tolerance {tail_tolerance:.1e})")
+    return row
 
 
-def coherent_state(alpha: float, mode: ModeLabel = 0, n_max: int | None = None,
-                   tail_tolerance: float = TAIL_TOL) -> FockState:
-    return displaced_number_state(0, alpha, mode=mode, n_max=n_max,
-                                  tail_tolerance=tail_tolerance)
+def coherent_state(alpha: float, n_max: int | None = None,
+                   tail_tolerance: float = TAIL_TOL) -> np.ndarray:
+    return displaced_number_state(0, alpha, n_max=n_max, tail_tolerance=tail_tolerance)

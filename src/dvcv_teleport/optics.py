@@ -1,12 +1,11 @@
 """Exact linear-optical elements on truncated Fock grids.
 
-Two layers meet here.  :func:`split_amplitudes` and :func:`check_split_size`
-belong to the model: the finite-reflectance circuit of ``protocol`` runs
-on them with plain arrays.  Everything that takes or returns a labelled
-``FockState`` (:func:`apply_bs`, :func:`displacement_unitary`,
-:func:`pad_mode`, :func:`htbs_residual`, the channel and its negativity)
-belongs to the oracle layer described in ``fock``: it checks the model
-and is not part of it.
+Every element acts on plain complex arrays whose axes the caller names.
+:func:`split_amplitudes` is the one beam splitter: the finite-reflectance
+circuit of ``protocol`` runs on it, and so do the splitter checks of
+``verify --suite properties`` and :func:`htbs_residual`.
+:func:`displacement_matrix` is the matrix-exponential displacement, the
+reference that the displaced rows of ``displaced`` are checked against.
 
 The two-mode beam splitter conserves total photon number, so its Fock
 representation is block diagonal.  Each call builds the blocks it needs
@@ -30,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .displaced import coherent_state, default_cutoff
-from .fock import (
-    TAIL_TOL,
-    FockState,
-    ModeLabel,
-    TailMassError,
-    tensor,
-)
+from .fock import TAIL_TOL, TailMassError
 
 _UNITARITY_TOL = 1e-12
 #: largest splitter accepted, in float64 cells of its block array plus its
@@ -169,21 +162,6 @@ def split_amplitudes(amps: np.ndarray, params: BeamSplitterParams,
     return out.swapaxes(0, 1) if swap else out
 
 
-def apply_bs(state: FockState, mode_a: ModeLabel, mode_b: ModeLabel,
-             params: BeamSplitterParams) -> FockState:
-    """Exact beam-splitter action on two labelled modes.
-
-    Components pushed past either cutoff are dropped; if the dropped
-    probability exceeds :data:`~dvcv_teleport.fock.TAIL_TOL` a
-    TailMassError is raised.
-    """
-    axes = (state.axis(mode_a), state.axis(mode_b))
-    moved = np.moveaxis(state.amps, axes, (0, 1))
-    out = split_amplitudes(moved.reshape(moved.shape[:2] + (1, -1)), params, TAIL_TOL)
-    out = np.moveaxis(out.reshape(moved.shape), (0, 1), axes)
-    return FockState(state.modes, out)
-
-
 # -- displacement -----------------------------------------------------------
 
 def displacement_matrix(gamma: float, dim: int) -> np.ndarray:
@@ -214,78 +192,58 @@ def displacement_matrix(gamma: float, dim: int) -> np.ndarray:
     return out
 
 
-def displacement_unitary(state: FockState, mode: ModeLabel, gamma: float) -> FockState:
-    """Displace one mode by a real amplitude.
-
-    The truncated generator is antisymmetric, so the action is exactly
-    norm-preserving; the cutoff must leave room for the displaced support
-    (use ``pad_mode`` first if in doubt).
-    """
-    ax = state.axis(mode)
-    dim = state.amps.shape[ax]
-    d = displacement_matrix(gamma, dim)
-    moved = np.moveaxis(state.amps, ax, 0)
-    out = np.tensordot(d, moved, axes=(1, 0))
-    return FockState(state.modes, np.moveaxis(out, 0, ax))
-
-
-def pad_mode(state: FockState, mode: ModeLabel, new_n_max: int) -> FockState:
-    """Grow one mode's cutoff, zero-filling the new levels."""
-    ax = state.axis(mode)
-    old = state.amps.shape[ax] - 1
-    if new_n_max < old:
-        raise ValueError("pad_mode cannot shrink a mode")
-    if new_n_max == old:
-        return state
-    pad = [(0, 0)] * state.amps.ndim
-    pad[ax] = (0, new_n_max - old)
-    return FockState(state.modes, np.pad(state.amps, pad))
-
-
 # -- highly transmissive splitter as a displacer ----------------------------
 
-def htbs_residual(input_state: FockState, beta: float, r: float, sign: int):
+def htbs_residual(row: np.ndarray, beta: float, r: float, sign: int):
     """How well a strong coherent drive through a weak splitter displaces.
 
-    The single-mode ``input_state`` is mixed with a coherent ancilla on a
-    splitter of reflectance ``r``;  under the package convention an ancilla
-    amplitude ``-sign*beta`` displaces the input by ``sign*alpha`` with
-    ``alpha = beta*r/t``.  Returns ``(fidelity, joint)`` where ``fidelity``
-    compares the ancilla-traced output against the ideal displaced input
-    and ``joint`` is the exact two-mode post-splitter state.
+    The input mode's amplitudes ``row`` are mixed with a coherent ancilla
+    on a splitter of reflectance ``r``;  under the package convention an
+    ancilla amplitude ``-sign*beta`` displaces the input by ``sign*alpha``
+    with ``alpha = beta*r/t``.  Returns ``(fidelity, joint)`` where
+    ``fidelity`` compares the ancilla-traced output against the ideal
+    displaced input and ``joint`` is the exact post-splitter array over
+    (input levels, ancilla levels).
     """
     if not 0.0 < r < 0.3:
         raise ValueError("htbs regime requires 0 < r < 0.3")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    if len(input_state.modes) != 1:
-        raise ValueError("input must be a single-mode state")
+    row = np.asarray(row, dtype=complex)
+    if row.ndim != 1:
+        raise ValueError("input must be a single-mode row")
     t = math.sqrt(1.0 - r * r)
     alpha = beta * r / t
-    mode = input_state.modes[0]
-    anc = ("htbs", "ancilla")
-    if anc == mode:
-        anc = ("htbs", "ancilla", 2)
 
-    grown = pad_mode(input_state, mode, input_state.n_max(mode) + default_cutoff(alpha))
-    ancilla = coherent_state(-sign * beta, mode=anc)
-    joint = tensor(grown, ancilla)
-    joint = apply_bs(joint, mode, anc, BeamSplitterParams(t, r))
+    grown = np.pad(row, (0, default_cutoff(alpha)))
+    joint = np.multiply.outer(grown, coherent_state(-sign * beta))
+    joint = split_amplitudes(joint[:, :, None, None], BeamSplitterParams(t, r), TAIL_TOL)
+    # a C-order copy: the product with the target rounds differently on
+    # the transposed view the splitter returns
+    joint = np.ascontiguousarray(joint[:, :, 0, 0])
 
     # <t| rho |t> / tr rho with rho = m m^H the ancilla-traced output is
     # |t^H m|^2 / |m|_F^2, so rho itself is never built
-    m = joint.amps  # (input levels, ancilla levels)
-    target = displacement_unitary(grown.normalize(), mode, sign * alpha)
-    v = target.amps.conj() @ m
-    fid = float(np.vdot(v, v).real) / float(np.vdot(m, m).real)
+    target = np.tensordot(displacement_matrix(sign * alpha, len(grown)),
+                          _normalized(grown), axes=(1, 0))
+    v = target.conj() @ joint
+    fid = float(np.vdot(v, v).real) / float(np.vdot(joint, joint).real)
     return fid, joint
 
 
 # -- hybrid channel and its entanglement -------------------------------------
 
-def channel_state(channel: HybridChannel) -> FockState:
-    """The shared resource state: (|-beta>|01> + |beta>|10>) / sqrt(2),
-    on modes (1, 2, 3) with the coherent mode cut at its default cutoff.
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """``amps`` divided by its norm, or as it is when that norm is one to
+    within 1e-12."""
+    n = float(np.sqrt(np.vdot(amps, amps).real))
+    return amps if abs(n - 1.0) <= 1e-12 else amps / n
+
+
+def channel_state(channel: HybridChannel) -> np.ndarray:
+    """The shared resource state (|-beta>|01> + |beta>|10>) / sqrt(2), as
+    an array over (coherent levels, rail 2, rail 3) with the coherent mode
+    cut at its default cutoff, where each coherent row is checked.
 
     The dual-rail branches are orthogonal, so the raw 1/sqrt(2) norm is
     exactly one despite the non-orthogonal coherent parts; the state is
@@ -294,9 +252,9 @@ def channel_state(channel: HybridChannel) -> FockState:
     beta = channel.beta
     n_max = default_cutoff(beta)
     amps = np.zeros((n_max + 1, 2, 2), dtype=complex)
-    amps[:, 0, 1] = coherent_state(-beta, n_max=n_max).amps / math.sqrt(2.0)
-    amps[:, 1, 0] = coherent_state(beta, n_max=n_max).amps / math.sqrt(2.0)
-    return FockState((1, 2, 3), amps).normalize().check_tail(modes=(1,))
+    amps[:, 0, 1] = coherent_state(-beta, n_max=n_max) / math.sqrt(2.0)
+    amps[:, 1, 0] = coherent_state(beta, n_max=n_max) / math.sqrt(2.0)
+    return _normalized(amps)
 
 
 def negativity_closed_form(channel: HybridChannel) -> float:
@@ -315,7 +273,7 @@ def negativity_numeric(channel: HybridChannel) -> float:
     decomposed, never the (2 d1, 2 d1) density matrix.
     """
     state = channel_state(channel)
-    psi = np.stack([state.amps[:, 0, 1], state.amps[:, 1, 0]], axis=1)  # (d1, 2)
+    psi = np.stack([state[:, 0, 1], state[:, 1, 0]], axis=1)  # (d1, 2)
     schmidt = np.linalg.svd(psi, compute_uv=False)
     return float(schmidt.sum() ** 2 - 1.0)
 

@@ -497,8 +497,8 @@ def _circuit_gram(qubit: UnknownQubit, beta: float, r: float, n_cut: int,
     params = BeamSplitterParams(t, r)
     d3 = max(l, k) + default_cutoff(beta * r / t) + 2
     d1 = default_cutoff(beta) + d3
-    if n_cut >= d3:
-        raise ValueError("requested counts exceed the auxiliary cutoffs")
+    if not 0 <= n_cut < d3:
+        raise ValueError(f"n_cut must lie in [0, {d3}), the auxiliary cutoffs; got {n_cut}")
     # channel branches: carrier -beta accompanies logical |01>, +beta |10>;
     # the ancilla is driven at -beta.  Superposition term i puts s3[i]
     # photons on mode 3 and s4[i] on mode 4.  Each splitter takes every
@@ -573,7 +573,7 @@ def _carrier_window(amp: float, dim: int, tail_tolerance: float):
     count amp^2, so it stays the longer mode of its splitter, the one
     ``split_amplitudes`` offsets.
     """
-    row = coherent_state(amp, n_max=dim - 1, tail_tolerance=tail_tolerance).amps
+    row = coherent_state(amp, n_max=dim - 1, tail_tolerance=tail_tolerance)
     first = int(np.argmax(abs(row) ** 2 > _CARRIER_FLOOR))
     return first, row[first:], float(np.vdot(row[:first], row[:first]).real)
 

@@ -6,40 +6,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvcv_teleport.displaced import coherent_state, displaced_number_state
-from dvcv_teleport.fock import (
-    FockState,
-    TailMassError,
-    default_cutoff,
-    number_state,
-    project_number,
-    single_mode,
-    tensor,
-)
+from dvcv_teleport.fock import TailMassError, default_cutoff
 from dvcv_teleport.optics import (
     BeamSplitterParams,
     HybridChannel,
     _bs_blocks,
+    _normalized,
     MAX_SPLIT_CELLS,
-    apply_bs,
     channel_state,
     check_split_size,
     displacement_matrix,
-    displacement_unitary,
     htbs_residual,
     negativity,
     negativity_closed_form,
     negativity_numeric,
-    pad_mode,
     split_amplitudes,
 )
 
 BALANCED = BeamSplitterParams(1 / math.sqrt(2), 1 / math.sqrt(2))
 
 
-def random_two_mode(rng, d=5):
+def random_two_mode(rng, d=5, pad=0):
+    """A normalized random (d, d) array, zero-filled to d + pad levels a mode."""
     amps = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    amps /= np.linalg.norm(amps)
-    return FockState(("a", "b"), amps)
+    return np.pad(amps / np.linalg.norm(amps), ((0, pad), (0, pad)))
+
+
+def ket(n, dim):
+    """|n> on the levels 0 .. dim - 1."""
+    return np.eye(dim)[n]
+
+
+def split(amps, params):
+    """One two-mode array through the splitter, at the package's tail bound."""
+    return split_amplitudes(amps[:, :, None, None], params, 1e-10)[:, :, 0, 0]
 
 
 def test_params_validation():
@@ -53,45 +53,38 @@ def test_params_validation():
 def test_identity_splitter():
     rng = np.random.default_rng(0)
     state = random_two_mode(rng)
-    out = apply_bs(state, "a", "b", BeamSplitterParams(1.0, 0.0))
-    np.testing.assert_allclose(out.amps, state.amps, atol=1e-14)
+    out = split(state, BeamSplitterParams(1.0, 0.0))
+    np.testing.assert_allclose(out, state, atol=1e-14)
 
 
 def test_single_photon_convention():
-    s = tensor(number_state("a", 1, 1), number_state("b", 0, 1))
-    out = apply_bs(s, "a", "b", BALANCED)
+    out = split(np.outer(ket(1, 2), ket(0, 2)), BALANCED)
     r = 1 / math.sqrt(2)
-    assert out.amps[1, 0] == pytest.approx(r)
-    assert out.amps[0, 1] == pytest.approx(r)
+    assert out[1, 0] == pytest.approx(r)
+    assert out[0, 1] == pytest.approx(r)
 
-    s = tensor(number_state("a", 0, 1), number_state("b", 1, 1))
-    out = apply_bs(s, "a", "b", BALANCED)
-    assert out.amps[1, 0] == pytest.approx(-r)
-    assert out.amps[0, 1] == pytest.approx(r)
+    out = split(np.outer(ket(0, 2), ket(1, 2)), BALANCED)
+    assert out[1, 0] == pytest.approx(-r)
+    assert out[0, 1] == pytest.approx(r)
 
 
 def test_two_photon_interference():
-    s = tensor(number_state("a", 1, 2), number_state("b", 1, 2))
-    out = apply_bs(s, "a", "b", BALANCED)
-    assert out.amps[1, 1] == pytest.approx(0.0, abs=1e-14)
-    assert abs(out.amps[2, 0]) == pytest.approx(1 / math.sqrt(2))
-    assert abs(out.amps[0, 2]) == pytest.approx(1 / math.sqrt(2))
+    out = split(np.outer(ket(1, 3), ket(1, 3)), BALANCED)
+    assert out[1, 1] == pytest.approx(0.0, abs=1e-14)
+    assert abs(out[2, 0]) == pytest.approx(1 / math.sqrt(2))
+    assert abs(out[0, 2]) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_coherent_transformation_law():
     # closed-form oracle: (x, y) -> (t x - r y, r x + t y)
     x, y = 0.6, 0.3
     bs = BeamSplitterParams.from_reflectance(0.4)
-    joint = apply_bs(
-        tensor(coherent_state(x, mode="a"), coherent_state(y, mode="b")),
-        "a", "b", bs)
-    expect = tensor(
-        coherent_state(bs.t * x - bs.r * y, mode="a",
-                       n_max=joint.n_max("a")),
-        coherent_state(bs.r * x + bs.t * y, mode="b",
-                       n_max=joint.n_max("b")),
+    joint = split(np.outer(coherent_state(x), coherent_state(y)), bs)
+    expect = np.outer(
+        coherent_state(bs.t * x - bs.r * y, n_max=joint.shape[0] - 1),
+        coherent_state(bs.r * x + bs.t * y, n_max=joint.shape[1] - 1),
     )
-    np.testing.assert_allclose(joint.amps, expect.amps, atol=1e-11)
+    np.testing.assert_allclose(joint, expect, atol=1e-11)
 
 
 @pytest.mark.parametrize("r", [0.02, 0.1, -0.1])
@@ -101,52 +94,48 @@ def test_strong_carrier_at_oracle_sizes(r):
     beta = 25.0
     bs = BeamSplitterParams.from_reflectance(r)
     na, nb = default_cutoff(r * beta) + 1, default_cutoff(beta)
-    carrier = coherent_state(beta, mode="b", n_max=nb)
-    a0 = coherent_state(-r * beta, mode="a", n_max=na).amps
-    b0 = coherent_state(bs.t * beta, mode="b", n_max=nb).amps
+    carrier = coherent_state(beta, n_max=nb)
+    a0 = coherent_state(-r * beta, n_max=na)
+    b0 = coherent_state(bs.t * beta, n_max=nb)
     up_a = np.sqrt(np.arange(na + 1)) * np.roll(a0, 1)
     up_b = np.sqrt(np.arange(nb + 1)) * np.roll(b0, 1)
     # the input holds every block N <= nb whole; higher blocks are cut
     inside = np.add.outer(np.arange(na + 1), np.arange(nb + 1)) <= nb
     for s, expect in ((0, np.outer(a0, b0)),
                       (1, bs.t * np.outer(up_a, b0) + bs.r * np.outer(a0, up_b))):
-        out = apply_bs(tensor(number_state("a", s, na), carrier), "a", "b", bs)
-        np.testing.assert_allclose(out.amps[inside], expect[inside], rtol=0, atol=1e-12)
+        out = split(np.outer(ket(s, na + 1), carrier), bs)
+        np.testing.assert_allclose(out[inside], expect[inside], rtol=0, atol=1e-12)
 
 
 @given(st.floats(0.05, 0.95), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_unitarity_random_states(r, seed):
     rng = np.random.default_rng(seed)
-    state = pad_mode(pad_mode(random_two_mode(rng, d=4), "a", 8), "b", 8)
-    out = apply_bs(state, "a", "b", BeamSplitterParams.from_reflectance(r))
-    assert abs(out.norm() - state.norm()) < 1e-10
+    state = random_two_mode(rng, d=4, pad=5)
+    out = split(state, BeamSplitterParams.from_reflectance(r))
+    assert abs(np.linalg.norm(out) - np.linalg.norm(state)) < 1e-10
 
 
 def test_inverse_composition():
     rng = np.random.default_rng(1)
-    state = pad_mode(pad_mode(random_two_mode(rng, d=4), "a", 9), "b", 9)
+    state = random_two_mode(rng, d=4, pad=6)
     bs = BeamSplitterParams.from_reflectance(0.25)
-    back = apply_bs(apply_bs(state, "a", "b", bs), "a", "b",
-                    BeamSplitterParams(bs.t, -bs.r))
-    np.testing.assert_allclose(back.amps, state.amps, atol=1e-12)
+    back = split(split(state, bs), BeamSplitterParams(bs.t, -bs.r))
+    np.testing.assert_allclose(back, state, atol=1e-12)
 
 
 def test_batch_through_one_splitter_matches_single_states():
     rng = np.random.default_rng(2)
     bs = BeamSplitterParams.from_reflectance(0.3)
-    states = [pad_mode(pad_mode(random_two_mode(rng, d=4), "a", 9), "b", 6)
-              for _ in range(3)]
-    batch = np.stack([s.amps for s in states], axis=2)[..., None]
+    states = [np.pad(random_two_mode(rng, d=4), ((0, 6), (0, 3))) for _ in range(3)]
+    batch = np.stack(states, axis=2)[..., None]
     out = split_amplitudes(batch, bs, 1e-10)
     for i, s in enumerate(states):
-        np.testing.assert_allclose(out[:, :, i, 0], apply_bs(s, "a", "b", bs).amps,
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out[:, :, i, 0], split(s, bs), rtol=0, atol=1e-15)
     # the swap to the smaller mode happens inside: list the modes the other way
     swapped = split_amplitudes(batch.swapaxes(0, 1), bs, 1e-10)
     for i, s in enumerate(states):
-        np.testing.assert_allclose(swapped[:, :, i, 0], apply_bs(s, "b", "a", bs).amps.T,
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(swapped[:, :, i, 0], split(s.T, bs), rtol=0, atol=1e-15)
 
 
 def test_batch_leak_is_judged_per_entry():
@@ -154,8 +143,7 @@ def test_batch_leak_is_judged_per_entry():
     # that loses 2.5e-9 past the cutoffs: summed over the batch the loss
     # stays under the strong entry's 1e-14 relative floor, per entry it raises
     bs = BALANCED
-    strong = 1e3 * pad_mode(pad_mode(random_two_mode(np.random.default_rng(3), d=4),
-                                     "a", 9), "b", 9).amps
+    strong = 1e3 * random_two_mode(np.random.default_rng(3), d=4, pad=6)
     weak = np.zeros((10, 10), dtype=complex)
     weak[0, 0], weak[9, 9] = 1.0, 5e-5
     assert split_amplitudes(strong[:, :, None, None], bs, 1e-10).shape == (10, 10, 1, 1)
@@ -183,7 +171,7 @@ def test_amplitude_below_the_window_is_leak():
     # mode: the splitter moves amplitude from the window's lowest levels to
     # below it, where it is dropped and counted as loss
     bs = BeamSplitterParams.from_reflectance(0.1)
-    carrier = coherent_state(8.0).amps
+    carrier = coherent_state(8.0)
     lowest = 40
     amps = np.zeros((len(carrier) - lowest, 24, 1, 1), dtype=complex)
     amps[:, 1, 0, 0] = carrier[lowest:]
@@ -218,35 +206,34 @@ def test_oversized_splitter_is_refused_before_allocating():
 
 
 def test_overflow_guard():
-    s = tensor(number_state("a", 3, 3), number_state("b", 3, 3))
     with pytest.raises(TailMassError):
-        apply_bs(s, "a", "b", BALANCED)
+        split(np.outer(ket(3, 4), ket(3, 4)), BALANCED)
 
 
 def test_displacement_unitary_basics():
-    vac = number_state("m", 0, 16)
-    same = displacement_unitary(vac, "m", 0.0)
-    np.testing.assert_allclose(same.amps, vac.amps, atol=1e-15)
+    vac = ket(0, 17)
+    same = displacement_matrix(0.0, 17) @ vac
+    np.testing.assert_allclose(same, vac, atol=1e-15)
 
-    coh = displacement_unitary(vac, "m", 0.5)
-    assert abs(coh.amps[1]) == pytest.approx(math.exp(-0.125) * 0.5, abs=1e-12)
-    assert coh.norm() == pytest.approx(1.0, abs=1e-13)
+    coh = displacement_matrix(0.5, 17) @ vac
+    assert abs(coh[1]) == pytest.approx(math.exp(-0.125) * 0.5, abs=1e-12)
+    assert np.linalg.norm(coh) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_displacement_inverse():
     rng = np.random.default_rng(2)
     amps = np.zeros(20, dtype=complex)
     amps[:4] = rng.normal(size=4) + 1j * rng.normal(size=4)
-    state = single_mode("m", amps / np.linalg.norm(amps))
-    back = displacement_unitary(displacement_unitary(state, "m", 0.8), "m", -0.8)
-    np.testing.assert_allclose(back.amps, state.amps, atol=1e-9)
+    state = amps / np.linalg.norm(amps)
+    back = displacement_matrix(-0.8, 20) @ (displacement_matrix(0.8, 20) @ state)
+    np.testing.assert_allclose(back, state, atol=1e-9)
 
 
 def test_displacement_columns_match_displaced_states():
     d = displacement_matrix(0.9, 45)
     for l in range(4):
         col = displaced_number_state(l, 0.9, n_max=44)
-        np.testing.assert_allclose(d[:, l], col.amps.real, atol=1e-9)
+        np.testing.assert_allclose(d[:, l], col.real, atol=1e-9)
 
 
 def _generator(gamma, dim):
@@ -272,8 +259,8 @@ def test_displacement_matrix_is_the_matrix_exponential(gamma, dim):
 @pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 2.0, 3.0])
 def test_negativity_from_schmidt_values_matches_partial_transpose(beta):
     state = channel_state(HybridChannel(beta))
-    d1 = state.amps.shape[0]
-    psi = np.stack([state.amps[:, 0, 1], state.amps[:, 1, 0]], axis=1).reshape(-1)
+    d1 = state.shape[0]
+    psi = np.stack([state[:, 0, 1], state[:, 1, 0]], axis=1).reshape(-1)
     rho = np.outer(psi, psi.conj())
     rho_pt = rho.reshape(d1, 2, d1, 2).swapaxes(1, 3).reshape(2 * d1, 2 * d1)
     full = np.linalg.svd(rho_pt, compute_uv=False).sum() - 1.0
@@ -284,19 +271,18 @@ def test_negativity_from_schmidt_values_matches_partial_transpose(beta):
 @pytest.mark.parametrize("r", [0.2, 0.05])
 def test_htbs_fidelity_matches_the_density_matrix_form(r, sign):
     beta = 0.6 * math.sqrt(1 - r * r) / r
-    start = number_state("x", 1, 6)
-    fid, joint = htbs_residual(start, beta, r, sign)
-    m = joint.amps
+    start = ket(1, 7)
+    fid, m = htbs_residual(start, beta, r, sign)
     rho = m @ m.conj().T
-    grown = pad_mode(start, "x", m.shape[0] - 1)
-    t = displacement_unitary(grown, "x", sign * beta * r / math.sqrt(1 - r * r)).amps
+    grown = np.pad(start, (0, m.shape[0] - 7))
+    t = displacement_matrix(sign * beta * r / math.sqrt(1 - r * r), m.shape[0]) @ grown
     expect = np.vdot(t, rho @ t).real / np.trace(rho).real
     assert fid == pytest.approx(expect, rel=0, abs=1e-14)
 
 
 def test_htbs_vacuum_regression():
     t = math.sqrt(1 - 0.01)
-    fid, _ = htbs_residual(number_state("x", 0, 4), 0.5 * t / 0.1, 0.1, +1)
+    fid, _ = htbs_residual(ket(0, 5), 0.5 * t / 0.1, 0.1, +1)
     assert fid > 0.99
 
 
@@ -304,7 +290,7 @@ def test_htbs_monotone_convergence():
     fids = []
     for r in (0.2, 0.1, 0.05):
         beta = 0.5 * math.sqrt(1 - r * r) / r
-        fid, _ = htbs_residual(number_state("x", 1, 6), beta, r, +1)
+        fid, _ = htbs_residual(ket(1, 7), beta, r, +1)
         fids.append(fid)
     assert fids[0] < fids[1] < fids[2]
     slope = np.polyfit(np.log([0.2, 0.1, 0.05]),
@@ -316,35 +302,38 @@ def test_htbs_negative_sign_pattern():
     # displacing |1> by -alpha flips the coefficient signs as (-1)^(n-1)
     r = 0.05
     beta = 0.6 * math.sqrt(1 - r * r) / r
-    _, joint = htbs_residual(number_state("x", 1, 8), beta, r, -1)
-    m = joint.amps
+    _, m = htbs_residual(ket(1, 9), beta, r, -1)
     rho = m @ m.conj().T
     w, v = np.linalg.eigh(rho)
     lead = v[:, -1] * np.sign(v[1, -1].real)
-    expect = displaced_number_state(1, -0.6, n_max=rho.shape[0] - 1).amps.real
+    expect = displaced_number_state(1, -0.6, n_max=rho.shape[0] - 1).real
     expect = expect * np.sign(expect[1])
     np.testing.assert_allclose(lead.real, expect, atol=2e-3)
+
+
+def test_normalize_closure():
+    assert abs(np.linalg.norm(_normalized(np.array([0.3, 0.1, 0.2]))) - 1.0) < 1e-12
 
 
 def test_channel_state_structure():
     ch = HybridChannel(1.0)
     state = channel_state(ch)
     # dual-rail modes always carry exactly one photon
-    assert np.allclose(state.amps[:, 0, 0], 0.0)
-    assert np.allclose(state.amps[:, 1, 1], 0.0)
+    assert np.allclose(state[:, 0, 0], 0.0)
+    assert np.allclose(state[:, 1, 1], 0.0)
     # conditioning the dual rail on |01> leaves the -beta coherent part
-    rest, p = project_number(state, 3, 1)
-    rest, p2 = project_number(rest, 2, 0)
-    assert p * p2 == pytest.approx(0.5, abs=1e-12)
-    expect = coherent_state(-1.0, mode=1, n_max=rest.n_max(1))
-    np.testing.assert_allclose(rest.amps, expect.amps, atol=1e-10)
+    branch = state[:, 0, 1]
+    p = np.vdot(branch, branch).real
+    assert p == pytest.approx(0.5, abs=1e-12)
+    expect = coherent_state(-1.0, n_max=len(branch) - 1)
+    np.testing.assert_allclose(branch / math.sqrt(p), expect, atol=1e-10)
 
 
 def test_channel_reduced_purity():
     # coherent-branch overlap exp(-2 b^2) shows up in the carrier's purity
     state = channel_state(HybridChannel(1.0))
-    u = state.amps[:, 0, 1]
-    v = state.amps[:, 1, 0]
+    u = state[:, 0, 1]
+    v = state[:, 1, 0]
     rho = np.outer(u, u.conj()) + np.outer(v, v.conj())
     purity = float(np.trace(rho @ rho).real)
     assert purity == pytest.approx((1 + math.exp(-4)) / 2, abs=1e-10)
@@ -367,4 +356,4 @@ def test_channel_validation():
     with pytest.raises(ValueError):
         HybridChannel(0.0)
     with pytest.raises(ValueError):
-        htbs_residual(number_state("x", 0, 2), 1.0, 0.5, +1)
+        htbs_residual(ket(0, 3), 1.0, 0.5, +1)

@@ -413,6 +413,14 @@ def test_brute_force_records_shape():
         assert np.trace(rec.rho).real == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("n_cut", [-1, -5, 19])
+def test_brute_force_refuses_a_count_cut_outside_the_auxiliary_grid(n_cut):
+    # refused by name before any splitter runs; -1 used to reach a reshape
+    # (mode 3 holds 19 levels at this beta and r)
+    with pytest.raises(ValueError, match="n_cut"):
+        brute_force_pipeline(UnknownQubit(0.6, 0.8), 4.97, 0.1, n_cut=n_cut)
+
+
 def test_brute_force_builds_each_splitter_once(monkeypatch):
     # two physical splitters, each taking all its inputs as one batch
     builds = []
