@@ -440,22 +440,23 @@ def _load_config(path: str) -> list[str]:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Expand a --config flag into its flag tokens, placed right after the
-    subcommand so explicit command-line flags still win."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            break
-    if path is None:
+    """Expand a --config flag, in any spelling argparse accepts, into its
+    flag tokens, placed right after the subcommand so explicit command-line
+    flags still win.  A second --config is refused."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", action="append")
+    try:
+        paths = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # --config with no path: the parser reports it
         return argv
+    if paths is None:
+        return argv
+    if len(paths) > 1:
+        raise UsageError("--config given more than once")
     sub_pos = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
     if sub_pos is None:
         return argv
-    return argv[:sub_pos + 1] + _load_config(path) + argv[sub_pos + 1:]
+    return argv[:sub_pos + 1] + _load_config(paths[0]) + argv[sub_pos + 1:]
 
 
 def main(argv=None) -> int:

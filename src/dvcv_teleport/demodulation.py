@@ -78,15 +78,6 @@ class AMQubit:
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
 
-    def physical_amplitudes(self) -> np.ndarray:
-        """Normalized (a0, a1 * factor)."""
-        v = np.array([self.a0, self.a1 * self.factor], dtype=complex)
-        return v / np.linalg.norm(v)
-
-    def norm_weight(self) -> float:
-        """(|a0|^2 + |a1 * factor|^2)^(-1/2)."""
-        return float(np.linalg.norm(np.array([self.a0, self.a1 * self.factor]))) ** -1.0
-
 
 @dataclass(frozen=True)
 class DemodResult:
@@ -100,9 +91,7 @@ class DemodResult:
 
     restored: QubitState | None
     success_probability: float
-    method: str
     gamma: float | None
-    residual_factor: float
     sign: int = 0
     residuals: tuple = ()
 
@@ -171,7 +160,7 @@ def demod_displacement(am: AMQubit, n: int) -> DemodResult:
     gamma, usable, c1n2, ratio, c1p2 = _displacement_step(abs(am.factor), n)
     found = np.flatnonzero(usable).tolist()
     if not found:
-        return DemodResult(None, 0.0, "displacement", None, am.factor)
+        return DemodResult(None, 0.0, None)
     lo, hi = gamma.tolist()
     i = found[0]
     if len(found) == 2:
@@ -192,9 +181,7 @@ def demod_displacement(am: AMQubit, n: int) -> DemodResult:
     return DemodResult(
         restored=QubitState(am.a0, sign * am.a1),
         success_probability=f2 * c1n2[i],
-        method="displacement",
         gamma=g,
-        residual_factor=1.0,
         sign=sign,
         residuals=residuals,
     )
@@ -211,9 +198,7 @@ def demod_swap(am: AMQubit) -> DemodResult:
     return DemodResult(
         restored=QubitState(am.a0, am.a1),
         success_probability=q_swap(am.factor),
-        method="swap",
         gamma=None,
-        residual_factor=1.0,
         sign=1,
     )
 
@@ -552,11 +537,20 @@ def initially_am_dual(a0: complex, a1: complex, alpha: float, n_cut: int = 20):
     return _initially_am("dual", a0, a1, alpha, n_cut)
 
 
+def _check_a1_abs(*a1_abs) -> None:
+    """Refuse an original |a1| outside [0, 1], or NaN: no normalized input
+    (sqrt(1 - |a1|^2), |a1|) has it."""
+    for x in a1_abs:
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"|a1| must lie in [0, 1], got {x}")
+
+
 def initially_am_dual_total_reference(a1_original_abs: float, alpha: float,
                                       n_cut: int = 20,
                                       fourth_term: str = "first_principles") -> float:
     """Closed-form total of the pre-modulated dual-rail protocol,
-    parametrized by the original (pre-modulation) |a1|.
+    parametrized by the original (pre-modulation) |a1|, which must lie in
+    [0, 1] (ValueError otherwise).
 
     Since c(1, n) = c(0, n) (n - alpha^2) / alpha, counts (n, m) carry the
     factor A(n, m) = (n - alpha^2) / (m - alpha^2) (none where m = alpha^2);
@@ -571,6 +565,7 @@ def initially_am_dual_total_reference(a1_original_abs: float, alpha: float,
     """
     if fourth_term not in ("first_principles", "as_printed"):
         raise ValueError(f"unknown fourth_term variant {fourth_term!r}")
+    _check_a1_abs(a1_original_abs)
     x = alpha * alpha
     if x == 0.0 or x == 1.0:
         raise SingularFactorError(f"the reference factor is singular at alpha={alpha}")
@@ -601,7 +596,8 @@ def initially_am_single(a0: complex, a1: complex, alpha: float, n_cut: int = 20)
 def initially_am_totals(rail: str, a1_abs, alpha, n_cut: int = 20):
     """Totals of the pre-modulated ``rail`` ("dual" or "single") protocol
     for every |a1| in ``a1_abs``, handed over as (sqrt(1 - |a1|^2), |a1|),
-    at a float ``alpha`` or at every amplitude of an array.
+    at a float ``alpha`` or at every amplitude of an array.  An |a1|
+    outside [0, 1], or NaN, raises ValueError.
 
     Returns ``(totals, clean_sums)``, each shaped like ``alpha`` with an
     |a1| axis last: exactly the total of :func:`initially_am_dual` /
@@ -614,10 +610,11 @@ def initially_am_totals(rail: str, a1_abs, alpha, n_cut: int = 20):
 
 
 def _am_totals(rail: str, a1_abs, table: MatrixElementTable):
+    _check_a1_abs(*a1_abs)
     o = _OUTCOMES[rail](table)
     # each input's |a0|^2 and |a1|^2 on a leading |a1| axis, as one input
     # squares them
-    pairs = [_unit_pair(math.sqrt(max(0.0, 1.0 - x * x)), x) for x in a1_abs]
+    pairs = [_unit_pair(math.sqrt(1.0 - x * x), x) for x in a1_abs]
     w0, w1 = (np.array([abs(pair[i]) ** 2 for pair in pairs], dtype=float)
               .reshape((-1,) + (1,) * np.ndim(o.a_ref)) for i in (0, 1))
     base = _input_weight(w0, w1, o.a_ref)[..., None]

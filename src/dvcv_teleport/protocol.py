@@ -109,12 +109,15 @@ class TeleportRecord:
 
 
 @dataclass(frozen=True)
-class BruteForceRecord(TeleportRecord):
-    """Like TeleportRecord but from the finite-reflectance circuit, where
-    the conditional state is slightly mixed: ``rho`` is its 2x2 density
-    matrix on the dual-rail basis and ``bob_state``/``corrected_state``
-    are the dominant eigenvectors."""
+class BruteForceRecord:
+    """Receiver-side result for one outcome of the finite-reflectance
+    circuit.  The conditional state is mixed at finite r, so it is kept
+    whole: ``rho`` is its 2x2 density matrix on the dual-rail basis,
+    ``corrected_rho`` that matrix after the correction word, and
+    ``purity`` tr(rho^2), which tends to one as r -> 0."""
 
+    outcome: Outcome
+    probability: float
     rho: np.ndarray
     corrected_rho: np.ndarray
     purity: float
@@ -215,16 +218,17 @@ def correct(bob: QubitState, parity: str, n: int, l: int) -> QubitState:
 
 def outcome_probability_grid(qubit: UnknownQubit, table: MatrixElementTable) -> np.ndarray:
     """Probability of registering counts (n, m), either parity, for every
-    count pair of ``table`` (rows up to max(l, k)) at once.
+    count pair of ``table`` (rows up to max(l, k)) at once, on its last two
+    axes after any alpha axes.
 
     Evaluated in the unreduced product form
     F^4 (|a0 c(l,n) c(k,m)|^2 + |a1 c(k,n) c(l,m)|^2), which stays finite
     on outcomes whose amplitude factor is singular.
     """
-    l, k = qubit.l, qubit.k
-    f2 = table.f ** 2
-    return f2 * f2 * (abs(qubit.a0) ** 2 * np.outer(table.c[l], table.c[k]) ** 2
-                      + abs(qubit.a1) ** 2 * np.outer(table.c[k], table.c[l]) ** 2)
+    cl, ck = table.c[qubit.l], table.c[qubit.k]
+    f2 = np.reshape(_per_entry(pow, table.f, 2), np.shape(table.f) + (1, 1))
+    return f2 * f2 * (abs(qubit.a0) ** 2 * (cl[..., :, None] * ck[..., None, :]) ** 2
+                      + abs(qubit.a1) ** 2 * (ck[..., :, None] * cl[..., None, :]) ** 2)
 
 
 def outcome_probability_dual(qubit: UnknownQubit, n: int, m: int, alpha: float) -> float:
@@ -244,8 +248,10 @@ def _direct_mass(l: int, k: int, table: MatrixElementTable):
 def _pair_sum(l: int, k: int, n: int, m: int, table: MatrixElementTable):
     """:func:`pair_sum_probability` from ``table``, in Python floats."""
     cn, cm = table.c[..., n], table.c[..., m]
+    # equal counts are one outcome, not a pair
+    swapped = 0.0 if n == m else cm[l] * cn[k]
     return _per_entry(lambda f, x, y: f ** 4 * (x ** 2 + y ** 2), table.f,
-                      cn[l] * cm[k], cm[l] * cn[k])
+                      cn[l] * cm[k], swapped)
 
 
 def _am_mass(l: int, k: int, table: MatrixElementTable):
@@ -265,8 +271,9 @@ def direct_success_probability(l: int, k: int, alpha, n_cut: int = 20):
 
 
 def pair_sum_probability(l: int, k: int, n: int, m: int, alpha):
-    """Probability of {(n, m), (m, n)} jointly; drops every dependence on
-    the teleported superposition.  Per amplitude for an array ``alpha``."""
+    """Probability of {(n, m), (m, n)} jointly, the one outcome (n, n) when
+    n = m; drops every dependence on the teleported superposition.  Per
+    amplitude for an array ``alpha``."""
     _nonnegative(l, k, n, m)
     return _pair_sum(l, k, n, m, matrix_element_table(max(l, k), max(n, m), alpha))
 
@@ -536,9 +543,10 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, r: float,
     The channel's coherent part and the first qubit mode meet on one
     splitter, the ancilla drive and the second qubit mode on another; the
     coherent mode is parity-measured and the two auxiliary modes are
-    counted, each up to ``n_cut``.  Records carry the exact conditional 2x2 density matrix of
-    the receiver's dual-rail modes; as r -> 0 at fixed alpha = beta*r/t
-    they converge to the analytic records.
+    counted, each up to ``n_cut``.  The receiver's conditional state is
+    mixed at finite r, so each record keeps its exact 2x2 density matrix
+    on the dual-rail modes, before and after the correction word; as
+    r -> 0 at fixed alpha = beta*r/t they converge to the analytic records.
     """
     gram = _circuit_gram(qubit, beta, r, n_cut, tail_tolerance)
     # every outcome at once, in (parity, n, m) order; a NaN stays visible
@@ -546,22 +554,14 @@ def brute_force_pipeline(qubit: UnknownQubit, beta: float, r: float,
     parity, n, m = np.nonzero(~(prob <= 0.0))
     prob = prob[parity, n, m]
     rho = gram[parity, n, m] / (2.0 * prob)[:, None, None]
-    z = z_power_for(np.take(_PARITIES, parity), n, qubit.l)
-    gate = _correction(z)
+    gate = _correction(z_power_for(np.take(_PARITIES, parity), n, qubit.l))
     rho_c = gate @ rho @ gate.conj().transpose(0, 2, 1)
     # the trace of the stacked product, bitwise as each record's own
     purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
-    bobs = np.linalg.eigh(rho)[1][..., -1].tolist()
-    fixed = [QubitState(*vec) for vec in np.linalg.eigh(rho_c)[1][..., -1].tolist()]
-    # the factor each corrected state carries; NaN where a0, a1 or c0 vanishes
-    est = [float((c.c1 / c.c0 * qubit.a0 / qubit.a1).real)
-           if abs(qubit.a0) > 0 and abs(qubit.a1) > 0 and abs(c.c0) > 1e-12 else math.nan
-           for c in fixed]
-    return [BruteForceRecord(Outcome(_PARITIES[p], n_, m_),
-                             QubitState(*bob), p_, a, zp, c, rh, rh_c, pur)
-            for p, n_, m_, bob, p_, a, zp, c, rh, rh_c, pur
-            in zip(parity.tolist(), n.tolist(), m.tolist(), bobs, prob.tolist(), est,
-                   z.tolist(), fixed, rho, rho_c, purity.tolist())]
+    return [BruteForceRecord(Outcome(_PARITIES[p], n_, m_), p_, rh, rh_c, pur)
+            for p, n_, m_, p_, rh, rh_c, pur
+            in zip(parity.tolist(), n.tolist(), m.tolist(), prob.tolist(), rho, rho_c,
+                   purity.tolist())]
 
 
 def _carrier_window(amp: float, dim: int, tail_tolerance: float):

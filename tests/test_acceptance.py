@@ -242,10 +242,10 @@ def test_criterion_9_demodulation_exactness():
         if res.restored is not None:
             # compose the actual optics and measure
             d2 = displaced.default_cutoff(abs(res.gamma)) + target + 2
-            v = am.physical_amplitudes()
+            norm2 = abs(am.a0) ** 2 + abs(am.a1 * am.factor) ** 2
             amps = np.zeros((2, d2 + 1), dtype=complex)
-            amps[0, 1] = v[0]
-            amps[1, 0] = v[1]
+            amps[0, 1] = am.a0 / math.sqrt(norm2)
+            amps[1, 0] = am.a1 * am.factor / math.sqrt(norm2)
             # displace the auxiliary mode, then count ``target`` photons on it
             red = amps @ optics.displacement_matrix(res.gamma, d2 + 1).T[:, target]
             prob = np.vdot(red, red).real
@@ -253,7 +253,7 @@ def test_criterion_9_demodulation_exactness():
             want = fock.QubitState(am.a0, res.sign * am.a1)
             worst_fid = max(worst_fid, 1.0 - fock.fidelity(got, want))
             worst_qd = max(worst_qd, abs(
-                prob / am.norm_weight() ** 2 - res.success_probability))
+                prob * norm2 - res.success_probability))
             worst_qd = max(worst_qd, abs(
                 res.success_probability
                 - displaced.overall_factor(res.gamma) ** 2

@@ -624,6 +624,37 @@ def test_config_file_defaults_and_override(tmp_path):
     assert float(rows[0]["alpha"]) == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("spelling", ["--config", "--conf", "--c", "--config=", "--con="])
+def test_config_read_under_every_spelling_argparse_accepts(spelling, tmp_path, capsys):
+    # argparse takes any unambiguous prefix; only the exact --config was read
+    def argv(path, *rest):
+        flag = [spelling + str(path)] if spelling.endswith("=") else [spelling, str(path)]
+        return ["negativity", *flag, *rest]
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta=2\n")
+    assert main(argv(cfg)) == 0
+    got = capsys.readouterr().out
+    assert main(["negativity", "--beta", "2"]) == 0
+    assert got == capsys.readouterr().out
+    missing = tmp_path / "missing.cfg"
+    assert main(argv(missing, "--beta", "1")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+
+
+@pytest.mark.parametrize("second", ["run.cfg", "missing.cfg"])
+def test_a_second_config_is_refused(second, tmp_path, capsys):
+    # the scan read the first --config while argparse kept the second
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta=2\n")
+    assert main(["negativity", "--config", str(cfg), "--config", str(tmp_path / second),
+                 "--beta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("DVCV_TELEPORT_OUT_DIR", str(tmp_path))
     assert main(["sweep", "--protocol", "dual", "--alpha-min", "0.4",

@@ -38,12 +38,18 @@ INV_SQRT2 = 1 / math.sqrt(2)
 GOLDEN = (math.sqrt(5) - 1) / 2
 
 
+def am_norm2(am):
+    """|a0|^2 + |a1 * factor|^2, the squared norm of the modulated qubit."""
+    return abs(am.a0) ** 2 + abs(am.a1 * am.factor) ** 2
+
+
 def am_as_fock(am, n_max2=1):
-    """The modulated qubit on its two modes, the second cut at ``n_max2``."""
-    v = am.physical_amplitudes()
+    """The modulated qubit, normalized, on its two modes, the second cut at
+    ``n_max2``."""
+    norm = math.sqrt(am_norm2(am))
     amps = np.zeros((2, n_max2 + 1), dtype=complex)
-    amps[0, 1] = v[0]
-    amps[1, 0] = v[1]
+    amps[0, 1] = am.a0 / norm
+    amps[1, 0] = am.a1 * am.factor / norm
     return amps
 
 
@@ -160,7 +166,6 @@ def test_displacement_clean_factor_example():
     res = demod_displacement(am, 0)
     assert abs(res.gamma) == pytest.approx(1.0)
     assert res.success_probability == pytest.approx(math.exp(-1), abs=1e-15)
-    assert res.residual_factor == 1.0
 
 
 def test_displacement_restores_exact_state():
@@ -181,8 +186,7 @@ def test_displacement_restores_exact_state():
         prob = np.vdot(red, red).real
         got = QubitState(red[0], red[1])
         assert fidelity(got, want) > 1 - 1e-9
-        assert prob * am.norm_weight() ** -2 == pytest.approx(
-            res.success_probability, abs=1e-10)
+        assert prob * am_norm2(am) == pytest.approx(res.success_probability, abs=1e-10)
 
 
 def test_displacement_residual_factors():
@@ -204,7 +208,6 @@ def test_displacement_no_root():
     res = demod_displacement(am, 0)
     assert res.restored is None
     assert res.success_probability == 0.0
-    assert res.residual_factor == 20.0
 
 
 def test_displacement_strong_factor_matches_chain():
@@ -264,8 +267,7 @@ def test_swap_composition_oracle():
         got = QubitState(s[0, 1], z * s[1, 0])
         assert fidelity(got, QubitState(am.a0, am.a1)) > 1 - 1e-12
         success += np.vdot(s, s).real
-    assert success * am.norm_weight() ** -2 == pytest.approx(
-        q_swap(a_factor), abs=1e-12)
+    assert success * am_norm2(am) == pytest.approx(q_swap(a_factor), abs=1e-12)
 
 
 # -- policy values ---------------------------------------------------------------
@@ -623,6 +625,17 @@ def test_reference_builds_one_coefficient_table(monkeypatch):
 def test_reference_singular_at_vanishing_or_infinite_factor(alpha):
     with pytest.raises(SingularFactorError):
         initially_am_dual_total_reference(0.3, alpha)
+
+
+@pytest.mark.parametrize("a1_abs", [1.5, -0.3, math.nan])
+def test_pre_modulated_inputs_refuse_a1_outside_the_unit_range(a1_abs):
+    # 1.5 was read as 1.0 and -0.3 as 0.3; the reference returned 0.00736
+    # at 1.5 and NaN at NaN
+    for rail in ("dual", "single"):
+        with pytest.raises(ValueError, match=f"got {a1_abs}"):
+            initially_am_totals(rail, [1.0, a1_abs, 0.3], 0.3)
+    with pytest.raises(ValueError, match=f"got {a1_abs}"):
+        initially_am_dual_total_reference(a1_abs, 0.35)
 
 
 def test_initially_am_single_vacuum_clean():
