@@ -259,7 +259,7 @@ def _transition() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray]:
     """Value of the best demodulation strategy as a function of log10|A|.
 
@@ -273,11 +273,27 @@ def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray
     cached depth d - 1 table through the shared :func:`_transition`, which
     does not depend on the value: interpolate the shallower value at every
     residual factor, sum over residuals, and maximize over roots, targets
-    and the floor.  The values are read along the grid, as the points lie,
-    and viewed back with the counts last; their product with the weights
-    is written C-contiguous, since a strided product would be summed in a
-    different pairwise order.  The returned arrays are shared by every
-    cache hit and are read-only.  A negative depth raises ValueError.
+    and the floor.  The shallower depths are fetched in ascending order, so
+    each missing one is built on the one just cached and no call nests
+    deeper than that, at any depth; every table stays cached (601 floats).
+
+    The sweep runs one target at a time into a running maximum over
+    targets and roots, started at the floor.  A target's slice of points
+    and weights is 125 KB, small enough for the allocator to reuse the
+    same memory target after target, where a sweep of all nine at once
+    allocates 1.1 MB arrays that a fresh process must fault in page by
+    page.  The values are read along the grid, as the points lie, and
+    viewed back with the counts last; their product with the weights is
+    written C-contiguous, since a strided product would be summed in a
+    different pairwise order.  The maximum is exact in any order, so the
+    tables are bitwise those of one sweep over all targets.
+
+    An all-zero shallower table (the floor without the swap) is not read:
+    every residual then adds exactly zero, and the sweep is the floor's
+    maximum with the success weights alone.
+
+    The returned arrays are shared by every cache hit and are read-only.
+    A negative depth raises ValueError.
     """
     if depth < 0:
         raise ValueError(f"chain depth must be nonnegative, got {depth}")
@@ -286,10 +302,19 @@ def _chain_table(depth: int, include_swap: bool) -> tuple[np.ndarray, np.ndarray
         a_grid = 10.0 ** log_grid
         value = q_swap(a_grid) if include_swap else np.zeros_like(a_grid)
     else:
-        _, shallower = _chain_table(depth - 1, include_swap)
-        read = np.interp(points, log_grid, shallower).transpose(0, 3, 1, 2)
-        total = success + np.sum(np.multiply(weights, read, order="C"), axis=-1)
-        value = np.maximum(_chain_table(0, include_swap)[1], total.max(axis=(0, -1)))
+        _, floor = _chain_table(0, include_swap)
+        shallower = floor
+        for d in range(1, depth):
+            _, shallower = _chain_table(d, include_swap)
+        if not shallower.any():
+            value = np.maximum(floor, success.max(axis=(0, -1)))
+        else:
+            value = floor.copy()
+            for n in range(len(points)):
+                read = np.interp(points[n], log_grid, shallower).transpose(2, 0, 1)
+                total = success[n] + np.sum(np.multiply(weights[n], read, order="C"), axis=-1)
+                for root in total.T:
+                    np.maximum(value, root, out=value)
     value.flags.writeable = False
     return log_grid, value
 

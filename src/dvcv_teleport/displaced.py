@@ -107,15 +107,22 @@ def _scaled_coherent_row(n_max: int, alpha: float) -> np.ndarray:
 
 def _ladder(row0: np.ndarray, l_max: int, alpha) -> np.ndarray:
     """Rows 0..l_max of the l-recurrence started from row ``row0`` (its n
-    axis last); the recurrence is linear, so a row scaled by F stays so."""
-    shape = row0.shape[:-1]
+    axis last); the recurrence is linear, so a row scaled by F stays so.
+
+    Each step is written into its own row of the table: count 0 gets
+    sqrt(0) * 0 = 0, the counts above it sqrt(n) c(l, n - 1), then the
+    row takes alpha c(l, n) off and is divided by sqrt(l + 1), the
+    operations of the formula in its order, with no shifted copy."""
     c = np.empty((l_max + 1,) + row0.shape)
     c[0] = row0
-    sqrt_n = np.sqrt(np.arange(row0.shape[-1]))
-    a = alpha[..., None] if shape else alpha
+    sqrt_n = np.sqrt(np.arange(1, row0.shape[-1]))
+    a = alpha[..., None] if row0.ndim > 1 else alpha
     for l in range(l_max):
-        shifted = np.concatenate((np.zeros(shape + (1,)), c[l, ..., :-1]), axis=-1)
-        c[l + 1] = (sqrt_n * shifted - a * c[l]) / math.sqrt(l + 1)
+        nxt = c[l + 1]
+        nxt[..., 0] = 0.0
+        np.multiply(sqrt_n, c[l, ..., :-1], out=nxt[..., 1:])
+        nxt -= a * c[l]
+        nxt /= math.sqrt(l + 1)
     return c
 
 

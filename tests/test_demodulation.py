@@ -407,6 +407,28 @@ def test_grid_last_points_read_exactly_as_the_old_order():
         assert np.array_equal(read, np.interp(old_order, log_grid, value))
 
 
+def test_zero_floor_is_not_interpolated(monkeypatch):
+    # without the swap depth 0 is all zeros, so depth 1 reads nothing; the
+    # next depth reads its shallower table once per target
+    _chain_table.cache_clear()
+    _transition.cache_clear()
+    reads = []
+    interp = np.interp
+
+    def counted(*args, **kwargs):
+        reads.append(args[0].shape)
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counted)
+    _, value = _chain_table(1, False)
+    assert reads == []
+    _, success, _, _ = _transition()
+    want = np.maximum(0.0, success.max(axis=(0, -1)))
+    assert value.tobytes() == want.tobytes()
+    _chain_table(2, False)
+    assert reads == [(2, 13, 601)] * 9
+
+
 def test_chain_table_arrays_are_read_only():
     # every cache hit shares these arrays; a write would corrupt later values
     log_grid, value = _chain_table(3, True)
@@ -418,6 +440,24 @@ def test_chain_table_arrays_are_read_only():
     for array in _transition():
         with pytest.raises(ValueError):
             array.flat[0] = 1.0
+
+
+def test_deep_chains_build_from_cold_caches():
+    # a deep table is built from cold caches without one nested call per
+    # depth, and each depth is built once: a repeated call builds nothing
+    _chain_table.cache_clear()
+    shallow = (q_displacement_chain(0.5, 4), q_best(0.5, 4),
+               overall_success(0, 1, 0.7, chain_depth=4))
+    _chain_table.cache_clear()
+    deep = (q_displacement_chain(0.5, 600), q_best(0.5, 600),
+            overall_success(0, 1, 0.7, chain_depth=1200))
+    info = _chain_table.cache_info()
+    assert info.misses == info.currsize == 601 + 1201
+    assert q_displacement_chain(0.5, 600) == deep[0]
+    assert _chain_table.cache_info().misses == info.misses
+    _chain_table.cache_clear()
+    for d, s in zip(deep, shallow):
+        assert math.isfinite(d) and 0.0 <= s <= d <= 1.0
 
 
 def test_overall_skip_is_direct():

@@ -215,3 +215,38 @@ def test_negated_row_is_the_row_at_minus_alpha_bit_for_bit(beta):
     flipped = plus * (-1.0) ** np.arange(n_max + 1)
     np.testing.assert_array_equal(bits(flipped),
                                   bits(displaced._scaled_coherent_row(n_max, -beta)))
+
+
+def shifted_copy_ladder(row0, l_max, alpha):
+    """The l-recurrence as one formula per step on a zero-padded shifted
+    copy of the row: the reference for the table's in-place steps."""
+    shape = row0.shape[:-1]
+    c = np.empty((l_max + 1,) + row0.shape)
+    c[0] = row0
+    sqrt_n = np.sqrt(np.arange(row0.shape[-1]))
+    a = alpha[..., None] if shape else alpha
+    for l in range(l_max):
+        shifted = np.concatenate((np.zeros(shape + (1,)), c[l, ..., :-1]), axis=-1)
+        c[l + 1] = (sqrt_n * shifted - a * c[l]) / math.sqrt(l + 1)
+    return c
+
+
+def _grid_roots():
+    """Displacement roots on the value tables' factor grid, as (601, 2),
+    with 0 standing in for every root above 8."""
+    a = 10.0 ** np.linspace(-6.0, 6.0, 601)
+    half = 0.5 * np.sqrt(a * a + 12.0) + 0.5 * a
+    roots = np.stack((3.0 / half, half), axis=-1)
+    return np.where(roots <= 8.0, roots, 0.0)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 12, 20])
+@pytest.mark.parametrize("l_max", [0, 1, 2, 5, 8])
+def test_ladder_is_bitwise_the_shifted_copy_formula(l_max, n_max):
+    roots = _grid_roots()
+    assert (roots == 0.0).any() and (roots != 0.0).any()
+    for alpha in (0.83, -2.5, np.array([0.0, -0.0, 1e-300, 0.3, -1.7, 8.0]), roots):
+        want = shifted_copy_ladder(displaced._coherent_row(n_max, alpha), l_max, alpha)
+        got = displaced.matrix_element_rows(l_max, n_max, alpha)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"{alpha=}")
