@@ -34,14 +34,10 @@ from .protocol import (
     UnknownQubit,
     am_probability,
     amp_factor_dual,
-    amp_factor_single,
-    bob_states_dual,
     brute_force_pipeline,
-    correct,
     direct_success_probability,
     dual_rail_records,
     maximize_direct_success,
-    outcome_probability_dual,
     pair_sum_probability,
     single_rail_pipeline,
     z_power_for,

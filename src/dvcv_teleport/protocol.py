@@ -147,9 +147,10 @@ def amp_factor_grid(l: int, k: int, table: MatrixElementTable) -> np.ndarray:
 
 
 def _factor_row(l: int, k: int, table: MatrixElementTable) -> np.ndarray:
-    """:func:`amp_factor_single` for every count n of ``table`` at once;
-    NaN where c(l, n) vanishes, inf where the ratio overflows (for (0, 1)
-    it is (n - alpha^2) / alpha, past the largest float at subnormal alpha)."""
+    """Single-rail factor c(k,n)/c(l,n) for every count n of ``table`` at
+    once, as :func:`single_rail_pipeline` reads it; NaN where c(l, n)
+    vanishes, inf where the ratio overflows (for (0, 1) it is
+    (n - alpha^2) / alpha, past the largest float at subnormal alpha)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(table.c[l] == 0.0, np.nan, table.c[k] / table.c[l])
 
@@ -176,23 +177,7 @@ def amp_factor_dual(l: int, k: int, n: int, m: int, alpha: float) -> float:
     return _factor_at(amp_factor_grid(l, k, table), (n, m), l, k, alpha)
 
 
-def amp_factor_single(l: int, k: int, n: int, alpha: float) -> float:
-    """Single-rail analogue c(k,n)/c(l,n)."""
-    _nonnegative(l, k, n)
-    table = matrix_element_table(max(l, k), n, alpha)
-    return _factor_at(_factor_row(l, k, table), n, l, k, alpha)
-
-
 # -- conditional states and corrections --------------------------------------
-
-def bob_states_dual(qubit: UnknownQubit, alpha: float, n: int, m: int):
-    """Both parity branches ``(even, odd)`` of the conditional state for
-    counts (n, m).  They differ by a logical Z, and the correction word of
-    :func:`correct` maps either onto ``(a0, a1 * A)`` up to normalization.
-    """
-    a_fac = amp_factor_dual(qubit.l, qubit.k, n, m, alpha)
-    return tuple(rec.bob_state for rec in _records(qubit, _PARITIES, n, m, a_fac, 0.0))
-
 
 def z_power_for(parity, n, l: int):
     """Exponent of the Z gate in the correction word, elementwise over
@@ -205,13 +190,6 @@ def _correction(z):
     """The correction word H Z^z, one 2x2 matrix per entry of ``z``.  Z^z
     is diagonal +-1, so (H Z^z) v is bitwise H (Z^z v)."""
     return np.matmul(H_GATE, Z_POWERS[z])
-
-
-def correct(bob: QubitState, parity: str, n: int, l: int) -> QubitState:
-    """Apply H Z^p once; on a conditional branch this yields the known
-    amplitude-modulated form (a0, a1 * A)."""
-    vec = _correction(z_power_for(parity, n, l)) @ bob.vec()
-    return QubitState(vec[0], vec[1])
 
 
 # -- outcome probabilities ----------------------------------------------------
@@ -229,14 +207,6 @@ def outcome_probability_grid(qubit: UnknownQubit, table: MatrixElementTable) -> 
     f2 = np.reshape(_per_entry(pow, table.f, 2), np.shape(table.f) + (1, 1))
     return f2 * f2 * (abs(qubit.a0) ** 2 * (cl[..., :, None] * ck[..., None, :]) ** 2
                       + abs(qubit.a1) ** 2 * (ck[..., :, None] * cl[..., None, :]) ** 2)
-
-
-def outcome_probability_dual(qubit: UnknownQubit, n: int, m: int, alpha: float) -> float:
-    """Probability of registering counts (n, m), either parity: one entry
-    of :func:`outcome_probability_grid`."""
-    _nonnegative(n, m)
-    table = matrix_element_table(max(qubit.l, qubit.k), max(n, m), alpha)
-    return float(outcome_probability_grid(qubit, table)[n, m])
 
 
 def _direct_mass(l: int, k: int, table: MatrixElementTable):
@@ -430,20 +400,16 @@ def _records(qubit: UnknownQubit, parity, n, m, factor, prob) -> list[TeleportRe
     """Records of the outcomes given by arrays of parity, counts n and m (m
     None on a single rail), factor and probability, broadcast together.
     The branch sign (-1)^(n-l) (+-1 by parity) is (-1)^z for the Z power z
-    of the correction word, so one z array gives both.  Raises ValueError
-    on an outcome the qubit cannot produce: a0 = 0 and A = 0 make both
-    branch amplitudes a0 +- a1 A vanish."""
+    of the correction word, so one z array gives both.  Each outcome must
+    be one the qubit can produce: a0 = 0 and A = 0 make both branch
+    amplitudes a0 +- a1 A vanish."""
     parity, n, m, factor, prob = map(np.ravel, np.broadcast_arrays(parity, n, m, factor, prob))
-    if qubit.a0 == 0 and (factor == 0).any():
-        i = np.argmax(factor == 0)
-        counts = n[i] if m[i] is None else f"({n[i]},{m[i]})"
-        raise ValueError(f"outcome {counts} cannot occur for this qubit: a0 = 0 and "
-                         "the amplitude factor is 0, so both branches vanish")
     z = z_power_for(parity, n, qubit.l)
     minus = np.where(z == 1, -1.0, 1.0) * (qubit.a0 - qubit.a1 * factor)
     bobs = [QubitState(c0, c1)
             for c0, c1 in zip((qubit.a0 + qubit.a1 * factor).tolist(), minus.tolist())]
-    # every record's correction word H Z^z in one product, bitwise as correct()
+    # every record's correction word H Z^z (_correction) in one product, bitwise
+    # the word applied record by record
     vecs = np.array([(bob.c0, bob.c1) for bob in bobs], dtype=complex).reshape(-1, 2, 1)
     fixed = np.matmul(_correction(z), vecs)[..., 0].tolist()
     columns = zip(*(x.tolist() for x in (parity, n, m, prob, factor, z)))
@@ -461,7 +427,7 @@ def dual_rail_records(qubit: UnknownQubit, alpha: float, n_cut: int = 8) -> list
     probabilities approach one as the cuts grow.  Omitted are outcomes
     with a singular amplitude factor (non-demodulatable) and outcomes the
     qubit cannot produce (a0 = 0 where the factor is 0, probability 0);
-    outcome_probability_dual still gives their probability.
+    outcome_probability_grid still gives their probability.
     """
     table = matrix_element_table(max(qubit.l, qubit.k), n_cut, alpha)
     factors = amp_factor_grid(qubit.l, qubit.k, table)
@@ -482,6 +448,9 @@ def single_rail_pipeline(qubit: UnknownQubit, alpha: float, n: int) -> TeleportR
     l, k = qubit.l, qubit.k
     table = matrix_element_table(max(l, k), n, alpha)
     a_fac = _factor_at(_factor_row(l, k, table), n, l, k, alpha)
+    if qubit.a0 == 0 and a_fac == 0:
+        raise ValueError(f"outcome {n} cannot occur for this qubit: a0 = 0 and "
+                         "the amplitude factor is 0, so both branches vanish")
     prob = overall_factor(alpha) ** 2 * (abs(qubit.a0) ** 2 * table.c[l, n] ** 2
                                          + abs(qubit.a1) ** 2 * table.c[k, n] ** 2)
     return _records(qubit, "even", n, None, a_fac, prob)[0]

@@ -15,6 +15,12 @@ from dvcv_teleport import displaced, fock, optics, protocol, verification
 INV_SQRT2 = 1 / math.sqrt(2)
 
 
+def _probabilities(qubit, alpha, n_max):
+    """The outcome probabilities of every count pair up to n_max, one table."""
+    table = displaced.matrix_element_table(max(qubit.l, qubit.k), n_max, alpha)
+    return protocol.outcome_probability_grid(qubit, table)
+
+
 def _report(num, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
     assert ok, f"criterion {num}: {detail}"
@@ -154,9 +160,7 @@ def test_criterion_6_overall_demodulated():
 
 def test_criterion_7_normalization_and_algebra():
     qubit = protocol.UnknownQubit(math.sqrt(0.7), math.sqrt(0.3) * 1j)
-    completeness = abs(sum(
-        protocol.outcome_probability_dual(qubit, n, m, 0.9)
-        for n in range(21) for m in range(21)) - 1.0)
+    completeness = abs(_probabilities(qubit, 0.9, 20).sum() - 1.0)
     identity = abs(protocol.direct_success_probability(0, 1, 0.8)
                    + protocol.am_probability(0, 1, 0.8) - 1.0)
 
@@ -182,11 +186,10 @@ def test_criterion_7_normalization_and_algebra():
         qa = protocol.UnknownQubit(math.sqrt(1 - x), math.sqrt(x))
         qb = protocol.UnknownQubit(
             math.sqrt(x), math.sqrt(1 - x) * np.exp(1j * rng.uniform(0, 6.28)))
+        pa, pb = _probabilities(qa, 0.65, 3), _probabilities(qb, 0.65, 3)
         for (n, m) in ((0, 1), (0, 2), (1, 2), (1, 3)):
-            sa = (protocol.outcome_probability_dual(qa, n, m, 0.65)
-                  + protocol.outcome_probability_dual(qa, m, n, 0.65))
-            sb = (protocol.outcome_probability_dual(qb, n, m, 0.65)
-                  + protocol.outcome_probability_dual(qb, m, n, 0.65))
+            sa = pa[n, m] + pa[m, n]
+            sb = pb[n, m] + pb[m, n]
             pair_dep = max(pair_dep, abs(sa - sb))
     ok = (completeness <= 1e-6 and identity <= 1e-6
           and recip <= 1e-10 and pair_dep <= 1e-10)
@@ -200,6 +203,7 @@ def test_criterion_8_circuit_oracle_convergence():
     qubit = protocol.UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
     alpha = 0.5
     outcomes = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    limit = _probabilities(qubit, alpha, 1)
     prob_errs, infids = [], []
     t_weakest = None
     for r in (0.2, 0.1, 0.05):
@@ -212,8 +216,7 @@ def test_criterion_8_circuit_oracle_convergence():
         for (n, m) in outcomes:
             here = [row for row in rows if (row[0].outcome.n, row[0].outcome.m) == (n, m)]
             p = sum(row[0].probability for row in here)
-            expect = protocol.outcome_probability_dual(qubit, n, m, alpha)
-            perr = max(perr, abs(p - expect))
+            perr = max(perr, abs(p - limit[n, m]))
             infid = max(infid, max(row[3] for row in here))
         prob_errs.append(perr)
         infids.append(infid)

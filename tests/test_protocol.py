@@ -13,15 +13,11 @@ from dvcv_teleport.protocol import (
     UnknownQubit,
     am_probability,
     amp_factor_dual,
-    amp_factor_single,
-    bob_states_dual,
     brute_force_pipeline,
     circuit_vs_limit,
-    correct,
     direct_success_probability,
     dual_rail_records,
     maximize_direct_success,
-    outcome_probability_dual,
     outcome_probability_grid,
     pair_sum_probability,
     single_rail_pipeline,
@@ -30,6 +26,29 @@ from dvcv_teleport.protocol import (
 )
 
 INV_SQRT2 = 1 / math.sqrt(2)
+
+
+def _single_factors(l, k, n_max, alpha):
+    """The single-rail factors c(k, n)/c(l, n) of every count n <= n_max."""
+    return protocol._factor_row(l, k, displaced.matrix_element_table(max(l, k), n_max, alpha))
+
+
+def _probabilities(qubit, alpha, n_max):
+    """The outcome probabilities of every count pair up to n_max, one table."""
+    table = displaced.matrix_element_table(max(qubit.l, qubit.k), n_max, alpha)
+    return outcome_probability_grid(qubit, table)
+
+
+def _branches(qubit, alpha, n, m):
+    """The (even, odd) conditional states of counts (n, m): records come in
+    (parity, n, m) order, so the two parities of (n, m) in that order."""
+    return tuple(r.bob_state for r in dual_rail_records(qubit, alpha, n_cut=max(n, m))
+                 if (r.outcome.n, r.outcome.m) == (n, m))
+
+
+def _corrected(state, parity, n, l):
+    """``state`` after the protocol's correction word H Z^z for this branch."""
+    return QubitState(*protocol._correction(z_power_for(parity, n, l)) @ state.vec())
 
 
 def test_unknown_qubit_validation():
@@ -95,8 +114,9 @@ def test_factor_singular():
     # c(1, 1, 1) = 0 sits in the denominator for m = 1 at alpha = 1
     with pytest.raises(SingularFactorError):
         amp_factor_dual(1, 0, 1, 0, 1.0)
+    assert math.isnan(_single_factors(1, 0, 1, 1.0)[1])
     with pytest.raises(SingularFactorError):
-        amp_factor_single(1, 0, 1, 1.0)
+        single_rail_pipeline(UnknownQubit(0.6, 0.8, l=1, k=0), 1.0, 1)
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.floats(0.2, 1.4))
@@ -113,9 +133,9 @@ def test_factor_reciprocity(n, m, alpha):
 
 
 def test_single_rail_factors():
-    assert amp_factor_single(0, 1, 0, 0.45) == pytest.approx(-0.45)
-    assert amp_factor_single(0, 1, 1, 1.0) == pytest.approx(0.0)
-    assert amp_factor_single(0, 1, 2, INV_SQRT2) == pytest.approx(
+    assert _single_factors(0, 1, 0, 0.45)[0] == pytest.approx(-0.45)
+    assert _single_factors(0, 1, 1, 1.0)[1] == pytest.approx(0.0)
+    assert _single_factors(0, 1, 2, INV_SQRT2)[2] == pytest.approx(
         1.5 / INV_SQRT2, abs=1e-12)
 
 
@@ -123,14 +143,14 @@ def test_single_rail_factors():
 
 def test_bob_states_a1_zero():
     q = UnknownQubit(1, 0)
-    even, odd = bob_states_dual(q, 0.7, 0, 2)
+    even, odd = _branches(q, 0.7, 0, 2)
     assert abs(even.c0) == pytest.approx(abs(even.c1))
     assert abs(odd.c0) == pytest.approx(abs(odd.c1))
 
 
 def test_bob_states_equal_counts_act_as_hadamard():
     q = UnknownQubit(math.sqrt(0.3), math.sqrt(0.7))
-    even, _ = bob_states_dual(q, 0.7, 2, 2)
+    even, _ = _branches(q, 0.7, 2, 2)
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     expect = h @ q_vec(q)
     got = even.vec() * np.sign(even.c0.real) * np.sign(expect[0].real)
@@ -143,7 +163,7 @@ def q_vec(q):
 
 def test_parity_branches_differ_by_z():
     q = UnknownQubit(math.sqrt(0.4), math.sqrt(0.6) * 1j)
-    even, odd = bob_states_dual(q, 0.9, 1, 3)
+    even, odd = _branches(q, 0.9, 1, 3)
     np.testing.assert_allclose(even.vec() * np.array([1, -1]), odd.vec(),
                                atol=1e-12)
 
@@ -157,10 +177,10 @@ def test_correct_restores_modulated_form():
         n, m = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         alpha = rng.uniform(0.4, 1.1)
         a_fac = amp_factor_dual(0, 1, n, m, alpha)
-        even, odd = bob_states_dual(q, alpha, n, m)
+        even, odd = _branches(q, alpha, n, m)
         target = QubitState(q.a0, q.a1 * a_fac)
-        assert fidelity(correct(even, "even", n, 0), target) > 1 - 1e-12
-        assert fidelity(correct(odd, "odd", n, 0), target) > 1 - 1e-12
+        assert fidelity(_corrected(even, "even", n, 0), target) > 1 - 1e-12
+        assert fidelity(_corrected(odd, "odd", n, 0), target) > 1 - 1e-12
 
 
 def test_z_power_parity_only():
@@ -170,14 +190,14 @@ def test_z_power_parity_only():
     # even power means no flip at all
     q = QubitState(0.6, 0.8)
     np.testing.assert_allclose(
-        correct(q, "even", 2, 0).vec(),
+        _corrected(q, "even", 2, 0).vec(),
         np.array([0.6 + 0.8, 0.6 - 0.8]) / math.sqrt(2), atol=1e-12)
 
 
 def test_correct_is_single_application():
     # the word contains one Hadamard; applying it twice is not the identity
     q = QubitState(math.sqrt(0.3), math.sqrt(0.7))
-    twice = correct(correct(q, "even", 1, 0), "even", 1, 0)
+    twice = _corrected(_corrected(q, "even", 1, 0), "even", 1, 0)
     assert fidelity(twice, q) < 0.999
 
 
@@ -194,8 +214,7 @@ def test_direct_success_headline_values():
 
 def test_outcome_completeness():
     q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
-    total = sum(outcome_probability_dual(q, n, m, 0.7)
-                for n in range(21) for m in range(21))
+    total = _probabilities(q, 0.7, 20).sum()
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -213,11 +232,10 @@ def test_pair_sum_qubit_independence():
         x = rng.uniform(0.05, 0.95)
         qa = UnknownQubit(math.sqrt(1 - x), math.sqrt(x))
         qb = UnknownQubit(math.sqrt(x), 1j * math.sqrt(1 - x))
+        pa, pb = _probabilities(qa, 0.6, 2), _probabilities(qb, 0.6, 2)
         for (n, m) in ((0, 1), (0, 2), (1, 2)):
-            sa = (outcome_probability_dual(qa, n, m, 0.6)
-                  + outcome_probability_dual(qa, m, n, 0.6))
-            sb = (outcome_probability_dual(qb, n, m, 0.6)
-                  + outcome_probability_dual(qb, m, n, 0.6))
+            sa = pa[n, m] + pa[m, n]
+            sb = pb[n, m] + pb[m, n]
             assert abs(sa - sb) < 1e-10
             assert sa == pytest.approx(pair_sum_probability(0, 1, n, m, 0.6),
                                        abs=1e-12)
@@ -226,10 +244,10 @@ def test_pair_sum_qubit_independence():
 @pytest.mark.parametrize("lk", [(0, 1), (1, 2)])
 def test_pair_sum_at_equal_counts_is_the_one_outcome(lk):
     # (n, n) is one outcome; the pair sum counted it twice
-    q = UnknownQubit(0.6, 0.8j, *lk)
+    probabilities = _probabilities(UnknownQubit(0.6, 0.8j, *lk), 0.7, 3)
     for n in range(4):
         assert pair_sum_probability(*lk, n, n, 0.7) == pytest.approx(
-            outcome_probability_dual(q, n, n, 0.7), rel=1e-14, abs=0)
+            probabilities[n, n], rel=1e-14, abs=0)
     # every unordered pair once tiles the outcomes (1.2588 when n = m doubled)
     total = sum(pair_sum_probability(*lk, n, m, 0.7)
                 for n in range(21) for m in range(n, 21))
@@ -255,8 +273,8 @@ def test_outcome_probability_grid_over_an_alpha_array(lk):
 def test_per_outcome_probability_depends_on_qubit():
     qa = UnknownQubit(1, 0)
     qb = UnknownQubit(0, 1)
-    pa = outcome_probability_dual(qa, 0, 2, 0.6)
-    pb = outcome_probability_dual(qb, 0, 2, 0.6)
+    pa = _probabilities(qa, 0.6, 2)[0, 2]
+    pb = _probabilities(qb, 0.6, 2)[0, 2]
     assert abs(pa - pb) > 1e-3
 
 
@@ -264,7 +282,7 @@ def test_singular_outcome_probability_is_finite():
     # at alpha = 1 the (1, 0) factor for the (1, 0) pair is singular, yet the
     # product form keeps the outcome weight finite
     q = UnknownQubit(math.sqrt(0.5), math.sqrt(0.5), l=1, k=0)
-    p = outcome_probability_dual(q, 1, 0, 1.0)
+    p = _probabilities(q, 1.0, 1)[1, 0]
     assert 0.0 < p < 1.0
 
 
@@ -294,6 +312,7 @@ def test_dual_records_complete_and_ordered():
     # probabilities to a few ulps); singular outcomes are omitted
     for alpha in (1.0, 0.7):
         records = dual_rail_records(q, alpha, n_cut=6)
+        probabilities = _probabilities(q, alpha, 6)
         expected = []
         for n in range(7):
             for m in range(7):
@@ -304,19 +323,24 @@ def test_dual_records_complete_and_ordered():
         assert len(expected) < 49 if alpha == 1.0 else len(expected) == 49
         assert [(r.outcome.n, r.outcome.m, r.amp_factor) for r in records] == expected * 2
         for r in records:
-            assert r.probability == pytest.approx(0.5 * outcome_probability_dual(
-                q, r.outcome.n, r.outcome.m, alpha), rel=1e-14)
+            assert r.probability == pytest.approx(
+                0.5 * probabilities[r.outcome.n, r.outcome.m], rel=1e-14)
 
 
 @pytest.mark.parametrize("l,k", [(0, 1), (1, 2)])
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.4])
 def test_dual_records_correct_like_the_scalar_word(l, k, alpha):
-    # the batched correction is bitwise the per-record correct()
+    # the batched correction is bitwise the word H Z^z applied record by record
     def bob_state(qubit, a_fac, n, parity):
         # one parity branch of the conditional state for factor a_fac on count n
         plus, minus = qubit.a0 + qubit.a1 * a_fac, qubit.a0 - qubit.a1 * a_fac
         sign = (-1.0) ** (n - qubit.l) * (1.0 if parity == "even" else -1.0)
         return QubitState(plus, sign * minus)
+
+    def corrected(state, z):
+        # H Z^z from the gates' matrices, on one state
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        return QubitState(*(h @ np.diag([1.0, (-1.0) ** z])) @ state.vec())
 
     for a0, a1 in ((math.sqrt(0.6), math.sqrt(0.4)), (0.6, 0.8j), (0.3 + 0.4j, -0.5 + 0.2j)):
         q = UnknownQubit(a0, a1, l, k)
@@ -327,7 +351,7 @@ def test_dual_records_correct_like_the_scalar_word(l, k, alpha):
             bob = bob_state(q, r.amp_factor, n, parity)
             assert r.bob_state == bob
             assert r.z_power == z_power_for(parity, n, l)
-            assert r.corrected_state == correct(bob, parity, n, l)
+            assert r.corrected_state == corrected(bob, r.z_power)
 
 
 def test_dual_records_build_one_coefficient_table(monkeypatch):
@@ -354,8 +378,8 @@ def test_single_rail_record_builds_one_coefficient_table(monkeypatch):
     monkeypatch.setattr(displaced, "matrix_element_rows", counted)
     rec = single_rail_pipeline(UnknownQubit(0.6, 0.8j, 1, 2), 0.7, 3)
     assert len(calls) == 1
-    assert rec.amp_factor == amp_factor_single(1, 2, 3, 0.7)
-    # the singular factor keeps amp_factor_single's message: c(1, 1) = 0 at alpha = 1
+    assert rec.amp_factor == _single_factors(1, 2, 3, 0.7)[3]
+    # the singular factor names its row and count: c(1, 1) = 0 at alpha = 1
     with pytest.raises(SingularFactorError, match=r"c\(1,1;1.0\) vanishes; outcome 1 is "):
         single_rail_pipeline(UnknownQubit(0.6, 0.8, 1, 2), 1.0, 1)
 
@@ -368,15 +392,14 @@ def test_outcomes_the_qubit_cannot_produce_are_left_out(alpha):
     n0 = round(alpha ** 2)
     q = UnknownQubit(0, 1)
     vanish = [(n0, m) for m in range(9) if m != n0]
+    probabilities = _probabilities(q, alpha, 8)
     for n, m in vanish:
-        assert outcome_probability_dual(q, n, m, alpha) == 0.0
+        assert probabilities[n, m] == 0.0
     grid = protocol.amp_factor_grid(0, 1, displaced.matrix_element_table(1, 8, alpha))
     kept = [(n, m) for n, m in np.argwhere(~np.isnan(grid)).tolist() if (n, m) not in vanish]
     assert (n0, n0) in kept  # equal counts: factor one, a well-defined branch
     records = dual_rail_records(q, alpha)
     assert [(r.outcome.n, r.outcome.m) for r in records] == kept * 2
-    with pytest.raises(ValueError, match=rf"outcome \({n0},0\) cannot occur"):
-        bob_states_dual(q, alpha, n0, 0)
     with pytest.raises(ValueError, match=f"outcome {n0} cannot occur"):
         single_rail_pipeline(UnknownQubit(0, 1), alpha, n0)
 
@@ -399,6 +422,7 @@ def test_brute_force_converges_to_analytic():
     q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
     alpha = 0.5
     worst_prev = None
+    probabilities = _probabilities(q, alpha, 1)
     for r in (0.2, 0.1):
         t = math.sqrt(1 - r * r)
         records = brute_force_pipeline(q, alpha * t / r, r, n_cut=1)
@@ -409,8 +433,7 @@ def test_brute_force_converges_to_analytic():
             key = (rec.outcome.n, rec.outcome.m)
             by_counts[key] = by_counts.get(key, 0.0) + rec.probability
         for (n, m), p in by_counts.items():
-            expect = outcome_probability_dual(q, n, m, alpha)
-            assert p == pytest.approx(expect, rel=12 * r * r)
+            assert p == pytest.approx(probabilities[n, m], rel=12 * r * r)
         if worst_prev is not None:
             assert worst < worst_prev
         worst_prev = worst
@@ -550,24 +573,10 @@ def test_brute_force_validation():
         brute_force_pipeline(q, 1.0, 0.5)
 
 
-@pytest.mark.parametrize("alpha", [0.6, 0.9])
-def test_outcome_probability_is_one_entry_of_the_grid(alpha):
-    q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3) * 1j)
-    grid = outcome_probability_grid(q, displaced.matrix_element_table(1, 20, alpha))
-    assert grid.shape == (21, 21)
-    for n in range(21):
-        for m in range(21):
-            assert outcome_probability_dual(q, n, m, alpha) == grid[n, m]
-
-
 @pytest.mark.parametrize("call", [
     lambda: amp_factor_dual(0, 1, -1, 2, 0.7),
     lambda: amp_factor_dual(0, 1, 2, -1, 0.7),
     lambda: amp_factor_dual(-1, 1, 0, 2, 0.7),
-    lambda: amp_factor_single(-1, 1, 2, 0.7),
-    lambda: amp_factor_single(0, -1, 2, 0.7),
-    lambda: outcome_probability_dual(UnknownQubit(0.6, 0.8), -1, 2, 0.7),
-    lambda: outcome_probability_dual(UnknownQubit(0.6, 0.8), 2, -1, 0.7),
     lambda: pair_sum_probability(0, 1, -1, 2, 0.7),
     lambda: pair_sum_probability(0, -1, 1, 2, 0.7),
     lambda: direct_success_probability(-1, 1, 0.7),
