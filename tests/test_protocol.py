@@ -577,6 +577,10 @@ def test_brute_force_validation():
     lambda: amp_factor_dual(0, 1, -1, 2, 0.7),
     lambda: amp_factor_dual(0, 1, 2, -1, 0.7),
     lambda: amp_factor_dual(-1, 1, 0, 2, 0.7),
+    lambda: single_rail_pipeline(UnknownQubit(0.6, 0.8), 0.7, -1),
+    lambda: single_rail_pipeline(UnknownQubit(0.6, 0.8, l=-1, k=1), 0.7, 2),
+    lambda: Outcome("even", -1, 2),
+    lambda: Outcome("even", 2, -1),
     lambda: pair_sum_probability(0, 1, -1, 2, 0.7),
     lambda: pair_sum_probability(0, -1, 1, 2, 0.7),
     lambda: direct_success_probability(-1, 1, 0.7),
