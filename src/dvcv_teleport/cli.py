@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, demodulation as dm, optics, protocol, verification
 from .displaced import matrix_element_table
 from .fock import MAX_CUTOFF, MeasurementRangeError, NonFiniteAmplitudeError, TailMassError
-from .optics import MAX_SPLIT_CELLS, HybridChannel
+from .optics import _HTBS_R_MAX, MAX_SPLIT_CELLS, HybridChannel
 
 ENV_OUT_DIR = "DVCV_TELEPORT_OUT_DIR"
 
@@ -301,12 +301,10 @@ def cmd_negativity(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if not 0.0 < args.r <= 0.3:
-        raise UsageError("--r must lie in (0, 0.3]")
+    if not 0.0 < args.r <= _HTBS_R_MAX:
+        raise UsageError(f"--r must lie in (0, {_HTBS_R_MAX}]")
     if args.alpha <= 0.0:
         raise UsageError("--alpha must be positive")
-    if (args.l - args.k) % 2 == 0:
-        raise UsageError("--l and --k must differ by an odd number")
     try:
         qubit = protocol.UnknownQubit(args.a0, args.a1, args.l, args.k)
     except ValueError as e:

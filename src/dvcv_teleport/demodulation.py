@@ -20,7 +20,9 @@ Every tally classifies an outcome's factor by one rule
 (:func:`_factor_classes`): NaN is singular and adds nothing; a factor
 within 1e-9 of +-1 is a pure sign, delivered clean by the known Z
 correction; any other nonzero factor is restorable by the swap or the
-displacement route; a zero factor delivers nothing.
+displacement route; a zero factor delivers nothing.  One more rule
+(:func:`_methods`) gives each outcome its method and success: a pure sign is
+clean unless skipped, any other nonsingular factor takes the policy's route.
 """
 
 from __future__ import annotations
@@ -356,20 +358,41 @@ def _factor_classes(factor):
     return singular, clean, ~singular & ~clean & (factor != 0.0)
 
 
+def _methods(factor, policy: str, depth: int):
+    """The method and success ``q`` of every outcome of ``factor`` under
+    ``policy``: "singular" and q = 0 at a singular factor, "clean" and q = 1
+    at a pure sign unless the policy is "skip", else the policy's route with
+    ``depth`` chained displacements ("best" labelled by the route that
+    attains it), its success computed on those entries alone."""
+    singular, clean, _ = _factor_classes(factor)
+    clean &= policy != "skip"
+    route = ~singular & ~clean
+    method = np.full(factor.shape, policy, dtype="<U12")
+    method[singular], method[clean] = "singular", "clean"
+    q = np.where(clean, 1.0, 0.0)
+    f = factor[route]
+    if policy == "swap":
+        q[route] = q_swap(f)
+    elif policy == "displacement" and f.size:
+        q[route] = q_displacement_chain(f, depth)
+    elif policy == "best" and f.size:
+        q[route] = q_best(f, depth)
+        method[route] = np.where(q_swap(f) >= q[route], "swap", "displacement")
+    return method, q
+
+
 def overall_success_report(l: int, k: int, alpha: float, policy="best",
                            chain_depth: int = 3, n_cut: int = 20):
     """Direct mass plus demodulated additions, itemized per outcome.
 
-    ``policy`` assigns a method to each amplitude-modulated outcome:
-    one of "best", "swap", "displacement", "skip", or a callable
-    (n, m, factor) -> method.  A factor within _SIGN_TOL of +-1
-    is a pure sign, undone by the known Z correction: unless the outcome
-    is skipped it counts as a clean delivery (q = 1, method "clean") with
-    no probabilistic step.  Returns ``(total, rows)`` where each row is
-    (n, m, factor, method, q, weight, contribution); singular outcomes
-    appear with method "singular" and zero contribution.
+    ``policy`` names the method for the amplitude-modulated outcomes, one
+    of "best", "swap", "displacement" and "skip" (anything else raises
+    ValueError before any table is built); :func:`_methods` assigns each
+    outcome its method and success.  Returns ``(total, rows)`` where each
+    row is (n, m, factor, method, q, weight, contribution); singular
+    outcomes appear with method "singular" and zero contribution.
     """
-    if not callable(policy) and policy not in _POLICIES:
+    if policy not in _POLICIES:
         raise ValueError(f"unknown demodulation method {policy!r}")
     _nonnegative(l, k)
     table = matrix_element_table(max(l, k), n_cut, alpha)
@@ -377,25 +400,7 @@ def overall_success_report(l: int, k: int, alpha: float, policy="best",
     factor = amp_factor_grid(l, k, table)[n, m]
     weight = ((overall_factor(alpha) ** 4 * table.c[l] ** 2)[:, None]
               * table.c[k] ** 2)[n, m]
-    singular, clean, _ = _factor_classes(factor)
-    ok = ~singular
-    method = np.full(factor.shape, "singular", dtype=object)
-    method[ok] = ([policy(*o) for o in zip(n[ok].tolist(), m[ok].tolist(),
-                                           factor[ok].tolist())]
-                  if callable(policy) else policy)
-    clean &= method != "skip"
-    unknown = [x for x in method[ok].tolist() if x not in _POLICIES]
-    if unknown:
-        raise ValueError(f"unknown demodulation method {unknown[0]!r}")
-    method[clean] = "clean"
-    q = np.where(clean, 1.0, 0.0)
-    swap, disp, best = (method == "swap"), (method == "displacement"), (method == "best")
-    q[swap] = q_swap(factor[swap])
-    if disp.any():
-        q[disp] = q_displacement_chain(factor[disp], chain_depth)
-    if best.any():
-        q[best] = q_best(factor[best], chain_depth)
-        method[best] = np.where(q_swap(factor[best]) >= q[best], "swap", "displacement")
+    method, q = _methods(factor, policy, chain_depth)
     contribution = weight * q
     rows = list(zip(n.tolist(), m.tolist(), factor.tolist(), method.tolist(),
                     q.tolist(), weight.tolist(), contribution.tolist()))
@@ -462,8 +467,8 @@ class _Outcomes(NamedTuple):
     p1: np.ndarray
     phi: np.ndarray
     weight: np.ndarray
-    g: np.ndarray
     method: np.ndarray
+    g: np.ndarray
 
 
 def _nonzero_reference(a_ref, alpha):
@@ -500,12 +505,9 @@ def _dual_outcomes(table: MatrixElementTable) -> _Outcomes:
     # phi of ~1e200 overflows to inf where alpha^2 is tiny; q_swap takes it
     with np.errstate(over="ignore"):
         phi = grid[..., n, m] / np.asarray(a_ref)[..., None]
-    singular, clean, _ = _factor_classes(phi)
     return _Outcomes(
         a_ref, (n, m), f4, (c0[..., n] * c1[..., m]) ** 2, (c1[..., n] * c0[..., m]) ** 2,
-        phi, f4 * c0[..., n] ** 2 * c1[..., m] ** 2,
-        np.where(singular, 0.0, np.where(clean, 1.0, q_swap(phi))),
-        np.where(singular, "singular", np.where(clean, "clean", "swap")))
+        phi, f4 * c0[..., n] ** 2 * c1[..., m] ** 2, *_methods(phi, "swap", 0))
 
 
 def _single_outcomes(table: MatrixElementTable) -> _Outcomes:
@@ -519,13 +521,8 @@ def _single_outcomes(table: MatrixElementTable) -> _Outcomes:
     # phi overflows to inf where alpha is tiny; its outcome weighs 0 there
     with np.errstate(over="ignore"):
         phi = row / np.asarray(a_ref)[..., None]
-    singular, clean, demod = _factor_classes(phi)
-    g = np.where(clean, 1.0, 0.0)
-    g[demod] = q_displacement_chain(phi[demod])
-    return _Outcomes(
-        a_ref, (np.arange(c0.shape[-1]),), f2, c0 ** 2, c1 ** 2, phi, f2 * c0 ** 2, g,
-        np.where(singular, "singular",
-                 np.where(clean, "clean", np.where(demod, "displacement", "skip"))))
+    return _Outcomes(a_ref, (np.arange(c0.shape[-1]),), f2, c0 ** 2, c1 ** 2, phi,
+                     f2 * c0 ** 2, *_methods(phi, "displacement", 3))
 
 
 _OUTCOMES = {"dual": _dual_outcomes, "single": _single_outcomes}

@@ -36,6 +36,8 @@ _UNITARITY_TOL = 1e-12
 #: inputs laid out by total photon number (two cells per amplitude); the
 #: circuit oracle peaks near 0.3 GB at this size (~18 bytes per cell)
 MAX_SPLIT_CELLS = 2 ** 24
+#: the highly transmissive regime, 0 < r <= this, for the htbs and the circuit
+_HTBS_R_MAX = 0.3
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class BeamSplitterParams:
     """Real transmittance/reflectance amplitudes with t^2 + r^2 = 1.
 
     ``r`` may be negative (the inverse splitter); the highly transmissive
-    regime used by the teleportation circuit has 0 < r <= 0.3.
+    regime used by the teleportation circuit has 0 < r <= ``_HTBS_R_MAX``.
     """
 
     t: float
@@ -205,8 +207,8 @@ def htbs_residual(row: np.ndarray, beta: float, r: float, sign: int):
     displaced input and ``joint`` is the exact post-splitter array over
     (input levels, ancilla levels).
     """
-    if not 0.0 < r < 0.3:
-        raise ValueError("htbs regime requires 0 < r < 0.3")
+    if not 0.0 < r <= _HTBS_R_MAX:
+        raise ValueError(f"htbs regime requires 0 < r <= {_HTBS_R_MAX}")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     row = np.asarray(row, dtype=complex)

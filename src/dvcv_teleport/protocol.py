@@ -34,7 +34,7 @@ from .displaced import (
     overall_factor,
 )
 from .fock import QubitState, _unit_pair
-from .optics import BeamSplitterParams, check_split_size, split_amplitudes
+from .optics import _HTBS_R_MAX, BeamSplitterParams, check_split_size, split_amplitudes
 
 _PARITIES = ("even", "odd")
 
@@ -466,8 +466,8 @@ def _circuit_gram(qubit: UnknownQubit, beta: float, r: float, n_cut: int,
     that hold amplitude at double precision, so a carrier of amplitude beta
     costs O(beta) blocks, not O(beta^2); the mass left below a window
     counts as leak."""
-    if not 0.0 < r <= 0.3:
-        raise ValueError("brute-force regime requires 0 < r <= 0.3")
+    if not 0.0 < r <= _HTBS_R_MAX:
+        raise ValueError(f"brute-force regime requires 0 < r <= {_HTBS_R_MAX}")
     t = math.sqrt(1.0 - r * r)
     l, k = qubit.l, qubit.k
     params = BeamSplitterParams(t, r)

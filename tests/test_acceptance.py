@@ -206,7 +206,8 @@ def test_criterion_8_circuit_oracle_convergence():
     limit = _probabilities(qubit, alpha, 1)
     prob_errs, infids = [], []
     t_weakest = None
-    for r in (0.2, 0.1, 0.05):
+    rs = (0.2, 0.1, 0.05)
+    for r in rs:
         t0 = time.perf_counter()
         rows = protocol.circuit_vs_limit(qubit, alpha, r)[1]
         elapsed = time.perf_counter() - t0
@@ -222,9 +223,14 @@ def test_criterion_8_circuit_oracle_convergence():
         infids.append(infid)
     monotone = (prob_errs[0] > prob_errs[1] > prob_errs[2]
                 and infids[0] > infids[1] > infids[2])
-    ok = monotone and infids[-1] < 1e-2 and t_weakest < 300.0
+    # the circuit approaches the limit like r^2 (~0.38 r^2 here), so a
+    # wrong limit shows as an error that is not small against r^2
+    scaled = [e / r ** 2 for e, r in zip(prob_errs, rs)]
+    bounded = max(scaled) <= 0.5
+    ok = monotone and bounded and infids[-1] < 1e-2 and t_weakest < 300.0
     _report(8, ok, f"probability errors {[f'{e:.2e}' for e in prob_errs]} and "
                    f"infidelities {[f'{e:.2e}' for e in infids]} decrease; "
+                   f"probability errors / r^2 {[f'{e:.3f}' for e in scaled]} (<= 0.5); "
                    f"infidelity at r=0.05 is {infids[-1]:.2e} (< 1e-2); "
                    f"r=0.05 run took {t_weakest:.2f}s (budget 300s)")
 

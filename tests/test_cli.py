@@ -536,6 +536,11 @@ def test_oracle_runs(capsys):
     out = capsys.readouterr().out
     assert "max corrected-state infidelity" in out
     assert main(["oracle", "--alpha", "0.5", "--r", "0.9"]) == 2
+    # the regime ends at r = 0.3
+    assert main(["oracle", "--alpha", "0.5", "--r", "0.3"]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "--alpha", "0.5", "--r", repr(math.nextafter(0.3, 1.0))]) == 2
+    assert capsys.readouterr().err == "error: --r must lie in (0, 0.3]\n"
 
 
 @pytest.mark.parametrize("qubit", [

@@ -10,6 +10,7 @@ from dvcv_teleport.demodulation import (
     _chain_value,
     _displacement_step,
     _factor_classes,
+    _methods,
     _row_sums,
     _transition,
     AMQubit,
@@ -507,25 +508,41 @@ def test_unknown_policy_name_is_refused_before_any_table(monkeypatch):
 
     monkeypatch.setattr(demodulation, "matrix_element_table", refused)
     # at 1/sqrt(2) both outcomes of n_cut = 1 are clean, so a check of the
-    # outcomes' methods alone never sees the name
-    for alpha in (INV_SQRT2, 0.7):
-        with pytest.raises(ValueError, match="unknown demodulation method 'bogus'"):
-            overall_success_report(0, 1, alpha, policy="bogus", n_cut=1)
+    # outcomes' methods alone never sees the name; a policy is a name, so a
+    # callable is refused too, whatever it would answer
+    for policy in ("bogus", lambda *a: "swap"):
+        for alpha in (INV_SQRT2, 0.7):
+            with pytest.raises(ValueError, match=f"unknown demodulation method {policy!r}"):
+                overall_success_report(0, 1, alpha, policy=policy, n_cut=1)
 
 
-def test_callable_policy_answer_is_checked_on_every_non_singular_outcome():
-    # at 1/sqrt(2) both outcomes of n_cut = 1 are clean, so a check of the
-    # non-clean outcomes alone never reads the callable's answer
-    for alpha in (INV_SQRT2, 0.7):
-        with pytest.raises(ValueError, match="unknown demodulation method 'bogus'"):
-            overall_success_report(0, 1, alpha, policy=lambda *a: "bogus", n_cut=1)
-
-
-def test_overall_callable_policy():
-    picky = overall_success(
-        0, 1, 0.7,
-        policy=lambda n, m, A: "swap" if abs(A) > 1 else "skip")
-    assert 0.0 < picky < overall_success(0, 1, 0.7, policy="swap")
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("policy", ["best", "swap", "displacement", "skip"])
+def test_methods_are_one_rule(policy, depth):
+    # the module docstring's rule, factor by factor: NaN is singular, a pure
+    # sign is clean unless skipped, and every other factor, zero and the
+    # infinities included, takes the policy's route
+    factors = [math.nan, -1 - 1e-12, 1 + 2e-9, 0.0, math.inf, -math.inf, 1e-7, -1 / 3, 3.0]
+    expected = []
+    for a in factors:
+        if math.isnan(a):
+            expected.append(("singular", 0.0))
+        elif abs(abs(a) - 1.0) <= 1e-9 and policy != "skip":
+            expected.append(("clean", 1.0))
+        elif policy == "skip":
+            expected.append(("skip", 0.0))
+        elif policy == "swap":
+            expected.append(("swap", q_swap(a)))
+        elif policy == "displacement":
+            expected.append(("displacement", q_displacement_chain(a, depth)))
+        else:
+            best = q_best(a, depth)
+            expected.append(("swap" if q_swap(a) >= best else "displacement", best))
+    method, q = _methods(np.array(factors), policy, depth)
+    assert list(zip(method.tolist(), q.tolist())) == expected
+    # outcome grids keep their shape: the rule acts entry by entry
+    method, q = _methods(np.array(factors).reshape(3, 3), policy, depth)
+    assert list(zip(method.ravel().tolist(), q.ravel().tolist())) == expected
 
 
 def test_factor_classes_are_one_rule():

@@ -268,7 +268,7 @@ def test_negativity_from_schmidt_values_matches_partial_transpose(beta):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("r", [0.2, 0.05])
+@pytest.mark.parametrize("r", [0.3, 0.2, 0.05])
 def test_htbs_fidelity_matches_the_density_matrix_form(r, sign):
     beta = 0.6 * math.sqrt(1 - r * r) / r
     start = ket(1, 7)
@@ -355,5 +355,6 @@ def test_negativity_values():
 def test_channel_validation():
     with pytest.raises(ValueError):
         HybridChannel(0.0)
-    with pytest.raises(ValueError):
-        htbs_residual(ket(0, 3), 1.0, 0.5, +1)
+    for r in (0.5, math.nextafter(0.3, 1.0)):  # the regime ends at r = 0.3
+        with pytest.raises(ValueError, match="htbs regime"):
+            htbs_residual(ket(0, 3), 1.0, r, +1)

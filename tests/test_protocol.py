@@ -571,6 +571,10 @@ def test_brute_force_validation():
     q = UnknownQubit(1, 0)
     with pytest.raises(ValueError):
         brute_force_pipeline(q, 1.0, 0.5)
+    # the regime ends at r = 0.3, as the splitter-as-displacer's does
+    assert len(brute_force_pipeline(q, 1.0, 0.3)) > 0
+    with pytest.raises(ValueError, match="regime"):
+        brute_force_pipeline(q, 1.0, math.nextafter(0.3, 1.0))
 
 
 @pytest.mark.parametrize("call", [
