@@ -10,7 +10,8 @@ reference that the displaced rows of ``displaced`` are checked against.
 The two-mode beam splitter conserves total photon number, so its Fock
 representation is block diagonal.  Each call builds the blocks it needs
 as one array, by a recurrence over the smaller mode's photon number
-(peel one creation operator off the input); nothing is cached.
+(peel one creation operator off the input), and only their columns of
+the input levels the smaller mode occupies; nothing is cached.
 
 Mode-operator convention, fixed once for the whole package: listing modes
 ``(a, b)``, the splitter maps ``a+ -> t a+ + r b+`` and
@@ -33,8 +34,10 @@ from .fock import TAIL_TOL, TailMassError
 
 _UNITARITY_TOL = 1e-12
 #: largest splitter accepted, in float64 cells of its block array plus its
-#: inputs laid out by total photon number (two cells per amplitude); the
-#: circuit oracle peaks near 0.3 GB at this size (~18 bytes per cell)
+#: outputs laid out by total photon number (two cells per amplitude); the
+#: circuit oracle bounds itself by all its block columns but builds only
+#: those its qubit modes occupy: ``oracle --alpha 8.7 --r 0.3``, just inside
+#: the bound, peaks near 60 MB
 MAX_SPLIT_CELLS = 2 ** 24
 #: the highly transmissive regime, 0 < r <= this, for the htbs and the circuit
 _HTBS_R_MAX = 0.3
@@ -77,9 +80,10 @@ class HybridChannel:
 # -- beam splitter blocks ---------------------------------------------------
 
 def _bs_blocks(t: float, r: float, b_dim: int, n_total_max: int,
-               n_total_min: int = 0) -> np.ndarray:
+               n_total_min: int = 0, columns: int | None = None) -> np.ndarray:
     """Blocks G[N - n_total_min, jb, nb] = <N-jb, jb| BS |N-nb, nb> for
-    n_total_min <= N <= n_total_max and jb, nb < b_dim.
+    n_total_min <= N <= n_total_max, jb < b_dim and nb < ``columns``
+    (default b_dim, every column).
 
     The first-mode index is implicit (N minus the stored one), which keeps
     the tables small when one mode is a high-occupancy coherent carrier.
@@ -88,20 +92,23 @@ def _bs_blocks(t: float, r: float, b_dim: int, n_total_max: int,
     |N-nb, nb> = b+ |N-nb, nb-1> / sqrt(nb) and b+ -> -r a+ + t b+.
     Both loops run over the small mode only, each step over every N, on
     columns stored contiguously (g[nb, N, jb], transposed on return).  A
-    window from n_total_min > 0 runs the recurrence from block
-    n_total_min - (b_dim - 1), the lowest one its columns depend on, so
-    its rows are bitwise those of the full build.
+    column reads only the one below it, so the first ``columns`` columns
+    are bitwise those of the full build; a window from n_total_min > 0
+    runs the recurrence from block n_total_min - (columns - 1), the lowest
+    one its columns depend on, so its rows are bitwise those of the full
+    build too.
     """
-    n_first = max(0, n_total_min - (b_dim - 1))
+    columns = b_dim if columns is None else columns
+    n_first = max(0, n_total_min - (columns - 1))
     n_total = np.arange(n_first, n_total_max + 1.0)
-    g = np.zeros((b_dim, len(n_total), b_dim))
+    g = np.zeros((columns, len(n_total), b_dim))
     g[0, :, 0] = t ** n_total
     for j in range(1, b_dim):
         root = np.sqrt(np.clip(n_total - j + 1, 0, None) / j)
         g[0, :, j] = g[0, :, j - 1] * root * (r / t)
     sqrt_ja = np.sqrt(np.clip(n_total[1:, None] - np.arange(b_dim), 0, None))
     sqrt_jb = np.sqrt(np.arange(1, b_dim))
-    for nb in range(1, b_dim):
+    for nb in range(1, columns):
         prev, col = g[nb - 1, :-1], g[nb, 1:]
         col[:] = -r * sqrt_ja * prev
         col[:, 1:] += t * sqrt_jb * prev[:, :-1]
@@ -109,13 +116,17 @@ def _bs_blocks(t: float, r: float, b_dim: int, n_total_max: int,
     return np.ascontiguousarray(g.transpose(1, 2, 0)[n_total_min - n_first:])
 
 
-def check_split_size(dim_a: int, dim_b: int, batch: int) -> None:
+def check_split_size(dim_a: int, dim_b: int, batch: int,
+                     columns: int | None = None) -> None:
     """Raise TailMassError, before anything is allocated, when a splitter
     on a (dim_a, dim_b) grid with ``batch`` inputs exceeds
-    :data:`MAX_SPLIT_CELLS`.  The blocks grow with the smaller mode
-    squared, so a strong amplitude on both modes is what gets refused."""
+    :data:`MAX_SPLIT_CELLS`.  ``columns`` is the number of block columns
+    built, one per input level of the smaller mode (default: every level).
+    The blocks hold (dim_a + dim_b - 1) x the smaller mode x ``columns``
+    cells, so a strong amplitude on both modes is what gets refused."""
     small = min(dim_a, dim_b)
-    cells = (dim_a + dim_b - 1) * small * (small + 2 * batch)
+    columns = small if columns is None else columns
+    cells = (dim_a + dim_b - 1) * small * (columns + 2 * batch)
     if cells > MAX_SPLIT_CELLS:
         raise TailMassError(
             f"a beam splitter on {dim_a} x {dim_b} levels with {batch} inputs needs "
@@ -133,13 +144,18 @@ def split_amplitudes(amps: np.ndarray, params: BeamSplitterParams,
     precision.  Amplitude [a, b] sits in block N = a + offset + b: one
     gather lays the input out as (N, b, ...) with the smaller mode second,
     one batched product applies every block, and the inverse gather drops
-    what lands past the larger mode's cutoff or below its window.  The
-    real blocks act on the real and imaginary parts separately: a complex
-    copy of them would take twice their memory.  A batch entry that loses
-    more than ``max(leak_tolerance, 1e-14 * its norm^2)`` raises a
-    TailMassError, as does a grid past :func:`check_split_size`.
+    what lands past the larger mode's cutoff or below its window.  Only
+    the block columns of the smaller mode's input levels up to its highest
+    occupied one are built: the others would multiply zeros.  The real
+    blocks act on the real and imaginary parts separately, each product
+    written into its half of one complex output: a complex copy of them
+    would take twice their memory.  A batch entry that loses more than
+    ``max(leak_tolerance, 1e-14 * its norm^2)`` raises a TailMassError, as
+    does a grid past :func:`check_split_size`, which refuses a grid on
+    which even one block column cannot fit before the input is scanned.
     """
-    check_split_size(amps.shape[0], amps.shape[1], math.prod(amps.shape[2:]))
+    batch = math.prod(amps.shape[2:])
+    check_split_size(amps.shape[0], amps.shape[1], batch, columns=1)
     t, r = params.t, params.r
     swap = amps.shape[1] > amps.shape[0]
     if swap:
@@ -147,13 +163,19 @@ def split_amplitudes(amps: np.ndarray, params: BeamSplitterParams,
         # order flips the sign of r
         amps, r = amps.swapaxes(0, 1), -r
     da, db = amps.shape[:2]
-    blocks = _bs_blocks(t, r, db, offset + da + db - 2, offset)
-    a_idx, b_idx = np.arange(da)[:, None], np.arange(db)
-    by_total = np.zeros((da + db - 1,) + amps.shape[1:], dtype=complex)
-    by_total[a_idx + b_idx, b_idx] = amps
-    flat = by_total.reshape(da + db - 1, db, -1)
-    out = np.matmul(blocks, flat.real) + 1j * np.matmul(blocks, flat.imag)
-    out = out.reshape(by_total.shape)[a_idx + b_idx, b_idx]
+    occupied = np.flatnonzero(np.any(amps, axis=(0,) + tuple(range(2, amps.ndim))))
+    columns = int(occupied[-1]) + 1 if occupied.size else 1
+    check_split_size(da, db, batch, columns)
+    blocks = _bs_blocks(t, r, db, offset + da + db - 2, offset, columns=columns)
+    a_idx, b_idx, n_blocks = np.arange(da)[:, None], np.arange(db), da + db - 1
+    by_total = np.zeros((n_blocks, columns) + amps.shape[2:], dtype=complex)
+    by_total[a_idx + b_idx[:columns], b_idx[:columns]] = amps[:, :columns]
+    flat = by_total.reshape(n_blocks, columns, batch)
+    out = np.empty((n_blocks,) + amps.shape[1:], dtype=complex)
+    products = out.reshape(n_blocks, db, batch)
+    np.matmul(blocks, flat.real, out=products.real)
+    np.matmul(blocks, flat.imag, out=products.imag)
+    out = out[a_idx + b_idx, b_idx]
     in2 = np.einsum("abir,abir->i", amps.conj(), amps).real
     leak = in2 - np.einsum("abir,abir->i", out.conj(), out).real
     lost = leak > np.maximum(leak_tolerance, 1e-14 * in2)

@@ -462,10 +462,12 @@ def _circuit_gram(qubit: UnknownQubit, beta: float, r: float, n_cut: int,
                   tail_tolerance: float) -> np.ndarray:
     """The circuit of :func:`brute_force_pipeline` up to the receiver: its
     unnormalized 2x2 density matrix gram[p, n, m] on parity p and counts
-    (n, m).  Each coherent row enters its splitter as the window of levels
-    that hold amplitude at double precision, so a carrier of amplitude beta
-    costs O(beta) blocks, not O(beta^2); the mass left below a window
-    counts as leak."""
+    (n, m).  Both splitters have the same t, r, grid and carrier window,
+    so one pass of :func:`split_amplitudes` serves both, on block columns
+    up to max(l, k), the only levels the qubit modes occupy.  Each coherent
+    row enters as the window of levels that hold amplitude at double
+    precision, so a carrier of amplitude beta costs O(beta) blocks, not
+    O(beta^2); the mass left below a window counts as leak."""
     if not 0.0 < r <= _HTBS_R_MAX:
         raise ValueError(f"brute-force regime requires 0 < r <= {_HTBS_R_MAX}")
     t = math.sqrt(1.0 - r * r)
@@ -477,23 +479,24 @@ def _circuit_gram(qubit: UnknownQubit, beta: float, r: float, n_cut: int,
         raise ValueError(f"n_cut must lie in [0, {d3}), the auxiliary cutoffs; got {n_cut}")
     # channel branches: carrier -beta accompanies logical |01>, +beta |10>;
     # the ancilla is driven at -beta.  Superposition term i puts s3[i]
-    # photons on mode 3 and s4[i] on mode 4.  Each splitter takes every
-    # (branch, term) input as one batch, the qubit mode listed first so
-    # the carrier displaces it with the conditional sign.
+    # photons on mode 3 and s4[i] on mode 4.  One batch takes the four
+    # (branch, term) inputs of mode 3 and its carrier, then the two terms of
+    # mode 4 and its ancilla, the qubit mode listed first so the carrier
+    # displaces it with the conditional sign.
     s3, s4 = [l, k], [k, l]
     c0, plus, trimmed = _carrier_window(beta, d1, tail_tolerance)
     minus = plus.real * (-1.0) ** np.arange(c0, d1)  # bitwise the window at -beta
-    # refuse before the inputs are made; the ancilla's splitter is smaller
+    # refuse before the inputs are made, at the size of all d3 block
+    # columns under one splitter's four inputs
     check_split_size(d3, len(plus), 4)
-    u = np.zeros((d3, len(plus), 2, 2), dtype=complex)  # (mode 3, carrier, branch, term)
+    w = np.zeros((d3, len(plus), 6, 1), dtype=complex)  # (qubit mode, coherent, input)
     for y, row in enumerate((minus, plus)):
-        u[s3, :, y, [0, 1]] = row
-    v = np.zeros((d3, len(plus), 2, 1), dtype=complex)  # (mode 4, ancilla, term)
-    v[s4, :, [0, 1], 0] = minus
+        w[s3, :, [2 * y, 2 * y + 1], 0] = row
+    w[s4, :, [4, 5], 0] = minus
     # what the window skipped counts against the tolerance with the leak
-    u = split_amplitudes(u.reshape(d3, -1, 4, 1), params, tail_tolerance - trimmed, c0)
-    u = u[:n_cut + 1, :, :, 0].reshape(n_cut + 1, -1, 2, 2)
-    v = split_amplitudes(v, params, tail_tolerance - trimmed, c0)[:n_cut + 1, :, :, 0]
+    w = split_amplitudes(w, params, tail_tolerance - trimmed, c0)[:n_cut + 1, :, :, 0]
+    u = w[:, :, :4].reshape(n_cut + 1, -1, 2, 2)  # (mode 3, carrier, branch, term)
+    v = w[:, :, 4:]  # (mode 4, ancilla, term)
     even = np.arange(c0, d1) % 2 == 0
     parity_mask = np.array([even, ~even], dtype=float)
     coefs = np.array([qubit.a0, qubit.a1])

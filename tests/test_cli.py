@@ -746,3 +746,12 @@ def test_unallocatable_input_is_a_numeric_guard(argv, refusal):
     assert done.stdout == ""
     assert done.stderr.startswith("numeric guard: ")
     assert refusal in done.stderr
+
+
+@pytest.mark.parametrize("alpha, code", [("8.7", 0), ("9", 3)])
+def test_oracle_splitter_bound_counts_every_block_column(alpha, code, capsys):
+    # the circuit refuses by all its d3 block columns under four inputs,
+    # though it builds only the columns its qubit modes occupy: alpha 8.7
+    # fits that bound, alpha 9 (README's example) does not
+    assert main(["oracle", "--alpha", alpha, "--r", "0.3"]) == code
+    assert ("beam splitter" in capsys.readouterr().err) == (code == 3)

@@ -166,6 +166,19 @@ def test_windowed_blocks_are_rows_of_the_full_build(r, n_min):
     assert np.array_equal(window, full[n_min:])
 
 
+@pytest.mark.parametrize("r", [0.01, -0.3])
+@pytest.mark.parametrize("n_min", [0, 1, 18, 500])
+@pytest.mark.parametrize("columns", [1, 3, 19])
+def test_leading_block_columns_are_columns_of_the_full_build(r, n_min, columns):
+    # a column reads only the one below it, and a window needs only
+    # columns - 1 blocks below its first
+    t = math.sqrt(1 - r * r)
+    full = _bs_blocks(t, r, 19, 700)
+    part = _bs_blocks(t, r, 19, 700, n_min, columns=columns)
+    assert part.shape == (701 - n_min, 19, columns)
+    np.testing.assert_array_equal(part.view(np.int64), full[n_min:, :, :columns].view(np.int64))
+
+
 def test_amplitude_below_the_window_is_leak():
     # levels 40.. of a coherent carrier (mean count 64) next to a photon
     # mode: the splitter moves amplitude from the window's lowest levels to
@@ -203,6 +216,16 @@ def test_oversized_splitter_is_refused_before_allocating():
         split_amplitudes(huge, BALANCED, 1e-10)
     with pytest.raises(TailMassError, match="with 4 inputs"):
         check_split_size(146, 628, 4)  # the oracle at alpha 8.8, r = 0.3
+
+
+def test_split_size_counts_the_columns_built():
+    # the oracle at alpha 8.8, r = 0.3: all 146 block columns do not fit,
+    # the three its qubit modes occupy do
+    with pytest.raises(TailMassError, match="17,380,132 cells"):
+        check_split_size(146, 628, 4)
+    check_split_size(146, 628, 4, columns=3)
+    with pytest.raises(TailMassError, match="with 6 inputs"):
+        check_split_size(20_000, 20_000, 6, columns=1)
 
 
 def test_overflow_guard():

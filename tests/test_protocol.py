@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -474,18 +475,144 @@ def test_brute_force_refuses_a_count_cut_outside_the_auxiliary_grid(n_cut):
 
 
 def test_brute_force_builds_each_splitter_once(monkeypatch):
-    # two physical splitters, each taking all its inputs as one batch
-    builds = []
+    # both physical splitters share t, r, grid and carrier window, so one
+    # block build serves all their inputs; the qubit modes hold photons at
+    # levels l and k only, so only the columns up to max(l, k) are built
     real = optics._bs_blocks
+    for lk in [(0, 1), (1, 2)]:
+        builds = []
 
-    def counted(*args):
-        builds.append(args)
-        return real(*args)
+        def counted(*args, **kwargs):
+            builds.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(optics, "_bs_blocks", counted)
-    q = UnknownQubit(math.sqrt(0.7), math.sqrt(0.3))
-    brute_force_pipeline(q, 4.9, 0.1)
-    assert len(builds) == 2
+        monkeypatch.setattr(optics, "_bs_blocks", counted)
+        brute_force_pipeline(UnknownQubit(math.sqrt(0.7), math.sqrt(0.3), *lk), 4.9, 0.1)
+        assert len(builds) == 1
+        assert builds[0]["columns"] == max(lk) + 1
+
+
+def _split_full_columns(amps, params, offset=0):
+    """split_amplitudes as it was before it built only the occupied block
+    columns: every column of the square blocks, the real and imaginary
+    products summed, and no leak check."""
+    t, r = params.t, params.r
+    swap = amps.shape[1] > amps.shape[0]
+    if swap:
+        amps, r = amps.swapaxes(0, 1), -r
+    da, db = amps.shape[:2]
+    blocks = optics._bs_blocks(t, r, db, offset + da + db - 2, offset)
+    a_idx, b_idx = np.arange(da)[:, None], np.arange(db)
+    by_total = np.zeros((da + db - 1,) + amps.shape[1:], dtype=complex)
+    by_total[a_idx + b_idx, b_idx] = amps
+    flat = by_total.reshape(da + db - 1, db, -1)
+    out = np.matmul(blocks, flat.real) + 1j * np.matmul(blocks, flat.imag)
+    out = out.reshape(by_total.shape)[a_idx + b_idx, b_idx]
+    return out.swapaxes(0, 1) if swap else out
+
+
+def _two_splitter_gram(qubit, beta, r, n_cut=2, tail_tolerance=1e-10):
+    """protocol._circuit_gram as it was with one splitter call per physical
+    splitter, each on the full square blocks."""
+    t = math.sqrt(1.0 - r * r)
+    l, k = qubit.l, qubit.k
+    params = optics.BeamSplitterParams(t, r)
+    d3 = max(l, k) + displaced.default_cutoff(beta * r / t) + 2
+    d1 = displaced.default_cutoff(beta) + d3
+    s3, s4 = [l, k], [k, l]
+    c0, plus, _ = protocol._carrier_window(beta, d1, tail_tolerance)
+    minus = plus.real * (-1.0) ** np.arange(c0, d1)
+    u = np.zeros((d3, len(plus), 2, 2), dtype=complex)
+    for y, row in enumerate((minus, plus)):
+        u[s3, :, y, [0, 1]] = row
+    v = np.zeros((d3, len(plus), 2, 1), dtype=complex)
+    v[s4, :, [0, 1], 0] = minus
+    u = _split_full_columns(u.reshape(d3, -1, 4, 1), params, c0)
+    u = u[:n_cut + 1, :, :, 0].reshape(n_cut + 1, -1, 2, 2)
+    v = _split_full_columns(v, params, c0)[:n_cut + 1, :, :, 0]
+    even = np.arange(c0, d1) % 2 == 0
+    parity_mask = np.array([even, ~even], dtype=float)
+    coefs = np.array([qubit.a0, qubit.a1])
+    carrier = np.einsum("ncyt,pc,ncxs->pnytxs", u.conj(), parity_mask, u)
+    ancilla = np.einsum("mct,mcs->mts", v.conj(), v)
+    return np.einsum("t,s,pnytxs,mts->pnmxy", coefs.conj(), coefs, carrier, ancilla)
+
+
+def _bits(a):
+    """The float bits of ``a``, signed zeros told apart."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("amps", [(math.sqrt(0.7), math.sqrt(0.3)), (0.6, 0.48 + 0.64j)])
+@pytest.mark.parametrize("r", [0.2, 0.05, 0.01])
+@pytest.mark.parametrize("lk", [(0, 1), (1, 2)])
+def test_one_pass_circuit_is_bitwise_the_two_splitter_circuit(lk, r, amps):
+    q = UnknownQubit(*amps, *lk)
+    beta = 0.5 * math.sqrt(1 - r * r) / r
+    gram = protocol._circuit_gram(q, beta, r, 2, 1e-10)
+    np.testing.assert_array_equal(_bits(gram), _bits(_two_splitter_gram(q, beta, r)))
+
+
+def _partial_support(occupied, swap, offset, batch):
+    """A coherent carrier (amplitude 8, from level ``offset``) next to a
+    19-level mode occupied at ``occupied``, ``batch`` inputs; the small mode
+    listed first when ``swap``."""
+    rng = np.random.default_rng(len(occupied) + offset + batch)
+    carrier = displaced.coherent_state(8.0)[offset:]
+    amps = np.zeros((len(carrier), 19, batch, 1), dtype=complex)
+    for level in occupied:
+        weights = rng.normal(size=batch) + 1j * rng.normal(size=batch)
+        amps[:, level, :, 0] = carrier[:, None] * weights
+    amps /= np.linalg.norm(amps)
+    return amps.swapaxes(0, 1) if swap else amps
+
+
+# nb = 1 (vacuum on the small mode), partial supports, the top level (nb = 19)
+SUPPORTS = [(0,), (1, 2), (0, 1, 2), (2, 18)]
+
+
+@pytest.mark.parametrize("offset", [0, 30])
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("occupied", SUPPORTS)
+def test_split_of_partial_support_is_bitwise_the_full_column_split(occupied, swap, offset,
+                                                                   monkeypatch):
+    # the circuit's six inputs; the BLAS product of these widths rounds the
+    # same whatever the inner length, so the columns left out change no bit
+    amps = _partial_support(occupied, swap, offset, 6)
+    built = []
+    real = optics._bs_blocks
+    monkeypatch.setattr(optics, "_bs_blocks",
+                        lambda *a, **kw: built.append(kw.get("columns")) or real(*a, **kw))
+    bs = optics.BeamSplitterParams.from_reflectance(0.1)
+    out = optics.split_amplitudes(amps, bs, 1.0, offset)
+    assert built == [max(occupied) + 1]
+    np.testing.assert_array_equal(_bits(out), _bits(_split_full_columns(amps, bs, offset)))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_split_of_no_amplitude_builds_one_column(swap, monkeypatch):
+    amps = np.zeros((len(displaced.coherent_state(8.0)), 19, 6, 1), dtype=complex)
+    amps = amps.swapaxes(0, 1) if swap else amps
+    built = []
+    real = optics._bs_blocks
+    monkeypatch.setattr(optics, "_bs_blocks",
+                        lambda *a, **kw: built.append(kw.get("columns")) or real(*a, **kw))
+    bs = optics.BeamSplitterParams.from_reflectance(0.1)
+    out = optics.split_amplitudes(amps, bs, 1.0)
+    assert built == [1]
+    np.testing.assert_array_equal(_bits(out), _bits(_split_full_columns(amps, bs)))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("occupied", SUPPORTS)
+def test_split_of_one_input_matches_the_full_column_split(occupied, swap):
+    # with one to four inputs the BLAS product rounds by its inner length
+    # on x86-64 (AVX-512 kernels), so here fewer columns may move the last
+    # bit: the two agree to rounding
+    amps = _partial_support(occupied, swap, 30, 1)
+    bs = optics.BeamSplitterParams.from_reflectance(0.1)
+    np.testing.assert_allclose(optics.split_amplitudes(amps, bs, 1.0, 30),
+                               _split_full_columns(amps, bs, 30), rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("beta", [2.4, 49.9, 249.9])
