@@ -42,7 +42,7 @@ from .displaced import (
     matrix_element_table,
     overall_factor,
 )
-from .fock import MeasurementRangeError, QubitState, _unit_pair
+from .fock import MeasurementRangeError, QubitState, _abs2, _unit_pair, _unit_pairs
 from .protocol import (
     SingularFactorError,
     _direct_mass,
@@ -636,9 +636,9 @@ def _am_totals(rail: str, a1_abs, table: MatrixElementTable):
     o = _OUTCOMES[rail](table)
     # each input's |a0|^2 and |a1|^2 on a leading |a1| axis, as one input
     # squares them
-    pairs = [_unit_pair(math.sqrt(1.0 - x * x), x) for x in a1_abs]
-    w0, w1 = (np.array([abs(pair[i]) ** 2 for pair in pairs], dtype=float)
-              .reshape((-1,) + (1,) * np.ndim(o.a_ref)) for i in (0, 1))
+    a1 = np.array(a1_abs, dtype=float)
+    shape = (-1,) + (1,) * np.ndim(o.a_ref)
+    w0, w1 = (_abs2(u).reshape(shape) for u in _unit_pairs(np.sqrt(1.0 - a1 * a1), a1))
     base = _input_weight(w0, w1, o.a_ref)[..., None]
     # the outcome axis made contiguous, as it is at one alpha: numpy pairs
     # the terms of a strided sum differently

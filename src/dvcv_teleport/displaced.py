@@ -37,10 +37,12 @@ def overall_factor(alpha: float) -> float:
 def _per_entry(fn, *args):
     """``fn`` of Python floats at each entry of array arguments, or of float
     ones: numpy's array exp and power differ from libm's (``math.exp``,
-    float ``**``) in the last bit on some entries."""
-    if not any(getattr(x, "ndim", 0) for x in args):
-        return fn(*map(float, args))
-    return np.frompyfunc(fn, len(args), 1)(*args).astype(float)
+    float ``**``) in the last bit on some entries.  The arguments are
+    scanned with a plain loop, since a scalar call pays for every step."""
+    for x in args:
+        if getattr(x, "ndim", 0):
+            return np.frompyfunc(fn, len(args), 1)(*args).astype(float)
+    return fn(*map(float, args))
 
 
 def _float_or_array(x):
@@ -51,11 +53,13 @@ def _float_or_array(x):
 def _coherent_row(n_max: int, alpha) -> np.ndarray:
     """Row alpha^n / sqrt(n!) for n <= n_max, after the amplitude axes."""
     row = np.empty(getattr(alpha, "shape", ()) + (n_max + 1,))
-    # filled through the reversed-axes view, where the count comes first
+    # filled through the reversed-axes view, where the count comes first;
+    # the running term is carried as computed, not read back from the row,
+    # so at a float alpha it stays a Python float (the same IEEE products)
     rev, a = row.T, getattr(alpha, "T", alpha)
-    rev[0] = 1.0
+    term = rev[0] = 1.0
     for n in range(1, n_max + 1):
-        rev[n] = rev[n - 1] * a / math.sqrt(n)
+        term = rev[n] = term * a / math.sqrt(n)
     return row
 
 
@@ -112,7 +116,9 @@ def _ladder(row0: np.ndarray, l_max: int, alpha) -> np.ndarray:
     Each step is written into its own row of the table: count 0 gets
     sqrt(0) * 0 = 0, the counts above it sqrt(n) c(l, n - 1), then the
     row takes alpha c(l, n) off and is divided by sqrt(l + 1), the
-    operations of the formula in its order, with no shifted copy."""
+    operations of the formula in its order, with no shifted copy.  The
+    first step's divisor is sqrt(1) = 1, and x / 1.0 is x bitwise, so that
+    division is not made."""
     c = np.empty((l_max + 1,) + row0.shape)
     c[0] = row0
     sqrt_n = np.sqrt(np.arange(1, row0.shape[-1]))
@@ -122,7 +128,8 @@ def _ladder(row0: np.ndarray, l_max: int, alpha) -> np.ndarray:
         nxt[..., 0] = 0.0
         np.multiply(sqrt_n, c[l, ..., :-1], out=nxt[..., 1:])
         nxt -= a * c[l]
-        nxt /= math.sqrt(l + 1)
+        if l > 0:
+            nxt /= math.sqrt(l + 1)
     return c
 
 

@@ -88,10 +88,51 @@ def _unit_pair(a0, a1) -> tuple[complex, complex]:
     return a0 / n, a1 / n
 
 
+def _by_norm(c: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Python's complex / float of every entry, ((re + im 0.0) / n,
+    (im - re 0.0) / n), written part by part so that every zero keeps the
+    sign Python gives it (re + 1j * im would not)."""
+    out = np.empty(c.shape, dtype=complex)
+    out.real = (c.real + c.imag * 0.0) / n
+    out.imag = (c.imag - c.real * 0.0) / n
+    return out
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """abs(z) ** 2 of every entry of a complex array, bitwise Python's: the
+    libm hypot(re, im) and pow(x, 2) that abs(complex) and float ** 2 call
+    (numpy's abs of a complex and its square differ from them in the last
+    bit)."""
+    return np.float_power(np.hypot(z.real, z.imag), 2)
+
+
+def _unit_pairs(a0, a1) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_unit_pair` of every entry of two arrays, bit for bit.
+
+    The entries _unit_pair rescales or refuses, those whose squared norm
+    is not finite or lies below the normal range, zero ones among them, go
+    through _unit_pair itself, in order, so the first refused entry raises
+    its message.
+    """
+    a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
+    # the entries overwritten below may overflow, divide by zero or be NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n2 = _abs2(a0) + _abs2(a1)
+        n = np.sqrt(n2)
+        u0, u1 = _by_norm(a0, n), _by_norm(a1, n)
+    for i in np.flatnonzero(~((n2 >= _NORMAL_MIN) & (n2 < math.inf))).tolist():
+        u0.flat[i], u1.flat[i] = _unit_pair(a0.flat[i], a1.flat[i])
+    return u0, u1
+
+
 @dataclass(frozen=True)
 class QubitState:
     """A normalized two-level state: c0 on the logical |0> (the receiver's
-    |01>), c1 on the logical |1> (its |10>)."""
+    |01>), c1 on the logical |1> (its |10>).
+
+    The constructor normalizes (c0, c1) with :func:`_unit_pair`;
+    :meth:`_unit` wraps a pair that :func:`_unit_pairs` has already
+    normalized, as records are built many at a time."""
 
     c0: complex
     c1: complex
@@ -100,6 +141,17 @@ class QubitState:
         c0, c1 = _unit_pair(self.c0, self.c1)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)
+
+    @classmethod
+    def _unit(cls, c0: complex, c1: complex) -> QubitState:
+        """The state of an already normalized pair, not normalized again.
+        Its fields go straight into its ``__dict__``, where a frozen
+        instance keeps them, and where a dict write costs less than
+        ``object.__setattr__``."""
+        state = object.__new__(cls)
+        fields = state.__dict__
+        fields["c0"], fields["c1"] = c0, c1
+        return state
 
     def vec(self) -> np.ndarray:
         return np.array([self.c0, self.c1], dtype=complex)

@@ -33,7 +33,7 @@ from .displaced import (
     matrix_element_table,
     overall_factor,
 )
-from .fock import QubitState, _unit_pair
+from .fock import QubitState, _unit_pair, _unit_pairs
 from .optics import _HTBS_R_MAX, BeamSplitterParams, check_split_size, split_amplitudes
 
 _PARITIES = ("even", "odd")
@@ -93,6 +93,16 @@ class Outcome:
         if self.n < 0 or (self.m is not None and self.m < 0):
             raise ValueError("photon counts must be nonnegative")
 
+    @classmethod
+    def _checked(cls, parity: str, n: int, m: int | None) -> Outcome:
+        """An outcome whose parity and counts the caller took from its own
+        grids, so they are not checked again: the fields go straight into
+        the frozen instance's ``__dict__``."""
+        outcome = object.__new__(cls)
+        fields = outcome.__dict__
+        fields["parity"], fields["n"], fields["m"] = parity, n, m
+        return outcome
+
 
 @dataclass(frozen=True)
 class TeleportRecord:
@@ -106,6 +116,20 @@ class TeleportRecord:
     amp_factor: float
     z_power: int
     corrected_state: QubitState
+
+    @classmethod
+    def _of(cls, outcome, bob_state, probability, amp_factor, z_power,
+            corrected_state) -> TeleportRecord:
+        """The record of these fields, written straight into the frozen
+        instance's ``__dict__``: six dict writes cost less than the six
+        ``object.__setattr__`` calls of the generated ``__init__``."""
+        record = object.__new__(cls)
+        fields = record.__dict__
+        fields["outcome"], fields["bob_state"], fields["probability"] = (
+            outcome, bob_state, probability)
+        fields["amp_factor"], fields["z_power"], fields["corrected_state"] = (
+            amp_factor, z_power, corrected_state)
+        return record
 
 
 @dataclass(frozen=True)
@@ -135,11 +159,12 @@ def _nonnegative(*counts: int) -> None:
 def amp_factor_grid(l: int, k: int, table: MatrixElementTable) -> np.ndarray:
     """:func:`amp_factor_dual` for every count pair (n, m) of ``table`` at
     once, on its last two axes.  Singular outcomes hold NaN; equal counts
-    hold exactly one."""
+    hold exactly one; a ratio past the largest float (at tiny alpha) is
+    +-inf."""
     cl, ck = table.c[l], table.c[k]
     num = ck[..., :, None] * cl[..., None, :]
     den = cl[..., :, None] * ck[..., None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         grid = np.where(den == 0.0, np.nan, num / den)
     diagonal = np.arange(grid.shape[-1])
     grid[..., diagonal, diagonal] = 1.0
@@ -215,13 +240,17 @@ def _direct_mass(l: int, k: int, table: MatrixElementTable):
                            * np.sum(table.c[l] ** 2 * table.c[k] ** 2, axis=-1))
 
 
+def _pair_mass(f: float, x: float, y: float) -> float:
+    """F^4 (x^2 + y^2), the mass of the two outcomes of amplitudes x, y."""
+    return f ** 4 * (x ** 2 + y ** 2)
+
+
 def _pair_sum(l: int, k: int, n: int, m: int, table: MatrixElementTable):
     """:func:`pair_sum_probability` from ``table``, in Python floats."""
     cn, cm = table.c[..., n], table.c[..., m]
     # equal counts are one outcome, not a pair
     swapped = 0.0 if n == m else cm[l] * cn[k]
-    return _per_entry(lambda f, x, y: f ** 4 * (x ** 2 + y ** 2), table.f,
-                      cn[l] * cm[k], swapped)
+    return _per_entry(_pair_mass, table.f, cn[l] * cm[k], swapped)
 
 
 def _am_mass(l: int, k: int, table: MatrixElementTable):
@@ -396,26 +425,47 @@ def solve_amp_factor_alpha(l: int, k: int, n: int, m: int, target: float,
 
 # -- analytic pipelines -------------------------------------------------------
 
+def _branches(qubit: UnknownQubit, factor: np.ndarray):
+    """The branch amplitudes (a0 + a1 A, a0 - a1 A) of every factor A.  Where
+    |A| overflowed to inf they are its |A| -> inf limit over |A|, the pair
+    (a1 sgn A, -a1 sgn A), or (a0, a0) when a1 = 0, which normalize as the
+    branches of a huge finite A do."""
+    big = np.isinf(factor)
+    finite = np.where(big, 0.0, factor)
+    plus, minus = qubit.a0 + qubit.a1 * finite, qubit.a0 - qubit.a1 * finite
+    if qubit.a1 != 0 and big.any():
+        plus[big] = qubit.a1 * np.sign(factor[big])
+        minus[big] = -plus[big]
+    return plus, minus
+
+
 def _records(qubit: UnknownQubit, parity, n, m, factor, prob) -> list[TeleportRecord]:
     """Records of the outcomes given by arrays of parity, counts n and m (m
     None on a single rail), factor and probability, broadcast together.
     The branch sign (-1)^(n-l) (+-1 by parity) is (-1)^z for the Z power z
     of the correction word, so one z array gives both.  Each outcome must
     be one the qubit can produce: a0 = 0 and A = 0 make both branch
-    amplitudes a0 +- a1 A vanish."""
+    amplitudes a0 +- a1 A vanish.
+
+    The bob states are normalized in one :func:`fock._unit_pairs` pass, the
+    correction word is applied to that normalized array, and the corrected
+    states are normalized in a second pass, bitwise as QubitState would
+    normalize each record's pair.  The records, their outcomes and states
+    are then made by their classes' private constructors, which neither
+    normalize nor check again."""
     parity, n, m, factor, prob = map(np.ravel, np.broadcast_arrays(parity, n, m, factor, prob))
     z = z_power_for(parity, n, qubit.l)
-    minus = np.where(z == 1, -1.0, 1.0) * (qubit.a0 - qubit.a1 * factor)
-    bobs = [QubitState(c0, c1)
-            for c0, c1 in zip((qubit.a0 + qubit.a1 * factor).tolist(), minus.tolist())]
+    plus, minus = _branches(qubit, factor)
+    bob = np.stack(_unit_pairs(plus, np.where(z == 1, -1.0, 1.0) * minus), axis=-1)
     # every record's correction word H Z^z (_correction) in one product, bitwise
     # the word applied record by record
-    vecs = np.array([(bob.c0, bob.c1) for bob in bobs], dtype=complex).reshape(-1, 2, 1)
-    fixed = np.matmul(_correction(z), vecs)[..., 0].tolist()
-    columns = zip(*(x.tolist() for x in (parity, n, m, prob, factor, z)))
-    return [TeleportRecord(Outcome(p, n_, m_), bob, p_, a, zp,
-                           QubitState(*vec))
-            for (p, n_, m_, p_, a, zp), bob, vec in zip(columns, bobs, fixed)]
+    word = np.matmul(_correction(z), bob[..., None])[..., 0]
+    fixed = _unit_pairs(word[:, 0], word[:, 1])
+    columns = zip(*(x.tolist() for x in (parity, n, m, prob, factor, z, bob[:, 0], bob[:, 1],
+                                         *fixed)))
+    return [TeleportRecord._of(Outcome._checked(p, n_, m_), QubitState._unit(b0, b1), p_, a,
+                               zp, QubitState._unit(f0, f1))
+            for p, n_, m_, p_, a, zp, b0, b1, f0, f1 in columns]
 
 
 def dual_rail_records(qubit: UnknownQubit, alpha: float, n_cut: int = 8) -> list[TeleportRecord]:

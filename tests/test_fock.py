@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,73 @@ def test_qubit_state_keeps_the_bits_of_ordinary_pairs():
         n = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
         q = QubitState(c0, c1)
         assert (q.c0, q.c1) == (complex(c0) / n, complex(c1) / n)
+
+
+def _bits(*zs):
+    """Both parts of complex numbers as hex and as their sign, zeros included."""
+    return [(x.hex(), math.copysign(1.0, x)) for z in map(complex, zs) for x in (z.real, z.imag)]
+
+
+def _check_unit_pairs(a0, a1):
+    """_unit_pairs of the arrays is _unit_pair of each entry, in every bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u0, u1 = fock._unit_pairs(a0, a1)
+    assert u0.shape == u1.shape == np.shape(a0)
+    for x0, x1, v0, v1 in zip(*(np.ravel(x).tolist() for x in (a0, a1, u0, u1))):
+        assert _bits(v0, v1) == _bits(*fock._unit_pair(x0, x1)), (x0, x1)
+
+
+def test_unit_pairs_are_unit_pair_bit_for_bit():
+    rng = np.random.default_rng(3)
+    size = 4000
+    # complex phases, magnitudes from squared-norm underflow (1e-170) to
+    # overflow (1e200), and parts of zero with either sign
+    mags = 10.0 ** rng.uniform(-170, 200, (2, size))
+    mags[:, : size // 2] = rng.uniform(0.0, 1.0, (2, size // 2))
+    pairs = mags * np.exp(2j * np.pi * rng.uniform(size=(2, size)))
+    zero = rng.integers(0, 6, (2, 2, size))
+    for part, (re, im) in zip(pairs, zero):
+        part.real[re == 0], part.imag[im == 0] = 0.0, 0.0
+        part.real[re == 1], part.imag[im == 1] = -0.0, -0.0
+    edges = np.array([(1e-170, 0), (1e-160, -0.0), (5e-324, 5e-324j), (1e200, 0),
+                      (1e200, -1e200j), (1e308 + 1e308j, 1), (-0.0, 1),
+                      (complex(-0.0, -0.0), -0.0j), (0.6, -0.8), (complex(0.0, -0.0), 1j),
+                      (3.0, 4.0)]).T
+    a0, a1 = np.concatenate([pairs, edges], axis=1)
+    kept = (a0 != 0) | (a1 != 0)
+    _check_unit_pairs(a0[kept], a1[kept])
+    # any shape; real arrays are read as complex ones with +0.0 imaginary parts
+    kept = (a0.real != 0) | (a1.real != 0)
+    _check_unit_pairs(a0.real[kept][:3000].reshape(-1, 3), a1.real[kept][:3000].reshape(-1, 3))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((math.nan, 1), "qubit amplitudes must be finite"),
+    ((1, math.inf), "qubit amplitudes must be finite"),
+    ((complex(0, math.nan), 1), "qubit amplitudes must be finite"),
+    ((0, 0), "qubit has zero norm"),
+    ((0.0, -0.0j), "qubit has zero norm"),
+])
+def test_unit_pairs_refuse_what_unit_pair_refuses(bad, message):
+    with pytest.raises(ValueError, match=message):
+        fock._unit_pair(*bad)
+    # among entries that _unit_pair accepts, and before one it refuses otherwise
+    other = (math.nan, 0) if message.endswith("norm") else (0, 0)
+    pairs = np.array([(0.6, 0.8j), bad, (1e-170, 0), other], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fock._unit_pairs(pairs[:, 0], pairs[:, 1])
+
+
+def test_qubit_state_unit_keeps_the_pair():
+    u0, u1 = fock._unit_pairs(np.array([0.3, -0.0]), np.array([0.4j, 2.0]))
+    for c0, c1 in zip(u0.tolist(), u1.tolist()):
+        state = QubitState._unit(c0, c1)
+        assert state == QubitState(c0, c1)
+        assert _bits(state.c0, state.c1) == _bits(c0, c1)
+        assert repr(state) == repr(QubitState(c0, c1))
 
 
 def test_qubit_fidelity():

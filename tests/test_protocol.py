@@ -11,6 +11,7 @@ from dvcv_teleport.fock import QubitState, fidelity
 from dvcv_teleport.protocol import (
     Outcome,
     SingularFactorError,
+    TeleportRecord,
     UnknownQubit,
     am_probability,
     amp_factor_dual,
@@ -328,10 +329,12 @@ def test_dual_records_complete_and_ordered():
                 0.5 * probabilities[r.outcome.n, r.outcome.m], rel=1e-14)
 
 
-@pytest.mark.parametrize("l,k", [(0, 1), (1, 2)])
+@pytest.mark.parametrize("l,k", [(0, 1), (1, 2), (2, 1), (0, 3)])
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.4])
 def test_dual_records_correct_like_the_scalar_word(l, k, alpha):
-    # the batched correction is bitwise the word H Z^z applied record by record
+    # the batched states are bitwise those QubitState makes of each record's
+    # branch amplitudes, and the batched correction the word H Z^z applied
+    # record by record, signs of zero included (== takes -0.0 for 0.0)
     def bob_state(qubit, a_fac, n, parity):
         # one parity branch of the conditional state for factor a_fac on count n
         plus, minus = qubit.a0 + qubit.a1 * a_fac, qubit.a0 - qubit.a1 * a_fac
@@ -343,16 +346,49 @@ def test_dual_records_correct_like_the_scalar_word(l, k, alpha):
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         return QubitState(*(h @ np.diag([1.0, (-1.0) ** z])) @ state.vec())
 
-    for a0, a1 in ((math.sqrt(0.6), math.sqrt(0.4)), (0.6, 0.8j), (0.3 + 0.4j, -0.5 + 0.2j)):
+    # real qubits, whose states hold zero imaginary parts, and complex ones
+    for a0, a1 in ((math.sqrt(0.6), math.sqrt(0.4)), (0.6, -0.8), (0.6, 0.8j),
+                   (0.3 + 0.4j, -0.5 + 0.2j)):
         q = UnknownQubit(a0, a1, l, k)
         records = dual_rail_records(q, alpha, n_cut=6)
         assert records
         for r in records:
             parity, n = r.outcome.parity, r.outcome.n
             bob = bob_state(q, r.amp_factor, n, parity)
-            assert r.bob_state == bob
+            assert _bits(r.bob_state.vec()).tolist() == _bits(bob.vec()).tolist()
             assert r.z_power == z_power_for(parity, n, l)
-            assert r.corrected_state == corrected(bob, r.z_power)
+            fixed = corrected(bob, r.z_power)
+            assert _bits(r.corrected_state.vec()).tolist() == _bits(fixed.vec()).tolist()
+            # the record is the one the public constructors make of its fields
+            made = TeleportRecord(Outcome(parity, n, r.outcome.m), bob, r.probability,
+                                  r.amp_factor, r.z_power, fixed)
+            assert r == made and hash(r) == hash(made) and repr(r) == repr(made)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a0, a1", [(0.6, 0.8), (0.6, -0.8j), (1.0, 0.0)])
+def test_an_overflowing_amplitude_factor_gives_the_limit_state(a0, a1):
+    # at tiny alpha the factor A passes the largest float: the dual (1, 0)
+    # ratio is ~1/alpha^2, the single-rail n = 1 one (1 - alpha^2)/alpha.
+    # Each state is then the |A| -> inf limit of its branches, and the
+    # corrected one that of (a0, a1 A) normalized: (0, a1/|a1|), or (1, 0)
+    # when a1 = 0
+    q = UnknownQubit(a0, a1)
+    limit = QubitState(0, q.a1) if q.a1 else QubitState(1, 0)
+    single = single_rail_pipeline(q, 1e-310, 1)
+    records = dual_rail_records(q, 1e-160) + [single]
+    assert sum(math.isinf(r.amp_factor) for r in records) >= 3
+    for r in records:
+        for state in (r.bob_state, r.corrected_state):
+            assert abs(state.c0) ** 2 + abs(state.c1) ** 2 == pytest.approx(1.0, abs=1e-15)
+        if math.isinf(r.amp_factor):
+            assert fidelity(r.corrected_state, limit) == pytest.approx(1.0, abs=1e-15)
+    # the limit continues the states of a huge but finite factor (1e200)
+    finite = single_rail_pipeline(q, 1e-200, 1)
+    assert single.z_power == finite.z_power
+    for got, near in ((single.bob_state, finite.bob_state),
+                      (single.corrected_state, finite.corrected_state)):
+        assert fidelity(got, near) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dual_records_build_one_coefficient_table(monkeypatch):
